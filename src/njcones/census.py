@@ -1,13 +1,16 @@
 """Complete decision-cone censuses for 5 and 6 taxa, plus solid-angle sampling.
 
-Census order is canonical and doubles as the cone id: the outer loop runs
-over first picks (flat pair index), then second picks for 6 taxa (flat
-pair index in the relabeled 5-node problem), then the three final splits
-(score classes {1,0}, {2,0}, {2,1} of the 4-node step).  The Monte Carlo
-classifier walks the same decision cascade with composed float matrices
-(all entries are exact dyadics, so its scores match exact replay up to
-rounding) and reports the same ids, which is what ties the sampling to
-the H-representations.
+A completed trace is named by its pick sequence (see the join
+convention in nj): the flat pair index picked among nk current nodes
+for nk = n, ..., 5, then the split class 0, 1 or 2 picked at four nodes
+(pairs {1,0}, {2,0}, {2,1}, each scoring like its complement).  The
+cone id, for any n, is that sequence read as a mixed-radix number with
+digits m(n), ..., m(5), 3, most significant first; for 6 taxa it is
+(10 * p6 + p5) * 3 + s.  The census lists its cones in id order.  The
+Monte Carlo classifier walks the same decision cascade with composed
+float maps (all entries are exact dyadics, so its scores match exact
+replay up to rounding) and reports the same ids, which is what ties the
+sampling to the H-representations.
 """
 
 from __future__ import annotations
@@ -16,15 +19,22 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, product
 from math import sqrt
 from pathlib import Path
 
 import numpy as np
 
 from .cones import NJCone, cone_from_trace
-from .distvec import index_to_pair, num_pairs, pair_to_index, permute_flat
-from .nj import CherryTrace, q_operator, reduction_operator
+from .distvec import num_pairs, permute_flat
+from .nj import (
+    CherryTrace,
+    join_operator,
+    permute_trace,
+    q_operator,
+    trace_from_picks,
+)
 from .trees import TreeTopology
 
 CENSUS_FORMAT = 1
@@ -58,44 +68,9 @@ class ConeCensus:
         return tuple(i for i, x in enumerate(self.types) if x == t)
 
 
-def _split_pick(clusters4, s):
-    """The canonical recorded side of split class s: the one holding leaf 0."""
-    hi, lo = index_to_pair(s, 4)
-    side = (clusters4[lo], clusters4[hi])
-    if any(0 in c for c in side):
-        return side
-    return tuple(c for i, c in enumerate(clusters4) if i not in (lo, hi))
-
-
-def _merge_step(clusters, a, b):
-    x, y = sorted((clusters.index(a), clusters.index(b)))
-    return [c for i, c in enumerate(clusters) if i not in (x, y)] + [a | b]
-
-
-def canonical_trace(n, merges) -> CherryTrace:
-    """CherryTrace with the last join rewritten to the side holding leaf 0."""
-    merges = [
-        (frozenset(a), frozenset(b)) for a, b in merges
-    ]
-    clusters = [frozenset((u,)) for u in range(n)]
-    for a, b in merges[:-1]:
-        clusters = _merge_step(clusters, a, b)
-    last = merges[-1]
-    if not any(0 in c for c in last):
-        gone = set(last)
-        last = tuple(c for c in clusters if c not in gone)
-    return CherryTrace(n, tuple(merges[:-1]) + (last,))
-
-
-def permute_trace(sigma, trace: CherryTrace) -> CherryTrace:
-    """Relabeled trace, re-canonicalized so it hits the census id map."""
-    return canonical_trace(
-        trace.n,
-        [
-            (frozenset(sigma[x] for x in a), frozenset(sigma[x] for x in b))
-            for a, b in trace.merges
-        ],
-    )
+def pick_radices(n: int) -> list[int]:
+    """Digits of the mixed-radix cone id: pair counts for nk = n..5, then 3."""
+    return [num_pairs(nk) for nk in range(n, 4, -1)] + [3]
 
 
 def _type_of(trace: CherryTrace) -> str:
@@ -115,39 +90,19 @@ def census(n: int) -> ConeCensus:
         raise ValueError("census is implemented for 5 or 6 taxa")
     cones = []
     types = []
-    if n == 5:
-        for p1 in range(10):
-            a, b = index_to_pair(p1, 5)
-            first = (frozenset((a,)), frozenset((b,)))
-            clusters = _merge_step([frozenset((u,)) for u in range(5)], *first)
-            for s in range(3):
-                pick = _split_pick(clusters, s)
-                cone = cone_from_trace(CherryTrace(5, (first, pick)))
-                # middle leaf = the singleton split off with the cherry
-                mid = next(
-                    min(q) for p, q in [pick, pick[::-1]] if len(p) == 2 and len(q) == 1
-                ) if any(len(c) == 2 for c in pick) else next(
-                    u for u in range(5)
-                    if all(u not in c for c in pick) and u not in (a, b)
-                )
-                cones.append(replace(cone, label=f"C_{{{b}{a},{mid}}}"))
-                types.append("")
-    else:
-        for p1 in range(15):
-            a, b = index_to_pair(p1, 6)
-            first = (frozenset((a,)), frozenset((b,)))
-            clusters5 = _merge_step([frozenset((u,)) for u in range(6)], *first)
-            for p2 in range(10):
-                x, y = index_to_pair(p2, 5)
-                second = (clusters5[y], clusters5[x])
-                clusters4 = _merge_step(clusters5, *second)
-                for s in range(3):
-                    pick = _split_pick(clusters4, s)
-                    trace = CherryTrace(6, (first, second, pick))
-                    cone = cone_from_trace(trace)
-                    t = _type_of(trace)
-                    cones.append(replace(cone, label=f"{t}:{trace.label()}"))
-                    types.append(t)
+    for picks in product(*map(range, pick_radices(n))):
+        trace = trace_from_picks(n, picks)
+        cone = cone_from_trace(trace)
+        if n == 5:
+            # the first cherry and the middle leaf, which is in no cherry
+            (b,), (a,) = trace.merges[0]
+            (mid,) = set(range(5)).difference(*cone.topology.cherries())
+            t, label = "", f"C_{{{b}{a},{mid}}}"
+        else:
+            t = _type_of(trace)
+            label = f"{t}:{trace.label()}"
+        cones.append(replace(cone, label=label))
+        types.append(t)
     index: dict = {}
     for i, cone in enumerate(cones):
         index.setdefault(cone.topology, []).append(i)
@@ -254,61 +209,26 @@ def load_census(n: int, cache_dir=None, refresh: bool = False) -> ConeCensus:
 # Monte Carlo solid angles
 
 
-def _relabel_matrix(p: int, nk: int) -> np.ndarray:
-    """Pair-coordinate permutation for the join of the pair at flat index p.
+@lru_cache(maxsize=None)
+def _cascade(n: int) -> dict:
+    """Float score map of every decision node, keyed by its pick prefix.
 
-    Mirrors the replay convention exactly: the two picked nodes move to
-    the last two labels, everything else packs down in order.
+    After a prefix of picks, the current distances are the input under
+    the composed join maps; the node scores them with q_operator,
+    restricted at four nodes to the three split classes.
     """
-    hi, lo = index_to_pair(p, nk)
-    tau = {}
-    slot = 0
-    for u in range(nk):
-        if u == lo:
-            tau[u] = nk - 2
-        elif u == hi:
-            tau[u] = nk - 1
-        else:
-            tau[u] = slot
-            slot += 1
-    mk = num_pairs(nk)
-    mat = np.zeros((mk, mk))
-    for u in range(nk):
-        for v in range(u):
-            mat[pair_to_index(tau[u], tau[v], nk), pair_to_index(u, v, nk)] = 1.0
-    return mat
-
-
-_CASCADE: dict = {}
-
-
-def _cascade(n: int):
-    """(first-level score matrix, per-pick score matrices, final 3-row maps)."""
-    hit = _CASCADE.get(n)
-    if hit is not None:
-        return hit
-    a4 = q_operator(4).matrix.astype(float)[:3]
-    if n == 5:
-        first = q_operator(5).matrix.astype(float)
-        red5 = reduction_operator(5).matrix
-        second = [a4 @ red5 @ _relabel_matrix(p, 5) for p in range(10)]
-        out = (first, second, None)
-    elif n == 6:
-        first = q_operator(6).matrix.astype(float)
-        red6 = reduction_operator(6).matrix
-        red5 = reduction_operator(5).matrix
-        a5 = q_operator(5).matrix.astype(float)
-        drop1 = [red6 @ _relabel_matrix(p, 6) for p in range(15)]
-        second = [a5 @ d for d in drop1]
-        third = [
-            [a4 @ red5 @ _relabel_matrix(p2, 5) @ d for p2 in range(10)]
-            for d in drop1
-        ]
-        out = (first, second, third)
-    else:
-        raise ValueError("classifier cascade is implemented for 5 or 6 taxa")
-    _CASCADE[n] = out
-    return out
+    maps = {}
+    level = {(): np.eye(num_pairs(n), dtype=np.int64)}  # 2**len(prefix) times
+    for nk in range(n, 3, -1):
+        q = q_operator(nk) if nk > 4 else q_operator(4)[:3]
+        nxt = {}
+        for prefix, L in level.items():
+            maps[prefix] = (q @ L) / 2.0 ** len(prefix)
+            if nk > 4:
+                for p in range(num_pairs(nk)):
+                    nxt[prefix + (p,)] = join_operator(p, nk) @ L
+        level = nxt
+    return maps
 
 
 def _argmin_gap(scores: np.ndarray, tol: float):
@@ -318,28 +238,28 @@ def _argmin_gap(scores: np.ndarray, tol: float):
 
 
 def classify_batch(n: int, X: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Census cone id per row of X; -1 where any selection step was a tie."""
-    first, second, third = _cascade(n)
+    """Cone id per row of X (see the module docstring); -1 where a step tied."""
+    if n < 4:
+        raise ValueError("need at least 4 taxa")
+    maps = _cascade(n)
     X = np.asarray(X, dtype=float)
-    rows = X.shape[0]
-    ids = np.full(rows, -1, dtype=np.int64)
-    p1, ok1 = _argmin_gap(X @ first.T, tol)
-    for i in range(first.shape[0]):
-        sel = np.flatnonzero(ok1 & (p1 == i))
-        if sel.size == 0:
+    ids = np.full(X.shape[0], -1, dtype=np.int64)
+
+    # depth first, each node's rows gathered from its parent's only when
+    # popped, so pending siblings hold indices rather than copies of rows
+    todo = [((), X, slice(None), np.arange(X.shape[0]), 0)]
+    while todo:
+        prefix, parent_rows, take, sel, code = todo.pop()
+        rows = parent_rows[take]
+        A = maps[prefix]
+        pick, ok = _argmin_gap(rows @ A.T, tol)
+        code *= len(A)
+        if len(prefix) == n - 4:
+            ids[sel[ok]] = code + pick[ok]
             continue
-        Xi = X[sel]
-        s2, ok2 = _argmin_gap(Xi @ second[i].T, tol)
-        if third is None:
-            ids[sel[ok2]] = 3 * i + s2[ok2]
-            continue
-        for j in range(second[i].shape[0]):
-            sub = ok2 & (s2 == j)
-            if not sub.any():
-                continue
-            s3, ok3 = _argmin_gap(Xi[sub] @ third[i][j].T, tol)
-            picked = sel[sub][ok3]
-            ids[picked] = (10 * i + j) * 3 + s3[ok3]
+        for p in np.flatnonzero(np.bincount(pick[ok], minlength=len(A))).tolist():
+            take = np.flatnonzero(ok & (pick == p))
+            todo.append((prefix + (p,), rows, take, sel[take], code + p))
     return ids
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -27,7 +28,7 @@ from .distvec import (
     pair_to_index,
     permute_flat,
 )
-from .nj import CherryTrace, q_operator
+from .nj import CherryTrace, join_operator, permute_trace, q_operator
 from .rational import feasible_point, primitive
 from .trees import TreeTopology
 
@@ -52,6 +53,15 @@ class NJCone:
     def m(self) -> int:
         return num_pairs(self.n)
 
+    @cached_property
+    def unit_rows(self) -> np.ndarray:
+        """Read-only float normals scaled to unit length, for float tolerances."""
+        H = np.array(self.normals, dtype=float)
+        if H.size:
+            H /= np.linalg.norm(H, axis=1, keepdims=True)
+        H.setflags(write=False)
+        return H
+
     def __post_init__(self):
         for h in self.normals:
             if len(h) != self.m:
@@ -65,7 +75,7 @@ def halfspace_normal(i: int, j: int, n: int) -> tuple:
     """
     if i == j:
         raise ValueError("need two distinct pair indices")
-    mat = q_operator(n).matrix
+    mat = q_operator(n)
     m = num_pairs(n)
     if not (0 <= i < m and 0 <= j < m):
         raise ValueError(f"pair index out of range for n={n}")
@@ -97,65 +107,19 @@ def cone_from_trace(trace: CherryTrace, n: int | None = None) -> NJCone:
     if n is not None and n != trace.n:
         raise ValueError("taxon count does not match the trace")
     n = trace.n
-    m = num_pairs(n)
-    L = [
-        [Fraction(1) if r == s else Fraction(0) for s in range(m)]
-        for r in range(m)
-    ]
+    L = np.eye(num_pairs(n), dtype=np.int64)  # 2**step times the current distances
     normals = []
     seen = set()
-    for nk, p, _clusters in trace.step_picks():
-        mk = num_pairs(nk)
-        mat = q_operator(nk).matrix
-        scores = []  # row r of A L, a linear functional on the original space
-        for r in range(mk):
-            row = [Fraction(0)] * m
-            for t in range(mk):
-                c = int(mat[r, t])
-                if c:
-                    lt = L[t]
-                    for s in range(m):
-                        if lt[s]:
-                            row[s] += c * lt[s]
-            scores.append(row)
-        base = scores[p]
-        for j in range(mk):
+    for nk, p in zip(range(n, 3, -1), trace.step_picks()):
+        scores = q_operator(nk) @ L  # rows: score functionals on the input space
+        for j in range(len(scores)):
             if j == p:
                 continue
-            h = primitive([scores[j][s] - base[s] for s in range(m)])
+            h = primitive((scores[j] - scores[p]).tolist())
             if any(h) and h not in seen:
                 seen.add(h)
                 normals.append(h)
-        if nk == 4:
-            break
-        hi, lo = index_to_pair(p, nk)
-        tau = {}
-        slot = 0
-        for u in range(nk):
-            if u == lo:
-                tau[u] = nk - 2
-            elif u == hi:
-                tau[u] = nk - 1
-            else:
-                tau[u] = slot
-                slot += 1
-        permuted = [None] * mk
-        for u in range(nk):
-            for v in range(u):
-                permuted[pair_to_index(tau[u], tau[v], nk)] = L[
-                    pair_to_index(u, v, nk)
-                ]
-        half = Fraction(1, 2)
-        keep = num_pairs(nk - 2)
-        nxt = permuted[:keep]
-        last = permuted[mk - 1]
-        for idx in range(keep, num_pairs(nk - 1)):
-            partner = permuted[idx + nk - 2]
-            row = permuted[idx]
-            nxt.append(
-                [half * (row[s] + partner[s] - last[s]) for s in range(m)]
-            )
-        L = nxt
+        L = join_operator(p, nk) @ L
     return NJCone(
         n,
         tuple(normals),
@@ -313,13 +277,7 @@ def permute_cone(sigma, cone: NJCone) -> NJCone:
     topology = None
     label = cone.label
     if cone.trace is not None:
-        trace = CherryTrace(
-            cone.n,
-            tuple(
-                (frozenset(sigma[x] for x in a), frozenset(sigma[x] for x in b))
-                for a, b in cone.trace.merges
-            ),
-        )
+        trace = permute_trace(sigma, cone.trace)
         label = trace.label()
     if cone.topology is not None:
         topology = cone.topology.relabel(sigma)

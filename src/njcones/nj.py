@@ -1,11 +1,24 @@
 """Neighbor joining as explicit linear algebra.
 
-The cherry-selection score is a linear map of the flattened distance
-vector; each agglomeration step is another linear map (a relabeling
-permutation followed by the averaging reduction).  This module exposes
-those operators exactly and runs the algorithm with full tie branching,
-so the output is the set of every (trace, topology) the input can
-produce, not just one arbitrary tree.
+The selection scores of the nk current nodes are a linear map,
+q_operator(nk), of their flattened distance vector; the join picks the
+pair with the smallest score.  The join is the other linear map, and
+this is the one place its convention is fixed:
+
+    Joining the pair at flat index p, i.e. nodes x > y of nk, moves y
+    to slot nk-2 and x to slot nk-1, packs the other nodes in order into
+    slots 0..nk-3, and then replaces the last two by the merged node,
+    which becomes node nk-2 of the nk-1 remaining ones, at distance
+    (d(k,x) + d(k,y) - d(x,y)) / 2 from every other node k.
+
+join_operator(p, nk) is that map on distance vectors (times 2) and
+join_clusters the same step on the list of current leaf clusters, so a
+pick sequence (one flat pair index per step) names a run.  At four
+nodes complementary pairs score alike; the last join is recorded as the
+side of the final split that holds leaf 0 (_canonical_last_join), which
+makes equal cones carry equal traces.  nj_run branches on every tie, so
+its output is the set of every (trace, topology) the input can produce,
+not just one arbitrary tree.
 """
 
 from __future__ import annotations
@@ -14,6 +27,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
@@ -31,34 +45,9 @@ class BranchLimitExceeded(RuntimeError):
     """Tie branching exceeded the configured limit."""
 
 
-@dataclass(frozen=True, eq=False)
-class QOperator:
-    """The linear map sending a distance vector to its selection scores."""
-
-    n: int
-    matrix: np.ndarray  # m x m, small integers, read-only
-
-
-@dataclass(frozen=True, eq=False)
-class ReductionOperator:
-    """One agglomeration step, written on flattened vectors.
-
-    Convention: the merged cherry occupies the last index m-1 (taxa n-2
-    and n-1); the merged node becomes taxon n-2 of the smaller problem.
-    """
-
-    n: int
-    matrix: np.ndarray  # (m-n+1) x m, entries in {0, 1, 1/2, -1/2}
-
-    def rows_exact(self) -> list[list[Fraction]]:
-        half = Fraction(1, 2)
-        return [
-            [half * int(round(2 * x)) for x in row] for row in self.matrix
-        ]
-
-
 @lru_cache(maxsize=None)
-def q_operator(n: int) -> QOperator:
+def q_operator(n: int) -> np.ndarray:
+    """Read-only m x m integer map from a distance vector to its selection scores."""
     if n < 4:
         raise ValueError("need at least 4 taxa")
     pairs = all_pairs(n)
@@ -71,44 +60,38 @@ def q_operator(n: int) -> QOperator:
             elif {a, b} & {c, d}:
                 mat[i, j] = -1
     mat.setflags(write=False)
-    return QOperator(n, mat)
+    return mat
 
 
 @lru_cache(maxsize=None)
-def reduction_operator(n: int) -> ReductionOperator:
-    if n < 4:
-        raise ValueError("need at least 4 taxa")
-    m = num_pairs(n)
-    rows = num_pairs(n - 1)
-    keep = num_pairs(n - 2)
-    mat = np.zeros((rows, m))
-    for i in range(keep):
-        mat[i, i] = 1.0
-    for i in range(keep, rows):
-        # d'(k, merged) = (d(k, n-2) + d(k, n-1) - d(n-2, n-1)) / 2
-        mat[i, i] = 0.5
-        mat[i, i + n - 2] = 0.5
-        mat[i, m - 1] = -0.5
+def join_operator(p: int, nk: int) -> np.ndarray:
+    """Twice the join of the pair at flat index p, as a read-only integer map.
+
+    Rows index the pairs of the nk-1 nodes left after the join, columns
+    the pairs of the nk current ones (see the module docstring).  Kept
+    pairs carry a 2; each distance to the merged node carries 1, 1, -1.
+    All entries are integers, so halving the image is exact.
+    """
+    x, y = index_to_pair(p, nk)
+    rest = [u for u in range(nk) if u != x and u != y]
+    mat = np.zeros((num_pairs(nk - 1), num_pairs(nk)), dtype=np.int64)
+    for i, (a, b) in enumerate(all_pairs(nk - 2)):
+        mat[i, pair_to_index(rest[a], rest[b], nk)] = 2
+    for k, u in enumerate(rest):
+        row = pair_to_index(nk - 2, k, nk - 1)
+        mat[row, pair_to_index(u, x, nk)] = 1
+        mat[row, pair_to_index(u, y, nk)] = 1
+        mat[row, p] = -1
     mat.setflags(write=False)
-    return ReductionOperator(n, mat)
-
-
-def _row_sums(d, n):
-    """Per-taxon distance sums of a flattened vector."""
-    sums = [0] * n
-    for idx, (a, b) in enumerate(all_pairs(n)):
-        sums[a] += d[idx]
-        sums[b] += d[idx]
-    return sums
+    return mat
 
 
 def q_criterion(d, n: int | None = None):
     """Selection scores (n-2)*d_ab - sum_k d_ak - sum_k d_bk.
 
     Accepts a DissimilarityVector or a bare flat sequence with explicit n.
-    Exact entries give exact scores; float entries give a float array.
-    This is the direct summation route; q_operator is the independent
-    matrix route, and the two are cross-checked in the test suite.
+    Exact entries give a list of exact scores; float entries give a float
+    array.
     """
     if isinstance(d, DissimilarityVector):
         vals, n = d.values, d.n
@@ -116,14 +99,28 @@ def q_criterion(d, n: int | None = None):
         if n is None:
             raise ValueError("n is required for bare sequences")
         vals = list(d)
-    sums = _row_sums(vals, n)
-    out = [
-        (n - 2) * vals[idx] - sums[a] - sums[b]
-        for idx, (a, b) in enumerate(all_pairs(n))
-    ]
     if all(isinstance(v, (int, Fraction)) for v in vals):
-        return out
-    return np.array([float(v) for v in out])
+        return list(q_operator(n) @ np.array(vals, dtype=object))
+    return q_operator(n) @ np.array([float(v) for v in vals])
+
+
+def join_clusters(clusters: list, p: int):
+    """The cluster list after joining the pair at flat index p, and that join."""
+    x, y = index_to_pair(p, len(clusters))
+    rest = [c for i, c in enumerate(clusters) if i != x and i != y]
+    return rest + [clusters[x] | clusters[y]], (clusters[y], clusters[x])
+
+
+def _canonical_last_join(clusters: list, p: int) -> tuple:
+    """At four nodes, the side of the split picked by p that holds leaf 0."""
+    x, y = index_to_pair(p, 4)
+    if 0 in clusters[x] | clusters[y]:
+        return clusters[y], clusters[x]
+    return tuple(c for i, c in enumerate(clusters) if i != x and i != y)
+
+
+def _leaves(n: int) -> list:
+    return [frozenset([i]) for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -132,10 +129,9 @@ class CherryTrace:
 
     merges holds one (cluster, cluster) pair per join; clusters are
     frozensets of original leaves, and each pair is stored with the
-    cluster containing the smaller minimum first.  The join at the
-    four-node step is recorded as the side of the final split that
-    contains the overall smallest leaf, which makes equal cones carry
-    equal traces.
+    cluster containing the smaller minimum first.  Traces built by
+    trace_from_picks (and so by nj_run and the census) record the last
+    join canonically.
     """
 
     n: int
@@ -159,26 +155,18 @@ class CherryTrace:
 
         return "+".join(f"{fmt(a)}-{fmt(b)}" for a, b in self.merges)
 
-    def step_picks(self):
-        """Replay the relabeling bookkeeping.
-
-        Yields (active_count, picked_pair_index, clusters) per step, where
-        picked_pair_index is the flat index of the joined pair under the
-        current labeling and clusters maps current label -> original leaf
-        set.  The relabeling convention matches nj_run: the two picked
-        nodes move to the last two slots, everything else keeps its order,
-        and the merged node becomes node count-2 of the reduced problem.
-        """
-        clusters = [frozenset([i]) for i in range(self.n)]
+    def step_picks(self) -> list[int]:
+        """The pick sequence: each join's flat pair index among the current nodes."""
+        clusters = _leaves(self.n)
+        picks = []
         for a, b in self.merges:
-            nk = len(clusters)
             try:
-                x, y = sorted((clusters.index(a), clusters.index(b)))
+                p = pair_to_index(clusters.index(a), clusters.index(b), len(clusters))
             except ValueError:
                 raise ValueError(f"join of inactive clusters {set(a)}, {set(b)}") from None
-            yield nk, pair_to_index(y, x, nk), list(clusters)
-            rest = [c for i, c in enumerate(clusters) if i != x and i != y]
-            clusters = rest + [a | b]
+            picks.append(p)
+            clusters = join_clusters(clusters, p)[0]
+        return picks
 
     def to_json(self) -> str:
         return json.dumps(
@@ -196,12 +184,31 @@ class CherryTrace:
         )
 
 
-def _canonical_last_join(clusters, x, y):
-    """At four active nodes, record the split side holding the smallest leaf."""
-    part_a = (clusters[x], clusters[y])
-    part_b = tuple(c for i, c in enumerate(clusters) if i != x and i != y)
-    lo = min(min(c) for c in part_a + part_b)
-    return part_a if any(lo in c for c in part_a) else part_b
+def trace_from_picks(n: int, picks) -> CherryTrace:
+    """The trace of a pick sequence, its last join recorded canonically."""
+    clusters = _leaves(n)
+    merges = []
+    for p in picks[:-1]:
+        clusters, join = join_clusters(clusters, p)
+        merges.append(join)
+    merges.append(_canonical_last_join(clusters, picks[-1]))
+    return CherryTrace(n, tuple(merges))
+
+
+def canonical_trace(n: int, merges) -> CherryTrace:
+    """CherryTrace with the last join rewritten to the side holding leaf 0."""
+    return trace_from_picks(n, CherryTrace(n, tuple(merges)).step_picks())
+
+
+def permute_trace(sigma, trace: CherryTrace) -> CherryTrace:
+    """Relabeled trace, re-canonicalized so it hits the census id map."""
+    return canonical_trace(
+        trace.n,
+        [
+            (frozenset(sigma[x] for x in a), frozenset(sigma[x] for x in b))
+            for a, b in trace.merges
+        ],
+    )
 
 
 def nj_run(
@@ -217,54 +224,41 @@ def nj_run(
     """
     n = d.n
     exact = d.is_exact
+    if exact:
+        # exact ties do not move under positive scaling: clear the
+        # denominators and let each join double the integer distances
+        exact_vals = [Fraction(v) for v in d.values]
+        den = lcm(*(v.denominator for v in exact_vals))
+        vals = np.array([int(v * den) for v in exact_vals], dtype=object)
+        scale = 1
+    else:
+        # tie_tol is absolute, so float runs keep the true distances
+        vals = d.as_array()
+        scale = 0.5
 
-    def tied_minima(vals):
-        lo = min(vals)
+    def tied_minima(q):
+        lo = min(q)
         if exact:
-            return [i for i, v in enumerate(vals) if v == lo]
-        return [i for i, v in enumerate(vals) if v - lo <= tie_tol]
+            return [i for i, v in enumerate(q) if v == lo]
+        return [i for i, v in enumerate(q) if v - lo <= tie_tol]
 
     results = {}
     budget = [branch_limit]
 
-    def recurse(vals, clusters, merges):
+    def recurse(vals, nk, picks):
         budget[0] -= 1
         if budget[0] < 0:
             raise BranchLimitExceeded(f"more than {branch_limit} tie branches")
-        nk = len(clusters)
-        q = q_criterion(vals, nk)
-        if not exact:
-            q = list(q)
-        if nk == 4:
-            # complementary pairs score identically; branch over the three
-            # splits via their representatives {0,1},{2,0},{2,1}
-            for p in tied_minima(q[:3]):
-                x, y = index_to_pair(p, 4)
-                join = _canonical_last_join(clusters, x, y)
-                trace = CherryTrace(n, tuple(merges + [join]))
-                results.setdefault(trace, None)
-            return
+        # complementary pairs score alike at four nodes: branch over the
+        # three splits via their representatives {1,0}, {2,0}, {2,1}
+        q = q_operator(nk) @ vals if nk > 4 else q_operator(4)[:3] @ vals
         for p in tied_minima(q):
-            x, y = index_to_pair(p, nk)  # x > y
-            keep = [i for i in range(nk) if i != x and i != y]
-            nxt = []
-            for ai in range(1, nk - 2):
-                for bi in range(ai):
-                    nxt.append(vals[pair_to_index(keep[ai], keep[bi], nk)])
-            dxy = vals[pair_to_index(x, y, nk)]
-            half = Fraction(1, 2) if exact else 0.5
-            for k in keep:
-                dk = (
-                    vals[pair_to_index(k, x, nk)]
-                    + vals[pair_to_index(k, y, nk)]
-                    - dxy
-                ) * half
-                nxt.append(dk)
-            new_clusters = [clusters[i] for i in keep] + [clusters[x] | clusters[y]]
-            recurse(nxt, new_clusters, merges + [(clusters[y], clusters[x])])
+            if nk == 4:
+                results.setdefault(trace_from_picks(n, picks + [p]), None)
+            else:
+                recurse((join_operator(p, nk) @ vals) * scale, nk - 1, picks + [p])
 
-    vals = list(d.values)
-    recurse(vals, [frozenset([i]) for i in range(n)], [])
+    recurse(vals, n, [])
     out = [(tr, tr.topology()) for tr in results]
     out.sort(key=lambda pair: pair[0].sort_key())
     return out

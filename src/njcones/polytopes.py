@@ -61,7 +61,7 @@ def build_p(n: int) -> PointConfiguration:
             RuntimeWarning,
             stacklevel=2,
         )
-    mat = q_operator(n).matrix
+    mat = q_operator(n)
     m = num_pairs(n)
     pts = tuple(tuple(int(-mat[i, t]) for t in range(m)) for i in range(m))
     return PointConfiguration(n, pts)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import orth
 
-from .cones import NJCone, membership
+from .cones import membership
 
 
 @dataclass(frozen=True)
@@ -33,35 +33,6 @@ class ClassificationRecord:
     verdict: str                 # "correct" or "incorrect"
     boundary_distance: float
     nearest_region: str          # canonical Newick of the nearest other region
-
-
-_H_CACHE: dict = {}
-
-
-def _unit_rows(cone_or_normals) -> np.ndarray:
-    """Float constraint matrix with unit rows (same cone, nicer tolerances)."""
-    if isinstance(cone_or_normals, NJCone):
-        key = id(cone_or_normals)
-        hit = _H_CACHE.get(key)
-        if hit is not None and hit[0] is cone_or_normals:
-            return hit[1]
-        H = np.array(cone_or_normals.normals, dtype=float)
-        if H.size:
-            H = H / np.linalg.norm(H, axis=1, keepdims=True)
-        _H_CACHE[key] = (cone_or_normals, H)
-        return H
-    H = np.array(cone_or_normals, dtype=float)
-    if H.size:
-        H = H / np.linalg.norm(H, axis=1, keepdims=True)
-    return H
-
-
-def _null_projector(Hw: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the common zero set of the given rows."""
-    m = Hw.shape[1]
-    if Hw.shape[0] == 0:
-        return np.eye(m)
-    return np.eye(m) - np.linalg.pinv(Hw) @ Hw
 
 
 def nearest_point(cone, v, tol: float = 1e-9) -> ProjectionResult:
@@ -87,7 +58,7 @@ def nearest_point(cone, v, tol: float = 1e-9) -> ProjectionResult:
     The tight set lists the constraints whose slack at the point is
     within 10 * tol of zero, relative to 1 + ||v||.
     """
-    H = _unit_rows(cone)
+    H = cone.unit_rows
     v = np.asarray(v, dtype=float)
     if H.size == 0:
         return ProjectionResult(v.copy(), 0.0, (), "trivial")
@@ -226,7 +197,7 @@ def projection_oracle(cone, V, tol: float = 1e-9, batch: int = 128):
     distances are unchanged, and the cone becomes pointed there, so its
     faces are spanned by extreme rays (see _face_bases).
     """
-    H = _unit_rows(cone)
+    H = cone.unit_rows
     V = np.asarray(V, dtype=float)
     single = V.ndim == 1
     if single:
@@ -264,47 +235,9 @@ def projection_oracle(cone, V, tol: float = 1e-9, batch: int = 128):
     return dist, points
 
 
-def recursive_projection(cone, v, tol: float = 1e-9) -> np.ndarray:
-    """Greedy variant: repeatedly pin the most violated constraint.
-
-    Fast and usually right, but not guaranteed optimal when several
-    constraints are violated at once; tests compare it against
-    nearest_point rather than trusting it.
-    """
-    H = _unit_rows(cone)
-    v = np.asarray(v, dtype=float)
-    if H.size == 0:
-        return v.copy()
-    scale = 1.0 + float(np.linalg.norm(v))
-    pinned: list[int] = []
-    x = v
-    for _ in range(H.shape[0]):
-        s = H @ x
-        j = int(np.argmin(s))
-        if s[j] >= -tol * scale:
-            return x
-        pinned.append(j)
-        x = _null_projector(H[pinned]) @ v
-    return x
-
-
-def boundary_distance_interior(cone, v) -> float:
-    """Distance from an inside point to the boundary, one dot per facet.
-
-    Valid when the representation is irredundant (a redundant constraint
-    plane can pass closer to v than any facet does).
-    """
-    H = _unit_rows(cone)
-    v = np.asarray(v, dtype=float)
-    s = H @ v
-    if float(s.min()) < 0:
-        raise ValueError("point is not inside the cone")
-    return float(s.min())
-
-
 def _violation_lower_bound(cone, v) -> float:
     """max violated signed distance; never exceeds the projection distance."""
-    H = _unit_rows(cone)
+    H = cone.unit_rows
     s = H @ v
     worst = float(s.min())
     return max(0.0, -worst)
@@ -327,11 +260,11 @@ def distance_to_wrong(d, true_topology, cones, tol: float = 1e-9) -> Classificat
     candidates = (
         [c for c in cones if c.topology != true_topology] if correct else mine
     )
-    order = sorted(candidates, key=lambda c: _violation_lower_bound(c, v))
+    bounds = [_violation_lower_bound(c, v) for c in candidates]
     best = np.inf
     best_cone = None
-    for cone in order:
-        if _violation_lower_bound(cone, v) >= best:
+    for bound, cone in sorted(zip(bounds, candidates), key=lambda t: t[0]):
+        if bound >= best:
             continue
         dist = nearest_point(cone, v, tol=tol).distance
         if dist < best:

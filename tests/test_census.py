@@ -1,4 +1,6 @@
+import hashlib
 import json
+import weakref
 from collections import Counter
 from itertools import permutations
 
@@ -7,20 +9,21 @@ import pytest
 
 from njcones.census import (
     AngleSurvey,
-    canonical_trace,
     census,
     census_cache_path,
+    _census_to_json,
     classify_batch,
     load_census,
     orbit_ids,
     permute_trace,
+    pick_radices,
     solid_angles_mc,
     stabilizer,
     topology_angle,
 )
 from njcones.cones import membership
-from njcones.distvec import DissimilarityVector
-from njcones.nj import nj_run
+from njcones.distvec import DissimilarityVector, num_pairs
+from njcones.nj import canonical_trace, nj_run, trace_from_picks
 
 
 def test_census_only_five_or_six():
@@ -103,25 +106,61 @@ def test_stabilizer_is_a_group(census5):
             assert tuple(s[t[x]] for x in range(5)) in stab
 
 
-def test_classify_batch_agrees_with_membership(census5, rng):
-    X = rng.normal(size=(300, 10))
-    ids = classify_batch(5, X)
-    assert ids.dtype == np.int64
+def test_census_json_is_pinned(census5, census6):
+    # normals, order, labels and types, as cached by earlier versions
+    for cns, digest in (
+        (census5, "fe2353951d081c490703adf5be9e3be9fd546ed8d647f751b9513ac5c0d2507b"),
+        (census6, "cf65d7209aac4c3265087c861b1fb1592e3a842b556924731858be2c56a61a49"),
+    ):
+        assert hashlib.sha256(_census_to_json(cns).encode()).hexdigest() == digest
+
+
+def test_classify_batch_agrees_with_membership(census5, census6, rng):
+    for cns in (census5, census6):
+        X = rng.normal(size=(300, num_pairs(cns.n)))
+        ids = classify_batch(cns.n, X)
+        assert ids.dtype == np.int64
+        assert (ids >= 0).sum() > 290
+        for x, cid in zip(X, ids):
+            if cid < 0:
+                continue
+            assert membership(cns.cones[cid], x) != "outside"
+
+
+def test_classify_batch_matches_tree_runs(census5, census6, rng):
+    from njcones.trees import random_metric_tree
+
+    for cns in (census5, census6):
+        for _ in range(10):
+            top, d = random_metric_tree(cns.n, rng)
+            ids = classify_batch(cns.n, d.as_array()[None, :])
+            assert ids[0] >= 0
+            traces = {tr for tr, _ in nj_run(d)}
+            assert cns.cones[ids[0]].trace in traces
+
+
+def test_classify_batch_beyond_the_census(rng):
+    # seven taxa: decode each id into its pick sequence and its trace
+    X = rng.normal(size=(200, 21))
+    ids = classify_batch(7, X)
+    assert ids.max() < 21 * 15 * 10 * 3
+    assert (ids >= 0).sum() > 190
     for x, cid in zip(X, ids):
         if cid < 0:
             continue
-        assert membership(census5.cones[cid], x) != "outside"
+        picks = [int(p) for p in np.unravel_index(cid, pick_radices(7))]
+        trace = trace_from_picks(7, picks)
+        d = DissimilarityVector(7, tuple(float(v) for v in x))
+        assert trace in {tr for tr, _ in nj_run(d)}
 
 
-def test_classify_batch_matches_tree_runs(census5, rng):
-    from njcones.trees import random_metric_tree
-
-    for _ in range(10):
-        top, d = random_metric_tree(5, rng)
-        ids = classify_batch(5, d.as_array()[None, :])
-        assert ids[0] >= 0
-        traces = {tr for tr, _ in nj_run(d)}
-        assert census5.cones[ids[0]].trace in traces
+def test_classify_batch_lets_go_of_its_input(rng):
+    # the sampler feeds 16 MB chunks; nothing may keep one alive afterwards
+    X = rng.normal(size=(100, 15))
+    alive = weakref.ref(X)
+    classify_batch(6, X)
+    del X
+    assert alive() is None
 
 
 def test_classify_batch_reports_ties(census5):

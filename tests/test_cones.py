@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from njcones.trees import path_metric, random_metric_tree
 
 def test_halfspace_normal_is_score_gap():
     for n in (4, 5):
-        mat = q_operator(n).matrix
+        mat = q_operator(n)
         for i in range(num_pairs(n)):
             for j in range(num_pairs(n)):
                 if i == j:
@@ -124,6 +125,17 @@ def test_permute_cone_equivariance(rng):
         assert membership(cone, d.values) == membership(
             moved, apply_permutation(sigma, d).values
         )
+
+
+def test_permute_cone_keeps_census_traces(census5, rng):
+    # the moved cone carries the census trace of the moved normals
+    perms = list(permutations(range(5)))
+    ids = census5.trace_ids
+    for cone in census5.cones:
+        for k in rng.choice(len(perms), size=18, replace=False):
+            moved = permute_cone(perms[k], cone)
+            assert moved.trace in ids
+            assert set(census5.cones[ids[moved.trace]].normals) == set(moved.normals)
 
 
 def test_cone_text_round_trip():

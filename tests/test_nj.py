@@ -3,14 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from njcones.distvec import DissimilarityVector, index_to_pair, num_pairs
+from njcones.distvec import DissimilarityVector, index_to_pair, num_pairs, permute_flat
 from njcones.nj import (
     BranchLimitExceeded,
     CherryTrace,
     nj_run,
     q_criterion,
+    join_operator,
     q_operator,
-    reduction_operator,
     unique_topologies,
 )
 from njcones.trees import TreeTopology, path_metric, random_topology
@@ -31,9 +31,70 @@ def classic_q(d: DissimilarityVector):
     return out
 
 
+def textbook_nj(d: DissimilarityVector, tie_tol: float = 1e-9) -> set:
+    """Saitou-Nei neighbor joining with every tie branched, as an oracle.
+
+    Works on an explicit matrix keyed by node (the leaf set below it),
+    scores pairs with classic_q, and records the join at four nodes as
+    the side of the final split that holds leaf 0.  Returns the traces.
+    """
+    exact = d.is_exact
+
+    def entry(a, b):
+        return Fraction(d.get(a, b)) if exact else d.get(a, b)
+
+    leaves = [frozenset([a]) for a in range(d.n)]
+    start = {u: {v: entry(min(u), min(v)) for v in leaves if v != u} for u in leaves}
+    traces = set()
+
+    def step(dist, merges):
+        nodes = list(dist)
+        rows = [[dist[u].get(v, 0) for v in nodes] for u in nodes]
+        q = classic_q(DissimilarityVector.from_matrix(rows))
+        lo = min(q)
+        for idx, score in enumerate(q):
+            if (score != lo) if exact else (score - lo > tie_tol):
+                continue
+            a, b = index_to_pair(idx, len(nodes))
+            u, v = nodes[a], nodes[b]
+            if len(nodes) == 4:
+                rest = tuple(w for w in nodes if w not in (u, v))
+                side = (u, v) if 0 in u | v else rest
+                traces.add(CherryTrace(d.n, tuple(merges + [side])))
+                continue
+            nxt = {
+                x: {y: dxy for y, dxy in row.items() if y not in (u, v)}
+                for x, row in dist.items()
+                if x not in (u, v)
+            }
+            w = u | v
+            nxt[w] = {}
+            for k in list(nxt):
+                if k != w:
+                    nxt[w][k] = nxt[k][w] = (dist[u][k] + dist[v][k] - dist[u][v]) / 2
+            step(nxt, merges + [(u, v)])
+
+    step(start, [])
+    return traces
+
+
+def test_nj_run_matches_textbook_nj(rng):
+    # small integers and halves tie often; Gaussian floats almost never do
+    for n in (4, 5, 6):
+        for k in range(40):
+            vals = rng.integers(1, 4 if k % 2 else 7, size=num_pairs(n)).tolist()
+            entries = vals if k % 2 else [Fraction(v, 2) for v in vals]
+            d = DissimilarityVector(n, tuple(entries))
+            assert {tr for tr, _ in nj_run(d)} == textbook_nj(d)
+    for n in (4, 5, 6, 7):
+        for _ in range(30):
+            d = DissimilarityVector(n, tuple(rng.normal(size=num_pairs(n)).tolist()))
+            assert {tr for tr, _ in nj_run(d)} == textbook_nj(d)
+
+
 def test_q_operator_structure():
     for n in (4, 5, 6):
-        mat = q_operator(n).matrix
+        mat = q_operator(n)
         m = num_pairs(n)
         assert mat.shape == (m, m)
         for i in range(m):
@@ -75,13 +136,22 @@ def test_demo_scores_frozen():
 
 
 def test_reduction_entries_and_exact_rows():
+    # the reduction of the last pair, and the join of any pair, whose
+    # image is the reduction of the relabeled vector
     for n in (5, 6):
-        op = reduction_operator(n)
         m = num_pairs(n)
-        assert op.matrix.shape == (m - n + 1, m)
-        assert set(np.unique(op.matrix)) <= {0.0, 0.5, -0.5, 1.0}
-        exact = op.rows_exact()
-        assert [[float(x) for x in row] for row in exact] == op.matrix.tolist()
+        op = join_operator(m - 1, n)
+        assert op.shape == (m - n + 1, m)
+        assert set(np.unique(op)) <= {0, 1, -1, 2}
+        assert not op.flags.writeable
+        for p in range(m):
+            x, y = index_to_pair(p, n)
+            order = [u for u in range(n) if u not in (x, y)] + [y, x]
+            tau = np.argsort(order).tolist()  # old label -> new slot
+            moved = permute_flat(tau, list(range(m)), n)  # new index -> old index
+            relabel = np.zeros((m, m), dtype=np.int64)
+            relabel[np.arange(m), moved] = 1
+            assert (join_operator(p, n) == op @ relabel).all()
 
 
 def test_reduction_matches_contracted_tree():
@@ -98,8 +168,8 @@ def test_reduction_matches_contracted_tree():
     }
     d5 = [Fraction(x) for x in path_metric(5, edges5, lengths5)]
     reduced = [
-        sum(c * x for c, x in zip(row, d5))
-        for row in reduction_operator(5).rows_exact()
+        sum(int(c) * x for c, x in zip(row, d5)) / 2
+        for row in join_operator(9, 5)
     ]
     # merged node becomes leaf 3 of the smaller problem, at the old node 7
     edges4 = [(0, 5), (1, 5), (5, 6), (2, 6), (6, 3)]

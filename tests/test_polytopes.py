@@ -18,7 +18,7 @@ from njcones.rational import affine_rank
 
 def test_build_p_points_are_negated_score_rows():
     P = build_p(5)
-    mat = q_operator(5).matrix
+    mat = q_operator(5)
     assert len(P.points) == num_pairs(5)
     for i, p in enumerate(P.points):
         assert list(p) == [int(-x) for x in mat[i]]

@@ -13,11 +13,9 @@ from njcones.cones import (
 )
 from njcones.nj import CherryTrace
 from njcones.projection import (
-    boundary_distance_interior,
     distance_to_wrong,
     nearest_point,
     projection_oracle,
-    recursive_projection,
 )
 from njcones.trees import random_metric_tree
 
@@ -111,35 +109,6 @@ def test_matches_exhaustive_oracle(rng):
             literal_d, literal_x = all_subsets_projection(cone, V[k])
             assert abs(literal_d - dists[k]) <= 1e-12
             assert np.allclose(literal_x, points[k], rtol=0, atol=1e-12)
-
-
-def test_recursive_heuristic_is_an_upper_bound(rng):
-    cone = pick34_cone()
-    for _ in range(15):
-        v = rng.normal(size=10) * 2
-        x = recursive_projection(cone, v)
-        assert membership(cone, x, tol=1e-7) != "outside"
-        assert np.linalg.norm(x - v) >= nearest_point(cone, v).distance - 1e-9
-
-
-def test_boundary_distance_interior():
-    h = np.zeros(6)
-    h[1] = 2.0
-    cone = NJCone(4, (tuple(h),))
-    v = np.full(6, 3.0)
-    assert boundary_distance_interior(cone, v) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        boundary_distance_interior(cone, -v)
-
-
-def test_boundary_distance_shrinks_toward_facet():
-    cone = irredundant(pick34_cone())
-    v = np.array([float(x) for x in interior_point(cone)])
-    d0 = boundary_distance_interior(cone, v)
-    assert d0 > 0
-    h = np.array(cone.normals[0], dtype=float)
-    step = 0.9 * d0 * h / np.linalg.norm(h)
-    assert boundary_distance_interior(cone, v - step) < d0
 
 
 def test_distance_to_wrong_classifies_tree_metrics(census5, rng):
