@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Correct-classification curve under Gaussian noise on a 5-leaf tree metric.
 
-Sweeps the noise scale over a grid and writes curve.csv plus a manifest
-to the output directory.
+Runs `nj sim-gauss` over the sigma grid 0:STEP:MAX, writing curve.csv
+plus a manifest to the output directory, and prints the curve read back
+from curve.csv.
 """
 
 import argparse
+import csv
 from pathlib import Path
 
-from njcones.census import load_census
-from njcones.cli import _write_manifest, _utc
-from njcones.simulate import build_model, curve_csv, gaussian_experiment
+from njcones import cli
 
 
 def main() -> int:
@@ -25,33 +25,23 @@ def main() -> int:
     ap.add_argument("--out", default="results/gaussian")
     args = ap.parse_args()
 
-    steps = int(round(args.sigma_max / args.sigma_step))
-    grid = [i * args.sigma_step for i in range(steps + 1)]
-    cns = load_census(5)
-    model = build_model(args.tree, args.a, args.b)
-
-    started = _utc()
-    points = gaussian_experiment(model, grid, args.reps, args.seed, cns)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "curve.csv").write_text(curve_csv(points))
-    _write_manifest(
-        out,
-        "gaussian_perturbation",
-        {
-            "tree": args.tree,
-            "a": args.a,
-            "b": args.b,
-            "sigma_max": args.sigma_max,
-            "sigma_step": args.sigma_step,
-            "reps": args.reps,
-        },
-        args.seed,
-        [],
-        started,
+    rc = cli.main(
+        [
+            "sim-gauss",
+            "--tree", args.tree,
+            "--a", str(args.a),
+            "--b", str(args.b),
+            "--sigma-grid", f"0:{args.sigma_step}:{args.sigma_max}",
+            "--reps", str(args.reps),
+            "--seed", str(args.seed),
+            "--out", args.out,
+        ]
     )
-    for p in points:
-        print(f"sigma={p.sigma:.3f}  correct={p.correct_rate:.4f}")
+    if rc:
+        return rc
+    with (Path(args.out) / "curve.csv").open(newline="") as fh:
+        for row in csv.DictReader(fh):
+            print(f"sigma={float(row['sigma']):.3f}  correct={float(row['correct_rate']):.4f}")
     return 0
 
 

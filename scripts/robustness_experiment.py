@@ -1,22 +1,16 @@
 #!/usr/bin/env python3
 """Sequence-noise robustness run for both tree models.
 
-Writes records.csv / summary.csv / manifest.json per model under the
-output directory and prints the correct-classification rates.
+Runs `nj sim` once per model tree, writing records.csv / summary.csv /
+manifest.json under OUT/T1 and OUT/T2, and prints the
+correct-classification rates read back from each summary.csv.
 """
 
 import argparse
+import csv
 from pathlib import Path
 
-from njcones.census import load_census
-from njcones.cli import _write_manifest, _utc
-from njcones.simulate import (
-    ExperimentConfig,
-    build_model,
-    records_csv,
-    run_experiment,
-    summary_csv,
-)
+from njcones import cli
 
 
 def main() -> int:
@@ -31,40 +25,28 @@ def main() -> int:
     ap.add_argument("--out", default="results/robustness")
     args = ap.parse_args()
 
-    cns = load_census(5)
     rates = {}
     for name in ("T1", "T2"):
-        started = _utc()
-        cfg = ExperimentConfig(
-            model=build_model(name, args.a, args.b),
-            submodel=args.model,
-            sites=args.sites,
-            replicates=args.reps,
-            seed=args.seed,
-            kappa=args.kappa,
-        )
-        report = run_experiment(cfg, cns)
         out = Path(args.out) / name
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "records.csv").write_text(records_csv(report))
-        (out / "summary.csv").write_text(summary_csv(report))
-        _write_manifest(
-            out,
-            "robustness_experiment",
-            {
-                "tree": name,
-                "a": args.a,
-                "b": args.b,
-                "model": args.model,
-                "kappa": args.kappa,
-                "sites": args.sites,
-                "reps": args.reps,
-            },
-            args.seed,
-            [],
-            started,
+        rc = cli.main(
+            [
+                "sim",
+                "--tree", name,
+                "--a", str(args.a),
+                "--b", str(args.b),
+                "--model", args.model,
+                "--kappa", str(args.kappa),
+                "--sites", str(args.sites),
+                "--reps", str(args.reps),
+                "--seed", str(args.seed),
+                "--out", str(out),
+            ]
         )
-        rates[name] = report.correct_rate()
+        if rc:
+            return rc
+        with (out / "summary.csv").open(newline="") as fh:
+            row = next(r for r in csv.DictReader(fh) if r["verdict"] == "correct")
+        rates[name] = int(row["count"]) / int(row["replicates"])
         print(f"{name}: correct rate {rates[name]:.4f}")
     print(f"gap T2 - T1: {rates['T2'] - rates['T1']:.4f}")
     return 0

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import permutations, product
-from math import sqrt
+from math import prod, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -187,21 +188,31 @@ def _census_from_json(text: str) -> ConeCensus:
 
 
 def load_census(n: int, cache_dir=None, refresh: bool = False) -> ConeCensus:
-    """Cached census if present and readable, else rebuild and try to save."""
+    """Cached census if present, readable and complete, else rebuild and try to save.
+
+    A cache is complete when it holds one cone per pick sequence.  The
+    rebuilt census goes to a temporary file beside the cache and is moved
+    into place, so no reader sees a half-written cache.
+    """
     path = census_cache_path(n, cache_dir)
     if not refresh and path.is_file():
         try:
             got = _census_from_json(path.read_text())
-            if got.n == n:
+            if got.n == n and len(got.cones) == prod(pick_radices(n)):
                 return got
         except (ValueError, KeyError, json.JSONDecodeError, OSError):
             pass
     cns = census(n)
+    tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(_census_to_json(cns))
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        with os.fdopen(fd, "w") as fh:
+            fh.write(_census_to_json(cns))
+        os.replace(tmp, path)
     except OSError:
-        pass
+        if tmp is not None:
+            Path(tmp).unlink(missing_ok=True)
     return cns
 
 

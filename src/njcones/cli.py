@@ -154,12 +154,11 @@ def _cmd_cones_member(args) -> int:
 
 
 def _cmd_polytope(args) -> int:
-    P = build_p(args.taxa)
-    inc = facet_enumeration(P)
+    inc = facet_enumeration(build_p(args.taxa))
     if args.fvector:
-        print(" ".join(str(c) for c in f_vector(P, inc)))
+        print(" ".join(str(c) for c in f_vector(inc)))
     else:
-        row = table_row(args.taxa)
+        row = table_row(inc)
         print(
             f"vertices={row.vertices} dim={row.dim} facets={row.facets} "
             f"facets_per_vertex={row.facets_per_vertex}"

@@ -3,9 +3,11 @@
 For n taxa the m score functionals give m integer points (one per pair);
 their convex hull is a low-dimensional polytope sitting in R^m whose
 normal cones at vertices are exactly the first-step cones.  Everything
-here is exact: the affine hull gets a rational basis, facets are fitted
-through affinely independent point subsets, and faces are counted by
-closing the vertex-facet incidence under intersection.
+here is exact and integral: the pivot columns of the point differences
+give an integer chart of the affine hull (the hull maps one-to-one onto
+those coordinates), facets are fitted through affinely independent point
+subsets in that chart, and faces are counted by closing the vertex-facet
+incidence under intersection.
 
 Complementary pairs share a score row when n = 4, so the six points
 collapse to three there; counting treats coincident points once.
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .cones import first_step_cone, membership
 from .distvec import num_pairs
 from .nj import q_operator
-from .rational import affine_rank, nullspace, primitive, rank, solve
+from .rational import _eliminate, affine_rank, nullspace, primitive, rank, solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +49,7 @@ class FacetIncidence:
     dim: int
     distinct_points: tuple          # deduplicated points, ambient coordinates
     original_ids: tuple             # per distinct point, the pair indices mapping to it
-    hull_coords: tuple              # per distinct point, exact coords in the hull basis
+    hull_coords: tuple              # per distinct point, its integer chart coordinates
     facets: tuple
 
 
@@ -67,36 +68,6 @@ def build_p(n: int) -> PointConfiguration:
     return PointConfiguration(n, pts)
 
 
-def _hull_basis(points):
-    """Exact affine-hull basis: returns (base point, basis rows)."""
-    base = [Fraction(v) for v in points[0]]
-    basis = []
-    echelon = []
-    for p in points[1:]:
-        diff = [Fraction(v) - b for v, b in zip(p, base)]
-        red = diff[:]
-        for row in echelon:
-            lead = next(i for i, x in enumerate(row) if x != 0)
-            if red[lead] != 0:
-                f = red[lead] / row[lead]
-                red = [r - f * x for r, x in zip(red, row)]
-        if any(red):
-            basis.append(diff)
-            echelon.append(red)
-    return base, basis
-
-
-def _gram_solve(basis, vec):
-    """Coordinates c with sum c_j basis_j = vec, via the Gram system."""
-    d = len(basis)
-    gram = [[sum(bi[s] * bj[s] for s in range(len(bi))) for bj in basis] for bi in basis]
-    rhs = [sum(b[s] * vec[s] for s in range(len(b))) for b in basis]
-    c = solve(gram, rhs)
-    if c is None:
-        raise ValueError("vector outside the affine hull")
-    return c
-
-
 def facet_enumeration(P: PointConfiguration) -> FacetIncidence:
     """All supporting hyperplanes spanned by the points, exactly."""
     dedup: dict[tuple, list[int]] = {}
@@ -104,74 +75,56 @@ def facet_enumeration(P: PointConfiguration) -> FacetIncidence:
         dedup.setdefault(p, []).append(idx)
     distinct = tuple(dedup.keys())
     original_ids = tuple(tuple(v) for v in dedup.values())
-    base, basis = _hull_basis(distinct)
-    d = len(basis)
+    base = distinct[0]
+    rows, chart = _eliminate([[v - b for v, b in zip(p, base)] for p in distinct[1:]])
+    d = len(chart)
     if d == 0:
         raise ValueError("all points coincide; nothing to enumerate")
-    coords = []
-    for p in distinct:
-        diff = [Fraction(v) - b for v, b in zip(p, base)]
-        coords.append(tuple(_gram_solve(basis, diff)))
+    rows = rows[:d]  # integer rows spanning the direction space of the hull
+    coords = [tuple(p[c] for c in chart) for p in distinct]
 
     found: dict[tuple, Facet] = {}
     for subset in combinations(range(len(distinct)), d):
         anchor = coords[subset[0]]
-        diffs = [
-            [coords[j][s] - anchor[s] for s in range(d)] for j in subset[1:]
-        ]
-        if rank(diffs) != d - 1:
-            continue
+        diffs = [[x - a for x, a in zip(coords[j], anchor)] for j in subset[1:]]
         nulls = nullspace(diffs)
         if len(nulls) != 1:
             continue
         normal = nulls[0]
-        offset = sum(normal[s] * anchor[s] for s in range(d))
-        below = above = False
-        slack = []
-        for c in coords:
-            s = sum(normal[t] * c[t] for t in range(d)) - offset
-            slack.append(s)
-            if s > 0:
-                above = True
-            elif s < 0:
-                below = True
-        if above and below:
+        offset = sum(a * x for a, x in zip(normal, anchor))
+        slack = [sum(a * x for a, x in zip(normal, c)) - offset for c in coords]
+        if min(slack) < 0 < max(slack):
             continue
-        if below:
+        if min(slack) < 0:
             normal = [-x for x in normal]
             offset = -offset
             slack = [-s for s in slack]
-        packed = primitive(list(normal) + [offset])
-        key = packed
+        key = (*normal, offset)  # normal is primitive, so the key is too
         if key in found:
             continue
-        norm_i, off_i = packed[:-1], packed[-1]
         verts = frozenset(i for i, s in enumerate(slack) if s == 0)
-        found[key] = Facet(verts, norm_i, off_i, _ambient_outward(basis, normal))
+        found[key] = Facet(
+            verts, tuple(normal), offset, _ambient_outward(rows, chart, normal)
+        )
     facets = tuple(found.values())
     return FacetIncidence(P.n, d, distinct, original_ids, tuple(coords), facets)
 
 
-def _ambient_outward(basis, hull_normal):
+def _ambient_outward(rows, chart, hull_normal):
     """Outward ambient normal whose maximum over the hull is on the facet.
 
-    The inward hull functional nu acts on hull coordinates; g = B^T w with
-    Gram(B) w = nu reproduces it on the hull, and -g points outward.
+    The inward hull functional nu acts on the chart coordinates x[chart].
+    g = R^T w with Gram(R) w = R[:, chart] nu lies in the direction space
+    spanned by the rows R and reproduces nu on it, so -g points outward.
     """
-    d = len(basis)
-    gram = [
-        [sum(bi[s] * bj[s] for s in range(len(bi))) for bj in basis]
-        for bi in basis
-    ]
-    w = solve(gram, list(hull_normal))
-    if w is None:
-        raise ValueError("gram system is singular")
-    m = len(basis[0])
-    g = [sum(w[j] * basis[j][s] for j in range(d)) for s in range(m)]
+    gram = [[sum(a * b for a, b in zip(ri, rj)) for rj in rows] for ri in rows]
+    rhs = [sum(r[c] * v for c, v in zip(chart, hull_normal)) for r in rows]
+    w = solve(gram, rhs)
+    g = [sum(wj * r[s] for wj, r in zip(w, rows)) for s in range(len(rows[0]))]
     return primitive([-x for x in g])
 
 
-def polytope_vertices(P: PointConfiguration, incidence: FacetIncidence) -> list[int]:
+def polytope_vertices(incidence: FacetIncidence) -> list[int]:
     """Distinct-point ids that are extreme: incident facet normals span."""
     out = []
     for i in range(len(incidence.distinct_points)):
@@ -181,7 +134,7 @@ def polytope_vertices(P: PointConfiguration, incidence: FacetIncidence) -> list[
     return out
 
 
-def f_vector(P: PointConfiguration, incidence: FacetIncidence) -> tuple:
+def f_vector(incidence: FacetIncidence) -> tuple:
     """Face counts (f_-1, f_0, ..., f_d) by closing incidence intersections."""
     nv = len(incidence.distinct_points)
     full = (1 << nv) - 1
@@ -222,17 +175,17 @@ class TableRow:
     facets_per_vertex: int
 
 
-def table_row(n: int) -> TableRow:
-    P = build_p(n)
-    inc = facet_enumeration(P)
-    verts = polytope_vertices(P, inc)
+def table_row(incidence: FacetIncidence) -> TableRow:
+    verts = polytope_vertices(incidence)
     through = {
-        v: sum(1 for f in inc.facets if v in f.vertex_ids) for v in verts
+        v: sum(1 for f in incidence.facets if v in f.vertex_ids) for v in verts
     }
     per_vertex = set(through.values())
     if len(per_vertex) != 1:
         raise ValueError(f"facets-through-vertex is not uniform: {sorted(per_vertex)}")
-    return TableRow(n, len(verts), inc.dim, len(inc.facets), per_vertex.pop())
+    return TableRow(
+        incidence.n, len(verts), incidence.dim, len(incidence.facets), per_vertex.pop()
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,10 +223,10 @@ def normal_cone_check(
     )
     through = [f for f in incidence.facets if vid in f.vertex_ids]
     for f in through:
-        if membership(cone, [Fraction(x) for x in f.ambient_normal]) == "outside":
+        if membership(cone, f.ambient_normal) == "outside":
             return NormalConeReport(i, False, len(through), 0, 0, f.ambient_normal)
     if n >= 5:
-        if membership(cone, [Fraction(x) for x in point]) != "interior":
+        if membership(cone, point) != "interior":
             return NormalConeReport(i, False, len(through), 0, 0, point)
     pts = np.array(P.points, dtype=float)
     rng = np.random.default_rng(seed)

@@ -2,20 +2,27 @@
 
 Dense textbook routines backing the facet enumeration and the cone
 redundancy tests, where the deliverable is an exact integer count and
-floating point is not good enough.  Matrices are plain lists of lists
-of Fraction and stay small (tens of rows), so clarity wins over
-asymptotics.
+floating point is not good enough.  Elimination works on integers: each
+input row is scaled to coprime integers once, and fraction-free
+Gauss-Jordan keeps it integral from then on.  Fractions appear only in
+what `solve` and `feasible_point` return.  Matrices stay small (tens of
+rows), so clarity wins over asymptotics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 
 def frac_rows(rows) -> list[list[Fraction]]:
     return [[Fraction(x) for x in row] for row in rows]
+
+
+def _coprime(ints: list[int]) -> list[int]:
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
 def primitive(vec) -> tuple[int, ...]:
@@ -25,39 +32,35 @@ def primitive(vec) -> tuple[int, ...]:
     part of the meaning.  The zero vector maps to itself.
     """
     fracs = [Fraction(x) for x in vec]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+    den = lcm(*(f.denominator for f in fracs))
+    return tuple(_coprime([f.numerator * (den // f.denominator) for f in fracs]))
 
 
-def _eliminate(a: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Row-reduce in place to reduced echelon form; returns (rows, pivot cols)."""
+def _eliminate(rows) -> tuple[list[list[int]], list[int]]:
+    """Integer Gauss-Jordan; returns (rows, pivot columns).
+
+    Row r of the result has its pivot at column pivots[r] and zeros in the
+    other pivot columns, so it is the reduced echelon row times its pivot
+    entry.  Rows past the last pivot are zero.  Each step is
+    row_i <- a*row_i - f*row_r followed by division by the row's gcd.
+    """
+    a = [list(primitive(row)) for row in rows]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][c] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        p = a[r][c]
         for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if i != r and f:
+                g = gcd(p, f)
+                pi, fi = p // g, f // g
+                a[i] = _coprime([pi * x - fi * y for x, y in zip(a[i], a[r])])
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -66,53 +69,47 @@ def _eliminate(a: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]
 
 
 def rank(rows) -> int:
-    if not rows:
-        return 0
-    _, pivots = _eliminate(frac_rows(rows))
-    return len(pivots)
+    return len(_eliminate(rows)[1])
 
 
-def nullspace(rows) -> list[list[Fraction]]:
-    """Basis of {x : A x = 0} for a rational matrix A."""
+def nullspace(rows) -> list[list[int]]:
+    """Basis of {x : A x = 0} for a rational matrix A, as primitive integer vectors."""
     if not rows:
         return []
-    a = frac_rows(rows)
-    ncols = len(a[0])
-    red, pivots = _eliminate(a)
-    free = [c for c in range(ncols) if c not in pivots]
+    red, pivots = _eliminate(rows)
+    ncols = len(red[0])
+    scale = lcm(*(red[r][pc] for r, pc in enumerate(pivots)))
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        # the reduced echelon solution with x[fc] = 1, times scale
+        v = [0] * ncols
+        v[fc] = scale
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
+            v[pc] = -red[r][fc] * (scale // red[r][pc])
+        basis.append(_coprime(v))
     return basis
 
 
 def solve(rows, rhs) -> Optional[list[Fraction]]:
     """One exact solution of A x = b, or None if the system is inconsistent."""
-    a = frac_rows(rows)
-    b = [Fraction(x) for x in rhs]
-    ncols = len(a[0]) if a else 0
-    aug = [row + [bv] for row, bv in zip(a, b)]
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    ncols = len(aug[0]) - 1 if aug else 0
     red, pivots = _eliminate(aug)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
     for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+        x[pc] = Fraction(red[r][ncols], red[r][pc])
     return x
 
 
 def affine_rank(points) -> int:
     """Dimension of the affine span of rational points, plus zero for a single point."""
-    pts = frac_rows(points)
-    if len(pts) <= 1:
+    if len(points) <= 1:
         return 0
-    base = pts[0]
-    diffs = [[x - y for x, y in zip(p, base)] for p in pts[1:]]
-    return rank(diffs)
+    return rank([[1, *p] for p in points]) - 1
 
 
 def feasible_point(G, g) -> Optional[list[Fraction]]:

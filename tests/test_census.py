@@ -191,6 +191,19 @@ def test_cache_survives_corruption(tmp_path):
     assert json.loads(path.read_text())
 
 
+def test_cache_with_missing_cones_is_rebuilt(tmp_path):
+    load_census(5, cache_dir=tmp_path)
+    path = census_cache_path(5, tmp_path)
+    obj = json.loads(path.read_text())
+    obj["cones"].pop()
+    path.write_text(json.dumps(obj))
+    cns = load_census(5, cache_dir=tmp_path)
+    assert len(cns.cones) == 30
+    assert len(json.loads(path.read_text())["cones"]) == 30
+    # the rewrite goes through a temporary file that does not stay behind
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 def test_cache_refresh(tmp_path):
     load_census(5, cache_dir=tmp_path)
     path = census_cache_path(5, tmp_path)

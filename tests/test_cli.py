@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import njcones.cli
+import njcones.polytopes
 from njcones.cli import main
 from njcones.cones import read_cone_text
 from njcones.simulate import build_model, tree_metric
@@ -172,6 +174,22 @@ def test_polytope_outputs(tmp_path, capsys):
     )
     assert code == 0
     assert len(inc.read_text().strip().splitlines()) == 3
+
+
+def test_polytope_enumerates_facets_once(capsys, monkeypatch):
+    calls = []
+    original = njcones.polytopes.facet_enumeration
+
+    def counted(P):
+        calls.append(P.n)
+        return original(P)
+
+    monkeypatch.setattr(njcones.polytopes, "facet_enumeration", counted)
+    monkeypatch.setattr(njcones.cli, "facet_enumeration", counted)
+    code, out, _ = run_cli(capsys, "polytope", "--taxa", "5")
+    assert code == 0
+    assert out.strip() == "vertices=10 dim=5 facets=22 facets_per_vertex=12"
+    assert calls == [5]
 
 
 def test_angles_csv(capsys, cache_dir):

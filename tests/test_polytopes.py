@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ def test_build_p_rejects_small_n():
 
 def test_quartet_polytope_is_a_triangle():
     # complementary pairs give coincident points, leaving 3 of 6
-    row = table_row(4)
+    row = table_row(facet_enumeration(build_p(4)))
     assert (row.n, row.vertices, row.dim, row.facets, row.facets_per_vertex) == (
         4,
         3,
@@ -41,12 +42,12 @@ def test_quartet_polytope_is_a_triangle():
     )
     P = build_p(4)
     inc = facet_enumeration(P)
-    assert f_vector(P, inc) == (1, 3, 3, 1)
+    assert f_vector(inc) == (1, 3, 3, 1)
     assert all(len(ids) == 2 for ids in inc.original_ids)
 
 
 def test_five_taxa_table_row():
-    row = table_row(5)
+    row = table_row(facet_enumeration(build_p(5)))
     assert (row.vertices, row.dim, row.facets, row.facets_per_vertex) == (
         10,
         5,
@@ -58,7 +59,7 @@ def test_five_taxa_table_row():
 def test_five_taxa_f_vector_and_euler():
     P = build_p(5)
     inc = facet_enumeration(P)
-    fv = f_vector(P, inc)
+    fv = f_vector(inc)
     assert fv == (1, 10, 45, 90, 75, 22, 1)
     assert sum((-1) ** k * c for k, c in enumerate(fv)) == 0
 
@@ -66,7 +67,7 @@ def test_five_taxa_f_vector_and_euler():
 def test_facets_have_full_rank_and_separate():
     P = build_p(5)
     inc = facet_enumeration(P)
-    verts = set(polytope_vertices(P, inc))
+    verts = set(polytope_vertices(inc))
     for f in inc.facets:
         assert f.vertex_ids <= verts
         on = [inc.hull_coords[v] for v in f.vertex_ids]
@@ -114,3 +115,18 @@ def test_incidence_text_shape():
         normal, _, ids = ln.partition("|")
         assert len(normal.split()) == num_pairs(4)
         assert ids.strip()
+
+
+# sha256 of write_incidence_text(facet_enumeration(build_p(n))): the facet
+# order, the outward ambient normals and the vertex ids, byte for byte
+INCIDENCE_SHA256 = {
+    4: "edaec2a7066881c01e52a20c13ae19b5e46226f86d36fad549701cdb3b676546",
+    5: "138f2f9463339a3d66830bbc30b3ebe41a8e4d2bd799bdbc7fe3731cc8df43c6",
+    6: "9342d9fed1c5f179d1cb292196fe1270ded19d2790f9e5743d078484c90b7416",
+}
+
+
+@pytest.mark.parametrize("n", sorted(INCIDENCE_SHA256))
+def test_incidence_text_is_pinned(n):
+    text = write_incidence_text(facet_enumeration(build_p(n)))
+    assert hashlib.sha256(text.encode()).hexdigest() == INCIDENCE_SHA256[n]
