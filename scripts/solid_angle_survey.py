@@ -9,7 +9,7 @@ import argparse
 import csv
 from pathlib import Path
 
-from njcones.census import load_census, solid_angles_mc
+from njcones.census import census, solid_angles_mc
 
 
 def _dump(path: Path, rows, discarded: int) -> None:
@@ -32,7 +32,7 @@ def main() -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for n in (5, 6):
-        cns = load_census(n)
+        cns = census(n)
         survey = solid_angles_mc(cns, args.samples, args.seed, threads=args.threads)
         _dump(outdir / f"n{n}_per_cone.csv", survey.estimates(cns), survey.discarded)
         if n == 6:

@@ -17,7 +17,7 @@ from .distvec import DissimilarityVector, index_to_pair, num_pairs, pair_to_inde
 from .trees import TreeTopology
 from .nj import CherryTrace, nj_run, q_criterion
 from .cones import NJCone, cone_from_trace, first_step_cone, irredundant, membership
-from .census import ConeCensus, census, load_census, solid_angles_mc, stabilizer
+from .census import ConeCensus, census, solid_angles_mc, stabilizer
 from .projection import distance_to_wrong, nearest_point
 from .simulate import TreeModel, build_model, run_experiment, tree_metric
 
@@ -38,7 +38,6 @@ __all__ = [
     "membership",
     "ConeCensus",
     "census",
-    "load_census",
     "solid_angles_mc",
     "stabilizer",
     "distance_to_wrong",

@@ -15,15 +15,12 @@ sampling to the H-representations.
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations, product
-from math import prod, sqrt
-from pathlib import Path
+from math import sqrt
 
 import numpy as np
 
@@ -36,9 +33,7 @@ from .nj import (
     q_operator,
     trace_from_picks,
 )
-from .trees import TreeTopology
 
-CENSUS_FORMAT = 1
 _CHUNK = 1 << 17
 
 
@@ -57,13 +52,10 @@ class ConeCensus:
     types: tuple                  # "I"/"II"/"III" for n=6, "" for n=5
     topology_index: dict          # TreeTopology -> tuple of cone ids
 
-    @property
+    @cached_property
     def trace_ids(self) -> dict:
-        ids = getattr(self, "_trace_ids", None)
-        if ids is None:
-            ids = {c.trace: i for i, c in enumerate(self.cones)}
-            object.__setattr__(self, "_trace_ids", ids)
-        return ids
+        """CherryTrace -> cone id."""
+        return {c.trace: i for i, c in enumerate(self.cones)}
 
     def cones_of_type(self, t: str) -> tuple:
         return tuple(i for i, x in enumerate(self.types) if x == t)
@@ -91,6 +83,7 @@ def census(n: int) -> ConeCensus:
         raise ValueError("census is implemented for 5 or 6 taxa")
     cones = []
     types = []
+    index: dict = {}
     for picks in product(*map(range, pick_radices(n))):
         trace = trace_from_picks(n, picks)
         cone = cone_from_trace(trace)
@@ -102,14 +95,17 @@ def census(n: int) -> ConeCensus:
         else:
             t = _type_of(trace)
             label = f"{t}:{trace.label()}"
+        index.setdefault(cone.topology, []).append(len(cones))
         cones.append(replace(cone, label=label))
         types.append(t)
-    index: dict = {}
-    for i, cone in enumerate(cones):
-        index.setdefault(cone.topology, []).append(i)
     return ConeCensus(
         n, tuple(cones), tuple(types), {k: tuple(v) for k, v in index.items()}
     )
+
+
+def load_census(n: int, cache_dir=None) -> ConeCensus:
+    """census(n).  An older name, kept for callers; cache_dir is ignored."""
+    return census(n)
 
 
 def stabilizer(cone: NJCone, n: int | None = None) -> list:
@@ -128,92 +124,6 @@ def orbit_ids(cns: ConeCensus, cone_id: int) -> set:
     trace = cns.cones[cone_id].trace
     ids = cns.trace_ids
     return {ids[permute_trace(sigma, trace)] for sigma in permutations(range(cns.n))}
-
-
-# ---------------------------------------------------------------------------
-# Census cache
-
-
-def census_cache_path(n: int, cache_dir=None) -> Path:
-    root = cache_dir or os.environ.get("NJ_CACHE_DIR")
-    root = Path(root) if root else Path.home() / ".cache" / "njcones"
-    return root / f"census-n{n}-v{CENSUS_FORMAT}.json"
-
-
-def _census_to_json(cns: ConeCensus) -> str:
-    return json.dumps(
-        {
-            "format": CENSUS_FORMAT,
-            "n": cns.n,
-            "cones": [
-                {
-                    "label": c.label,
-                    "type": t,
-                    "merges": [[sorted(a), sorted(b)] for a, b in c.trace.merges],
-                    "normals": [list(h) for h in c.normals],
-                }
-                for c, t in zip(cns.cones, cns.types)
-            ],
-        }
-    )
-
-
-def _census_from_json(text: str) -> ConeCensus:
-    obj = json.loads(text)
-    if obj.get("format") != CENSUS_FORMAT:
-        raise ValueError("census cache format mismatch")
-    n = obj["n"]
-    cones = []
-    types = []
-    for rec in obj["cones"]:
-        trace = CherryTrace(
-            n, tuple((frozenset(a), frozenset(b)) for a, b in rec["merges"])
-        )
-        cones.append(
-            NJCone(
-                n,
-                tuple(tuple(int(v) for v in h) for h in rec["normals"]),
-                trace=trace,
-                topology=trace.topology(),
-                label=rec["label"],
-            )
-        )
-        types.append(rec["type"])
-    index: dict = {}
-    for i, cone in enumerate(cones):
-        index.setdefault(cone.topology, []).append(i)
-    return ConeCensus(
-        n, tuple(cones), tuple(types), {k: tuple(v) for k, v in index.items()}
-    )
-
-
-def load_census(n: int, cache_dir=None, refresh: bool = False) -> ConeCensus:
-    """Cached census if present, readable and complete, else rebuild and try to save.
-
-    A cache is complete when it holds one cone per pick sequence.  The
-    rebuilt census goes to a temporary file beside the cache and is moved
-    into place, so no reader sees a half-written cache.
-    """
-    path = census_cache_path(n, cache_dir)
-    if not refresh and path.is_file():
-        try:
-            got = _census_from_json(path.read_text())
-            if got.n == n and len(got.cones) == prod(pick_radices(n)):
-                return got
-        except (ValueError, KeyError, json.JSONDecodeError, OSError):
-            pass
-    cns = census(n)
-    tmp = None
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(_census_to_json(cns))
-        os.replace(tmp, path)
-    except OSError:
-        if tmp is not None:
-            Path(tmp).unlink(missing_ok=True)
-    return cns
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage errors (bad flags, unknown subcommands),
 2 computation or input-content errors.  Stochastic subcommands demand an
-explicit --seed and stamp a manifest next to their outputs so any run
-can be reproduced from the directory alone.
+explicit --seed; sim and sim-gauss also stamp a manifest next to their
+outputs so any run can be reproduced from the directory alone.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .census import load_census, solid_angles_mc
+from .census import census, solid_angles_mc
 from .cones import (
     cone_from_trace,
     first_step_cone,
@@ -43,6 +43,7 @@ from .polytopes import (
 from .projection import distance_to_wrong
 from .simulate import (
     ExperimentConfig,
+    _g,
     build_model,
     curve_csv,
     gaussian_experiment,
@@ -88,10 +89,6 @@ def _read_vector_file(path: str, fmt: str):
     if fmt == "phylip":
         return parse_phylip(text)
     return parse_pair_csv(text)
-
-
-def _g(x) -> str:
-    return f"{float(x):.12g}"
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +166,7 @@ def _cmd_polytope(args) -> int:
 
 
 def _cmd_angles(args) -> int:
-    cns = load_census(args.taxa, cache_dir=args.census)
+    cns = census(args.taxa)
     mode = args.mode or ("per-type" if args.taxa == 6 else "per-cone")
     if mode == "per-type" and args.taxa != 6:
         raise SystemExit(_usage(args, "--per-type applies only to --taxa 6"))
@@ -206,7 +203,7 @@ def _cmd_distance(args) -> int:
     n = true_top.n
     if any(len(v) != num_pairs(n) for v in vectors):
         raise ValueError("vector length does not match the tree's taxon count")
-    cns = load_census(n, cache_dir=args.census)
+    cns = census(n)
     out = csv.writer(sys.stdout, lineterminator="\n")
     out.writerow(["id", "verdict", "boundary_distance", "nearest_region"])
     for i, v in enumerate(vectors):
@@ -226,7 +223,7 @@ def _cmd_sim(args) -> int:
         seed=args.seed,
         kappa=args.kappa,
     )
-    cns = load_census(5, cache_dir=args.census)
+    cns = census(5)
     report = run_experiment(config, cns)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -273,7 +270,7 @@ def _cmd_sim_gauss(args) -> int:
     started = _utc()
     model = build_model(args.tree, args.a, args.b)
     grid = _parse_grid(args.sigma_grid)
-    cns = load_census(5, cache_dir=args.census)
+    cns = census(5)
     points = gaussian_experiment(model, grid, args.reps, args.seed, cns)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -360,13 +357,15 @@ def build_parser() -> _Parser:
         "--per-topology", dest="mode", action="store_const", const="per-topology"
     )
     angles.add_argument("--threads", type=int)
-    angles.add_argument("--census", help="census cache directory")
+    # --census DIR is accepted and ignored here and on distance, sim and
+    # sim-gauss, so that command lines naming a census directory still run
+    angles.add_argument("--census", help=argparse.SUPPRESS)
     angles.set_defaults(func=_cmd_angles, mode=None)
 
     dist = sub.add_parser("distance", help="margins to cones")
     dist.add_argument("--input", required=True)
     dist.add_argument("--true-tree", required=True, help="Newick")
-    dist.add_argument("--census", help="census cache directory")
+    dist.add_argument("--census", help=argparse.SUPPRESS)
     dist.add_argument("--format", choices=("csv", "phylip", "vecs"), default="csv")
     dist.add_argument("--tol", type=float, default=1e-9)
     dist.set_defaults(func=_cmd_distance)
@@ -381,7 +380,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--reps", type=int, default=10_000)
     sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--out", required=True)
-    sim.add_argument("--census", help="census cache directory")
+    sim.add_argument("--census", help=argparse.SUPPRESS)
     sim.set_defaults(func=_cmd_sim)
 
     gauss = sub.add_parser("sim-gauss", help="noise curve")
@@ -392,7 +391,7 @@ def build_parser() -> _Parser:
     gauss.add_argument("--reps", type=int, default=1000)
     gauss.add_argument("--seed", type=int, required=True)
     gauss.add_argument("--out", required=True)
-    gauss.add_argument("--census", help="census cache directory")
+    gauss.add_argument("--census", help=argparse.SUPPRESS)
     gauss.set_defaults(func=_cmd_sim_gauss)
 
     return parser

@@ -29,7 +29,7 @@ from .distvec import (
     permute_flat,
 )
 from .nj import CherryTrace, join_operator, permute_trace, q_operator
-from .rational import feasible_point, primitive
+from .rational import feasible_point
 from .trees import TreeTopology
 
 
@@ -63,23 +63,29 @@ class NJCone:
         return H
 
     def __post_init__(self):
-        for h in self.normals:
-            if len(h) != self.m:
-                raise ValueError("normal length does not match the pair count")
+        m = self.m
+        if any(len(h) != m for h in self.normals):
+            raise ValueError("normal length does not match the pair count")
 
 
-def halfspace_normal(i: int, j: int, n: int) -> tuple:
-    """Integer normal h with (h, d) = score_j(d) - score_i(d).
+def _pick_normals(n: int, picks) -> tuple:
+    """Normals forcing each pick in turn: score_j - score_p on the input space.
 
-    (h, d) >= 0 exactly when pair i scores no worse than pair j.
+    L is 2**step times the current distances, so each step's score rows
+    are integers.  Each gap row is divided by the gcd of its entries,
+    which keeps its orientation; zero rows (coinciding scores) and
+    repeats are dropped, first occurrences kept in order.
     """
-    if i == j:
-        raise ValueError("need two distinct pair indices")
-    mat = q_operator(n)
-    m = num_pairs(n)
-    if not (0 <= i < m and 0 <= j < m):
-        raise ValueError(f"pair index out of range for n={n}")
-    return tuple(int(mat[j, t] - mat[i, t]) for t in range(m))
+    L = np.eye(num_pairs(n), dtype=np.int64)
+    gaps = []
+    for nk, p in zip(range(n, 3, -1), picks):
+        scores = q_operator(nk) @ L
+        gaps.append(scores - scores[p])  # row p is zero and drops out
+        L = join_operator(p, nk) @ L
+    G = np.concatenate(gaps)
+    g = np.gcd.reduce(G, axis=1)
+    G = G[g != 0] // g[g != 0, None]
+    return tuple(dict.fromkeys(map(tuple, G.tolist())))
 
 
 def first_step_cone(i: int, n: int) -> NJCone:
@@ -88,41 +94,17 @@ def first_step_cone(i: int, n: int) -> NJCone:
     The n=4 case drops the identically-zero normal against the
     complementary pair (their score rows coincide).
     """
-    m = num_pairs(n)
-    normals = []
-    seen = set()
-    for j in range(m):
-        if j == i:
-            continue
-        h = primitive(halfspace_normal(i, j, n))
-        if any(h) and h not in seen:
-            seen.add(h)
-            normals.append(h)
-    a, b = index_to_pair(i, n)
-    return NJCone(n, tuple(normals), label=f"first-pick {b}{a}")
+    a, b = index_to_pair(i, n)  # raises for i outside 0..m-1; scores[i] would not
+    return NJCone(n, _pick_normals(n, [i]), label=f"first-pick {b}{a}")
 
 
 def cone_from_trace(trace: CherryTrace, n: int | None = None) -> NJCone:
     """Exact H-representation of all inputs that can follow this trace."""
     if n is not None and n != trace.n:
         raise ValueError("taxon count does not match the trace")
-    n = trace.n
-    L = np.eye(num_pairs(n), dtype=np.int64)  # 2**step times the current distances
-    normals = []
-    seen = set()
-    for nk, p in zip(range(n, 3, -1), trace.step_picks()):
-        scores = q_operator(nk) @ L  # rows: score functionals on the input space
-        for j in range(len(scores)):
-            if j == p:
-                continue
-            h = primitive((scores[j] - scores[p]).tolist())
-            if any(h) and h not in seen:
-                seen.add(h)
-                normals.append(h)
-        L = join_operator(p, nk) @ L
     return NJCone(
-        n,
-        tuple(normals),
+        trace.n,
+        _pick_normals(trace.n, trace.step_picks()),
         trace=trace,
         topology=trace.topology(),
         label=trace.label(),

@@ -10,8 +10,6 @@ import pytest
 from njcones.census import (
     AngleSurvey,
     census,
-    census_cache_path,
-    _census_to_json,
     classify_batch,
     load_census,
     orbit_ids,
@@ -106,13 +104,44 @@ def test_stabilizer_is_a_group(census5):
             assert tuple(s[t[x]] for x in range(5)) in stab
 
 
+def census_json(cns):
+    """The census as earlier versions cached it on disk: format 1."""
+    return json.dumps(
+        {
+            "format": 1,
+            "n": cns.n,
+            "cones": [
+                {
+                    "label": c.label,
+                    "type": t,
+                    "merges": [[sorted(a), sorted(b)] for a, b in c.trace.merges],
+                    "normals": [list(h) for h in c.normals],
+                }
+                for c, t in zip(cns.cones, cns.types)
+            ],
+        }
+    )
+
+
+def test_trace_ids_index_the_cones(census6):
+    ids = census6.trace_ids
+    assert census6.trace_ids is ids  # computed once per census
+    assert [ids[c.trace] for c in census6.cones] == list(range(450))
+
+
+def test_load_census_is_census_and_writes_nothing(tmp_path, census5):
+    cns = load_census(5, cache_dir=tmp_path)
+    assert [c.normals for c in cns.cones] == [c.normals for c in census5.cones]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_census_json_is_pinned(census5, census6):
     # normals, order, labels and types, as cached by earlier versions
     for cns, digest in (
         (census5, "fe2353951d081c490703adf5be9e3be9fd546ed8d647f751b9513ac5c0d2507b"),
         (census6, "cf65d7209aac4c3265087c861b1fb1592e3a842b556924731858be2c56a61a49"),
     ):
-        assert hashlib.sha256(_census_to_json(cns).encode()).hexdigest() == digest
+        assert hashlib.sha256(census_json(cns).encode()).hexdigest() == digest
 
 
 def test_classify_batch_agrees_with_membership(census5, census6, rng):
@@ -166,50 +195,6 @@ def test_classify_batch_lets_go_of_its_input(rng):
 def test_classify_batch_reports_ties(census5):
     ids = classify_batch(5, np.ones((1, 10)))
     assert ids[0] == -1
-
-
-def test_cache_round_trip(tmp_path, census5):
-    path = census_cache_path(5, tmp_path)
-    assert not path.exists()
-    first = load_census(5, cache_dir=tmp_path)
-    assert path.exists()
-    again = load_census(5, cache_dir=tmp_path)
-    assert [c.label for c in again.cones] == [c.label for c in first.cones]
-    assert [c.normals for c in again.cones] == [c.normals for c in census5.cones]
-    assert again.trace_ids == census5.trace_ids
-    for top, ids in census5.topology_index.items():
-        assert again.topology_index[top] == ids
-
-
-def test_cache_survives_corruption(tmp_path):
-    path = census_cache_path(5, tmp_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("not json at all {")
-    cns = load_census(5, cache_dir=tmp_path)
-    assert len(cns.cones) == 30
-    # the rebuild rewrites a readable cache
-    assert json.loads(path.read_text())
-
-
-def test_cache_with_missing_cones_is_rebuilt(tmp_path):
-    load_census(5, cache_dir=tmp_path)
-    path = census_cache_path(5, tmp_path)
-    obj = json.loads(path.read_text())
-    obj["cones"].pop()
-    path.write_text(json.dumps(obj))
-    cns = load_census(5, cache_dir=tmp_path)
-    assert len(cns.cones) == 30
-    assert len(json.loads(path.read_text())["cones"]) == 30
-    # the rewrite goes through a temporary file that does not stay behind
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]
-
-
-def test_cache_refresh(tmp_path):
-    load_census(5, cache_dir=tmp_path)
-    path = census_cache_path(5, tmp_path)
-    before = path.read_text()
-    load_census(5, cache_dir=tmp_path, refresh=True)
-    assert json.loads(path.read_text()) == json.loads(before)
 
 
 def test_solid_angles_reproducible_across_threads(census5):

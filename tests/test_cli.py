@@ -11,11 +11,6 @@ from njcones.simulate import build_model, tree_metric
 DEMO_CSV = "a,b,3\na,c,1.8\nb,c,2.8\na,d,2.5\nb,d,3.5\nc,d,1.3\n"
 
 
-@pytest.fixture(scope="module")
-def cache_dir(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("census-cache"))
-
-
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -149,6 +144,15 @@ def test_cones_build_needs_exactly_one_source(capsys):
     capsys.readouterr()
 
 
+def test_cones_build_rejects_bad_first_pick(capsys):
+    for pick in ("-1", "10"):
+        code, _, err = run_cli(
+            capsys, "cones", "build", "--taxa", "5", "--first-pick", pick
+        )
+        assert code == 2
+        assert "nj: error:" in err
+
+
 def test_cones_reduce_finds_redundant_pair(tmp_path, capsys, census5):
     trace_json = census5.cones[27].trace.to_json()
     cone_file = str(tmp_path / "c34.txt")
@@ -192,7 +196,7 @@ def test_polytope_enumerates_facets_once(capsys, monkeypatch):
     assert calls == [5]
 
 
-def test_angles_csv(capsys, cache_dir):
+def test_angles_csv(capsys):
     argv = (
         "angles",
         "--taxa",
@@ -201,8 +205,6 @@ def test_angles_csv(capsys, cache_dir):
         "3000",
         "--seed",
         "0",
-        "--census",
-        cache_dir,
     )
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -214,7 +216,7 @@ def test_angles_csv(capsys, cache_dir):
     assert out2 == out  # same seed, same tallies
 
 
-def test_angles_per_type_needs_six_taxa(capsys, cache_dir):
+def test_angles_per_type_needs_six_taxa(capsys):
     code = main(
         [
             "angles",
@@ -225,15 +227,13 @@ def test_angles_per_type_needs_six_taxa(capsys, cache_dir):
             "--seed",
             "0",
             "--per-type",
-            "--census",
-            cache_dir,
         ]
     )
     capsys.readouterr()
     assert code == 1
 
 
-def test_distance_vecs(tmp_path, capsys, cache_dir):
+def test_distance_vecs(tmp_path, capsys):
     d = tree_metric(build_model("T1"))
     good = " ".join(str(x) for x in d.values)
     f = tmp_path / "vecs.txt"
@@ -247,8 +247,6 @@ def test_distance_vecs(tmp_path, capsys, cache_dir):
         "((0,1),2,(3,4));",
         "--format",
         "vecs",
-        "--census",
-        cache_dir,
     )
     assert code == 0
     lines = out.strip().splitlines()
@@ -257,7 +255,7 @@ def test_distance_vecs(tmp_path, capsys, cache_dir):
     assert lines[1].split(",")[1] == "correct"
 
 
-def test_sim_writes_run_directory(tmp_path, capsys, cache_dir):
+def test_sim_writes_run_directory(tmp_path, capsys):
     out_dir = tmp_path / "exp"
     argv = [
         "sim",
@@ -271,8 +269,6 @@ def test_sim_writes_run_directory(tmp_path, capsys, cache_dir):
         "5",
         "--out",
         str(out_dir),
-        "--census",
-        cache_dir,
     ]
     assert main(argv) == 0
     capsys.readouterr()
@@ -291,7 +287,7 @@ def test_sim_writes_run_directory(tmp_path, capsys, cache_dir):
     assert (out2 / "records.csv").read_text() == records
 
 
-def test_sim_gauss_writes_curve(tmp_path, capsys, cache_dir):
+def test_sim_gauss_writes_curve(tmp_path, capsys):
     out_dir = tmp_path / "gauss"
     code = main(
         [
@@ -306,8 +302,6 @@ def test_sim_gauss_writes_curve(tmp_path, capsys, cache_dir):
             "1",
             "--out",
             str(out_dir),
-            "--census",
-            cache_dir,
         ]
     )
     capsys.readouterr()
@@ -319,7 +313,7 @@ def test_sim_gauss_writes_curve(tmp_path, capsys, cache_dir):
     )
 
 
-def test_sim_gauss_rejects_bad_grid(tmp_path, capsys, cache_dir):
+def test_sim_gauss_rejects_bad_grid(tmp_path, capsys):
     code = main(
         [
             "sim-gauss",
@@ -333,10 +327,32 @@ def test_sim_gauss_rejects_bad_grid(tmp_path, capsys, cache_dir):
             "0",
             "--out",
             str(tmp_path / "x"),
-            "--census",
-            cache_dir,
         ]
     )
     _, err = capsys.readouterr()
     assert code == 2
     assert "nj: error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["angles", "--taxa", "5", "--samples", "100", "--seed", "0"],
+        ["distance", "--input", "{vecs}", "--true-tree", "((0,1),2,(3,4));",
+         "--format", "vecs"],
+        ["sim", "--tree", "T1", "--sites", "50", "--reps", "2", "--seed", "0",
+         "--out", "{out}"],
+        ["sim-gauss", "--tree", "T1", "--sigma-grid", "0:0.1:0.1", "--reps", "2",
+         "--seed", "0", "--out", "{out}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_census_flag_is_accepted_and_ignored(tmp_path, capsys, argv):
+    vecs = tmp_path / "one.vecs"
+    vecs.write_text(" ".join(["1"] * 10) + "\n")
+    census_dir = tmp_path / "census"
+    census_dir.mkdir()
+    args = [a.format(vecs=vecs, out=tmp_path / "out") for a in argv]
+    assert main(args + ["--census", str(census_dir)]) == 0
+    capsys.readouterr()
+    assert list(census_dir.iterdir()) == []

@@ -2,13 +2,13 @@ from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
+import pytest
 
 from njcones.cones import (
     NJCone,
     cone_from_trace,
     facet_witness,
     first_step_cone,
-    halfspace_normal,
     interior_point,
     irredundant,
     membership,
@@ -21,11 +21,33 @@ from njcones.cones import (
 from njcones.distvec import (
     DissimilarityVector,
     apply_permutation,
+    index_to_pair,
     num_pairs,
+    pair_to_index,
     permute_flat,
 )
 from njcones.nj import CherryTrace, nj_run, q_operator
+from njcones.rational import primitive
 from njcones.trees import path_metric, random_metric_tree
+
+
+def halfspace_normal(i: int, j: int, n: int) -> tuple:
+    """Integer normal h with (h, d) = Q_j(d) - Q_i(d), from the textbook formula.
+
+    Q_ab(d) = (n - 2) d_ab - sum_k d_ak - sum_k d_bk, so (h, d) >= 0
+    exactly when pair i scores no worse than pair j.
+    """
+
+    def q_row(p):
+        row = [0] * num_pairs(n)
+        row[p] += n - 2
+        for x in index_to_pair(p, n):
+            for k in range(n):
+                if k != x:
+                    row[pair_to_index(x, k, n)] -= 1
+        return row
+
+    return tuple(v - u for u, v in zip(q_row(i), q_row(j)))
 
 
 def test_halfspace_normal_is_score_gap():
@@ -38,6 +60,28 @@ def test_halfspace_normal_is_score_gap():
                 h = halfspace_normal(i, j, n)
                 gap = mat[j] - mat[i]  # score_j - score_i, nonneg inside cone i
                 assert list(h) == [int(x) for x in gap]
+
+
+def test_first_step_cone_normals_match_oracle():
+    # every competing pair in order, scaled to coprime integers, with the
+    # zero gap (n=4: the complementary pair) and repeated rows dropped
+    for n in range(4, 8):
+        m = num_pairs(n)
+        for i in range(m):
+            want = []
+            for j in range(m):
+                if j == i:
+                    continue
+                h = primitive(halfspace_normal(i, j, n))
+                if any(h) and h not in want:
+                    want.append(h)
+            assert first_step_cone(i, n).normals == tuple(want)
+
+
+def test_first_step_cone_rejects_bad_pair_index():
+    for i in (-1, 10):
+        with pytest.raises(ValueError):
+            first_step_cone(i, 5)
 
 
 def test_first_step_cone_shape_and_membership():
