@@ -18,7 +18,7 @@ from .trees import TreeTopology
 from .nj import CherryTrace, nj_run, q_criterion
 from .cones import NJCone, cone_from_trace, first_step_cone, irredundant, membership
 from .census import ConeCensus, census, solid_angles_mc, stabilizer
-from .projection import distance_to_wrong, nearest_point
+from .projection import distance_to_wrong, distances_to_wrong, nearest_point
 from .simulate import TreeModel, build_model, run_experiment, tree_metric
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "solid_angles_mc",
     "stabilizer",
     "distance_to_wrong",
+    "distances_to_wrong",
     "nearest_point",
     "TreeModel",
     "build_model",

@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -40,7 +41,7 @@ from .polytopes import (
     table_row,
     write_incidence_text,
 )
-from .projection import distance_to_wrong
+from .projection import distances_to_wrong
 from .simulate import (
     ExperimentConfig,
     _g,
@@ -188,26 +189,29 @@ def _cmd_angles(args) -> int:
 def _cmd_distance(args) -> int:
     names = None
     if args.format == "vecs":
-        vectors = []
-        for line in Path(args.input).read_text().splitlines():
+        rows = []  # (where in the input, vector)
+        text = Path(args.input).read_text()
+        for k, line in enumerate(text.splitlines(), 1):
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            vectors.append([float(x) for x in line.replace(",", " ").split()])
-        if not vectors:
+            if line and not line.startswith("#"):
+                rows.append((f"line {k}", [float(x) for x in line.replace(",", " ").split()]))
+        if not rows:
             raise ValueError("no vectors in input file")
     else:
         vec, names = _read_vector_file(args.input, args.format)
-        vectors = [list(vec.as_array())]
+        rows = [(args.input, list(vec.as_array()))]
     true_top = TreeTopology.from_newick(args.true_tree, names)
     n = true_top.n
-    if any(len(v) != num_pairs(n) for v in vectors):
-        raise ValueError("vector length does not match the tree's taxon count")
+    for where, v in rows:
+        if len(v) != num_pairs(n):
+            raise ValueError(f"{where}: vector length does not match the tree's taxon count")
+        if not all(map(math.isfinite, v)):
+            raise ValueError(f"{where}: distances must be finite")
     cns = census(n)
+    records = distances_to_wrong([v for _, v in rows], true_top, cns.cones, tol=args.tol)
     out = csv.writer(sys.stdout, lineterminator="\n")
     out.writerow(["id", "verdict", "boundary_distance", "nearest_region"])
-    for i, v in enumerate(vectors):
-        rec = distance_to_wrong(v, true_top, cns.cones, tol=args.tol)
+    for i, rec in enumerate(records):
         out.writerow([i, rec.verdict, _g(rec.boundary_distance), rec.nearest_region])
     return 0
 

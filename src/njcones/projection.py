@@ -8,6 +8,13 @@ needs no fallback.  A separate brute-force oracle, projection_oracle,
 exists purely to cross-check: it projects onto the linear hull of every
 face of the cone and keeps the nearest feasible candidate, with no
 multipliers and no least-squares solver.
+
+Margins are computed a block of input vectors at a time
+(distances_to_wrong): the distinct normals of all cones, stacked once,
+screen the whole block, giving each row its verdict and a lower bound
+on its distance to each cone, and nearest_point runs only on the cones
+whose bound can still beat the best distance found.  distance_to_wrong
+is the one-row case.
 """
 
 from __future__ import annotations
@@ -16,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import orth
-
-from .cones import membership
 
 
 @dataclass(frozen=True)
@@ -235,12 +240,76 @@ def projection_oracle(cone, V, tol: float = 1e-9, batch: int = 128):
     return dist, points
 
 
-def _violation_lower_bound(cone, v) -> float:
-    """max violated signed distance; never exceeds the projection distance."""
-    H = cone.unit_rows
-    s = H @ v
-    worst = float(s.min())
-    return max(0.0, -worst)
+# Budget of one block's (rows x cone normals) slack matrix; distances_to_wrong
+# takes as many rows at a time as fit, so its temporaries stay this small.
+_BLOCK_BYTES = 1 << 20
+
+
+def distances_to_wrong(V, true_topology, cones, tol: float = 1e-9) -> list:
+    """distance_to_wrong for every row of V: one ClassificationRecord per row.
+
+    Rows go through in blocks.  Cones share most of their normals (a
+    census of 6 taxa has 11,250 normals but 1,200 distinct ones), so the
+    distinct integer normals, stacked once, give every raw slack (h, v)
+    of the block.  A row is correct when some cone of the true
+    topology has all its raw slacks >= -tol (the rule of
+    cones.membership).  Each (row, cone) pair also gets the violation
+    bound max(0, -min_h (h, v) / |h|), which never exceeds the distance
+    from v to the cone.  nearest_point then visits the candidate cones
+    in ascending bound order (census order on ties) while a bound is
+    below the best distance so far; a cone replaces the best only when
+    strictly nearer.
+    """
+    V = np.asarray(V, dtype=float)
+    if V.ndim != 2:
+        raise ValueError("expected a matrix with one distance vector per row")
+    if not np.isfinite(V).all():
+        raise ValueError("distance vectors must be finite")
+    mine = np.array([c.topology == true_topology for c in cones])
+    if not mine.any():
+        raise ValueError("census contains no cone for the given topology")
+    distinct: dict = {}
+    cols = [[distinct.setdefault(h, len(distinct)) for h in c.normals] for c in cones]
+    H = np.array(list(distinct), dtype=float)
+    inv_norms = 1.0 / np.linalg.norm(H, axis=1)
+    starts = np.cumsum([0] + [len(k) for k in cols[:-1]])
+    mine_cols = [k for k, m in zip(cols, mine) if m]
+    mine_starts = np.cumsum([0] + [len(k) for k in mine_cols[:-1]])
+    cols = np.concatenate(cols)
+    mine_cols = np.concatenate(mine_cols)
+    names: dict = {}
+    records = []
+    step = max(1, _BLOCK_BYTES // (8 * len(cols)))
+    for lo in range(0, len(V), step):
+        X = V[lo:lo + step]
+        # a matvec per row rather than one matmul: a row's rounding, and with
+        # it the order of tied bounds, must not depend on the rest of the block
+        S = np.array([H @ x for x in X])
+        slack = np.minimum.reduceat(S[:, mine_cols], mine_starts, axis=1)
+        correct = (slack >= -tol).any(axis=1)
+        bounds = -np.minimum.reduceat((S * inv_norms)[:, cols], starts, axis=1)
+        # correct rows look for other topologies, incorrect ones for their own
+        bounds = np.where(mine != correct[:, None], np.maximum(bounds, 0.0), np.inf)
+        order = np.argsort(bounds, axis=1, kind="stable")
+        for x, ok, row, sorted_bounds in zip(
+            X, correct, order, np.take_along_axis(bounds, order, axis=1)
+        ):
+            best, best_k = np.inf, None
+            for k, bound in zip(row, sorted_bounds):
+                if bound >= best:
+                    break
+                dist = nearest_point(cones[k], x, tol=tol).distance
+                if dist < best:
+                    best, best_k = dist, k
+            if best_k not in names:
+                top = cones[best_k].topology
+                names[best_k] = top.newick() if top is not None else ""
+            records.append(
+                ClassificationRecord(
+                    "correct" if ok else "incorrect", float(best), names[best_k]
+                )
+            )
+    return records
 
 
 def distance_to_wrong(d, true_topology, cones, tol: float = 1e-9) -> ClassificationRecord:
@@ -248,30 +317,7 @@ def distance_to_wrong(d, true_topology, cones, tol: float = 1e-9) -> Classificat
 
     Correct inputs get their distance to the nearest cone of any other
     topology; incorrect ones get their distance back to the cones of the
-    true topology.
+    true topology.  This is the one-row case of distances_to_wrong.
     """
-    v = np.asarray(
-        d.as_array() if hasattr(d, "as_array") else d, dtype=float
-    )
-    mine = [c for c in cones if c.topology == true_topology]
-    if not mine:
-        raise ValueError("census contains no cone for the given topology")
-    correct = any(membership(c, v, tol=tol) != "outside" for c in mine)
-    candidates = (
-        [c for c in cones if c.topology != true_topology] if correct else mine
-    )
-    bounds = [_violation_lower_bound(c, v) for c in candidates]
-    best = np.inf
-    best_cone = None
-    for bound, cone in sorted(zip(bounds, candidates), key=lambda t: t[0]):
-        if bound >= best:
-            continue
-        dist = nearest_point(cone, v, tol=tol).distance
-        if dist < best:
-            best = dist
-            best_cone = cone
-    return ClassificationRecord(
-        "correct" if correct else "incorrect",
-        float(best),
-        best_cone.topology.newick() if best_cone.topology is not None else "",
-    )
+    v = np.asarray(d.as_array() if hasattr(d, "as_array") else d, dtype=float)
+    return distances_to_wrong(v[None, :], true_topology, cones, tol=tol)[0]

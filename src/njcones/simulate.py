@@ -7,18 +7,28 @@ A=0 G=1 C=2 T=3, so a transition is XOR 1 and the transversions are
 XOR 2 and XOR 3), distances come back through the closed-form pairwise
 corrections, and each replicate is classified against the 5-taxon cone
 census with its margin to the nearest differently-labeled cone.
+
+Replicates run a block at a time.  The BFS edge plan and each edge's
+change thresholds are built once per experiment; every replicate makes
+its own Philox draws (root sequence, then one uniform per site and
+edge), and each edge maps the whole block's draws through one XOR
+lookup table.  Distances are estimated for all pairs and replicates of
+the block at once.  The estimates of all blocks are then classified by
+projection.distances_to_wrong, which takes its own blocks of rows.
+simulate_alignment and estimate_distances are the one-alignment cases.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .census import ConeCensus
-from .distvec import DissimilarityVector, index_to_pair, num_pairs
-from .projection import distance_to_wrong
+from .distvec import DissimilarityVector, all_pairs, index_to_pair, num_pairs
+from .projection import distances_to_wrong
 from .trees import TreeTopology, path_metric
 
 _EDGES = ((0, 5), (1, 5), (5, 6), (2, 6), (6, 7), (3, 7), (4, 7))
@@ -68,6 +78,71 @@ def _change_probs(t: float, submodel: str, kappa: float):
     return 0.25 + 0.25 * e4b - 0.5 * eab, 0.25 - 0.25 * e4b
 
 
+# Budget of one block's random draws: run_experiment simulates as many
+# replicates at a time as fit, so no temporary grows with the replicate count.
+_BLOCK_BYTES = 1 << 20
+# Thresholds a draw reaches (0..3) -> the XOR it applies to the parent's
+# base: a transition (1), a transversion (2 or 3), or no change (0).
+_XOR = np.array([1, 2, 3, 0], dtype=np.int8)
+
+
+class _EdgePlan(NamedTuple):
+    leaves: int
+    root: int
+    vertices: int
+    steps: list  # (parent, child, thresholds) in BFS order from the root
+
+
+def _edge_plan(model: TreeModel, submodel: str, kappa: float) -> _EdgePlan:
+    """The BFS edge order and each edge's cumulative change thresholds.
+
+    The root is the smallest interior vertex and children are visited in
+    increasing order.  A draw below thresholds[0] is a transition, below
+    thresholds[1] the first transversion, below thresholds[2] the
+    second, and otherwise no change.
+    """
+    adj: dict[int, list[int]] = {}
+    for u, v in model.topology.edges():
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    root = min(u for u in adj if len(adj[u]) > 1)
+    seen = {root}
+    queue = [root]
+    steps = []
+    while queue:
+        u = queue.pop(0)
+        for w in sorted(adj[u]):
+            if w in seen:
+                continue
+            p_ts, p_tv = _change_probs(
+                model.lengths[(min(u, w), max(u, w))], submodel, kappa
+            )
+            steps.append((u, w, (p_ts, p_ts + p_tv, p_ts + 2 * p_tv)))
+            seen.add(w)
+            queue.append(w)
+    return _EdgePlan(model.topology.n, root, len(adj), steps)
+
+
+def _simulate_block(plan: _EdgePlan, rngs, sites: int) -> np.ndarray:
+    """(len(rngs), n, sites) int8 leaf sequences, one replicate per generator.
+
+    Each generator draws its root sequence, then one uniform per site for
+    every edge in plan order; each edge then maps the whole block's draws
+    through _XOR at once.
+    """
+    if sites < 1:
+        raise ValueError("need at least one site")
+    seqs = np.empty((len(rngs), plan.vertices, sites), dtype=np.int8)
+    draws = np.empty((len(rngs), len(plan.steps), sites))
+    for r, rng in enumerate(rngs):
+        seqs[r, plan.root] = rng.integers(0, 4, size=sites, dtype=np.int8)
+        rng.random(out=draws[r])
+    for e, (u, w, thresholds) in enumerate(plan.steps):
+        reached = sum((draws[:, e] >= t).view(np.int8) for t in thresholds)
+        np.bitwise_xor(seqs[:, u], _XOR[reached], out=seqs[:, w])
+    return seqs[:, : plan.leaves]
+
+
 def simulate_alignment(
     model: TreeModel,
     sites: int,
@@ -76,32 +151,42 @@ def simulate_alignment(
     kappa: float = 2.0,
 ) -> np.ndarray:
     """(n, sites) int8 leaf sequences, root drawn uniform, edges in BFS order."""
-    if sites < 1:
-        raise ValueError("need at least one site")
-    adj: dict[int, list[int]] = {}
-    for u, v in model.topology.edges():
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    n = model.topology.n
-    root = min(u for u in adj if len(adj[u]) > 1)
-    seqs = {root: rng.integers(0, 4, size=sites, dtype=np.int8)}
-    queue = [root]
-    while queue:
-        u = queue.pop(0)
-        for w in sorted(adj[u]):
-            if w in seqs:
-                continue
-            p_ts, p_tv = _change_probs(
-                model.lengths[(min(u, w), max(u, w))], submodel, kappa
-            )
-            draw = rng.random(sites)
-            child = seqs[u].copy()
-            child[draw < p_ts] ^= 1
-            child[(draw >= p_ts) & (draw < p_ts + p_tv)] ^= 2
-            child[(draw >= p_ts + p_tv) & (draw < p_ts + 2 * p_tv)] ^= 3
-            seqs[w] = child
-            queue.append(w)
-    return np.stack([seqs[i] for i in range(n)])
+    return _simulate_block(_edge_plan(model, submodel, kappa), [rng], sites)[0]
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    # the C library's log, entry by entry: NumPy's vectorised log can differ
+    # from it in the last bit, which would change the written estimates
+    return np.fromiter(map(math.log, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _estimates(alignments: np.ndarray, submodel: str, d_max: float):
+    """Closed-form corrections for (..., n, sites) alignments.
+
+    Returns (values, capped), both (..., pairs) in flat pair order;
+    capped marks the pairs whose correction had no defined logarithm
+    and got clamped at d_max.
+    """
+    n, sites = alignments.shape[-2:]
+    a, b = np.array(all_pairs(n)).T
+    diff = alignments[..., a, :] ^ alignments[..., b, :]
+    if submodel == "jc":
+        p = np.count_nonzero(diff, axis=-1) / sites
+        args = [1.0 - 4.0 * p / 3.0]
+    elif submodel == "k2p":
+        p = np.count_nonzero(diff == 1, axis=-1) / sites
+        q = np.count_nonzero(diff >= 2, axis=-1) / sites
+        args = [1.0 - 2.0 * p - q, 1.0 - 2.0 * q]
+    else:
+        raise ValueError("substitution model must be 'jc' or 'k2p'")
+    capped = np.logical_or.reduce([x <= 0.0 for x in args])
+    logs = [_log(np.where(capped, 1.0, x)) for x in args]
+    if submodel == "jc":
+        values = -0.75 * logs[0]
+    else:
+        values = -0.5 * logs[0] - 0.25 * logs[1]
+    values[capped] = d_max
+    return values, capped
 
 
 def estimate_distances(
@@ -112,33 +197,11 @@ def estimate_distances(
     Returns (vector, capped) where capped lists the flat pair indices
     whose correction had no defined logarithm and got clamped at d_max.
     """
-    n = alignment.shape[0]
-    vals = []
-    capped = []
-    for i in range(num_pairs(n)):
-        a, b = index_to_pair(i, n)
-        diff = alignment[a] ^ alignment[b]
-        if submodel == "jc":
-            p = float(np.mean(diff != 0))
-            arg = 1.0 - 4.0 * p / 3.0
-            if arg <= 0.0:
-                capped.append(i)
-                vals.append(d_max)
-            else:
-                vals.append(-0.75 * math.log(arg))
-        elif submodel == "k2p":
-            p = float(np.mean(diff == 1))
-            q = float(np.mean(diff >= 2))
-            a1 = 1.0 - 2.0 * p - q
-            a2 = 1.0 - 2.0 * q
-            if a1 <= 0.0 or a2 <= 0.0:
-                capped.append(i)
-                vals.append(d_max)
-            else:
-                vals.append(-0.5 * math.log(a1) - 0.25 * math.log(a2))
-        else:
-            raise ValueError("substitution model must be 'jc' or 'k2p'")
-    return DissimilarityVector(n, tuple(vals)), tuple(capped)
+    values, capped = _estimates(alignment, submodel, d_max)
+    return (
+        DissimilarityVector(alignment.shape[0], tuple(values.tolist())),
+        tuple(np.flatnonzero(capped).tolist()),
+    )
 
 
 @dataclass(frozen=True)
@@ -209,23 +272,38 @@ def _replicate_rng(seed: int, key: tuple) -> np.random.Generator:
 
 
 def run_experiment(config: ExperimentConfig, cns: ConeCensus) -> ExperimentReport:
-    """Simulate, estimate, and classify every replicate (its own RNG stream)."""
+    """Simulate, estimate, and classify every replicate (its own RNG stream).
+
+    Three array passes: replicates are simulated and estimated a block
+    at a time, then all estimates are classified together.
+    """
     if cns.n != config.model.topology.n:
         raise ValueError("census does not match the model's taxon count")
-    records = []
-    for r in range(config.replicates):
-        rng = _replicate_rng(config.seed, (r,))
-        aln = simulate_alignment(
-            config.model, config.sites, rng, config.submodel, config.kappa
+    plan = _edge_plan(config.model, config.submodel, config.kappa)
+    block = max(1, _BLOCK_BYTES // (8 * len(plan.steps) * config.sites))
+    estimates = []
+    for lo in range(0, config.replicates, block):
+        reps = range(lo, min(lo + block, config.replicates))
+        alignments = _simulate_block(
+            plan, [_replicate_rng(config.seed, (r,)) for r in reps], config.sites
         )
-        d, capped = estimate_distances(aln, config.submodel, config.d_max)
-        rec = distance_to_wrong(d, config.model.topology, cns.cones)
-        records.append(
-            ExperimentRecord(
-                r, d, rec.verdict, rec.boundary_distance, rec.nearest_region, capped
-            )
+        estimates.append(_estimates(alignments, config.submodel, config.d_max))
+    values = np.concatenate([v for v, _ in estimates])
+    capped = np.concatenate([c for _, c in estimates])
+    margins = distances_to_wrong(values, config.model.topology, cns.cones)
+    n = plan.leaves
+    records = tuple(
+        ExperimentRecord(
+            r,
+            DissimilarityVector(n, tuple(vals)),
+            rec.verdict,
+            rec.boundary_distance,
+            rec.nearest_region,
+            tuple(np.flatnonzero(caps).tolist()),
         )
-    return ExperimentReport(config, tuple(records))
+        for r, (vals, caps, rec) in enumerate(zip(values.tolist(), capped, margins))
+    )
+    return ExperimentReport(config, records)
 
 
 @dataclass(frozen=True)
@@ -244,17 +322,24 @@ def gaussian_experiment(
     seed: int,
     cns: ConeCensus,
 ) -> list:
-    """Correct-classification rate under additive Gaussian noise per entry."""
+    """Correct-classification rate under additive Gaussian noise per entry.
+
+    Each sigma's replicates are classified by one distances_to_wrong call.
+    """
+    if replicates < 1:
+        raise ValueError("replicates must be at least 1")
     base = np.array(tree_metric(model).as_array(), dtype=float)
     points = []
     for si, sigma in enumerate(sigma_grid):
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        verdicts = []
-        for r in range(replicates):
-            rng = _replicate_rng(seed, (si, r))
-            d = base + sigma * rng.standard_normal(base.shape)
-            verdicts.append(distance_to_wrong(d, model.topology, cns.cones))
+        noise = np.array(
+            [
+                _replicate_rng(seed, (si, r)).standard_normal(base.shape)
+                for r in range(replicates)
+            ]
+        )
+        verdicts = distances_to_wrong(base + sigma * noise, model.topology, cns.cones)
         good = [v.boundary_distance for v in verdicts if v.verdict == "correct"]
         bad = [v.boundary_distance for v in verdicts if v.verdict == "incorrect"]
         points.append(

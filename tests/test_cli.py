@@ -255,6 +255,26 @@ def test_distance_vecs(tmp_path, capsys):
     assert lines[1].split(",")[1] == "correct"
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+def test_distance_rejects_non_finite_vectors(tmp_path, capsys, bad):
+    good = " ".join(str(x) for x in tree_metric(build_model("T1")).values)
+    f = tmp_path / "vecs.txt"
+    f.write_text(f"# header\n{good}\n\n{' '.join(['1'] * 9 + [bad])}\n{good}\n")
+    code, out, err = run_cli(
+        capsys,
+        "distance",
+        "--input",
+        str(f),
+        "--true-tree",
+        "((0,1),2,(3,4));",
+        "--format",
+        "vecs",
+    )
+    assert code == 2
+    assert out == ""
+    assert "line 4" in err and "finite" in err
+
+
 def test_sim_writes_run_directory(tmp_path, capsys):
     out_dir = tmp_path / "exp"
     argv = [

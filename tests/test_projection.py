@@ -14,10 +14,11 @@ from njcones.cones import (
 from njcones.nj import CherryTrace
 from njcones.projection import (
     distance_to_wrong,
+    distances_to_wrong,
     nearest_point,
     projection_oracle,
 )
-from njcones.trees import random_metric_tree
+from njcones.trees import TreeTopology, random_metric_tree
 
 
 def pick34_cone():
@@ -133,8 +134,83 @@ def test_distance_to_wrong_flags_wrong_topology(census5, rng):
 
 
 def test_distance_to_wrong_unknown_topology(census5):
-    from njcones.trees import TreeTopology
-
     alien = TreeTopology(6, [(0, 6), (1, 6), (6, 7), (2, 7), (7, 8), (3, 8), (8, 9), (4, 9), (5, 9)])
     with pytest.raises(ValueError):
         distance_to_wrong(np.zeros(10), alien, census5.cones)
+
+
+def unpruned_margins(v, top, cones, tol=1e-9):
+    """Verdict by membership, then every candidate cone's projection distance.
+
+    Returns (verdict, {cone index: distance}) with no pruning at all.
+    """
+    correct = any(
+        membership(c, v, tol=tol) != "outside" for c in cones if c.topology == top
+    )
+    dists = {
+        k: nearest_point(c, v, tol=tol).distance
+        for k, c in enumerate(cones)
+        if (c.topology == top) != correct
+    }
+    return ("correct" if correct else "incorrect"), dists
+
+
+def noisy_tree_rows(n, rng, count, sigmas):
+    """(topology, rows): noisy copies of one random tree metric."""
+    top, d = random_metric_tree(n, rng)
+    base = d.as_array()
+    noise = rng.standard_normal((count, base.size))
+    scale = np.resize(np.asarray(sigmas, dtype=float), count)[:, None]
+    return top, base + scale * noise
+
+
+def assert_margins_match_unpruned(V, top, cones):
+    records = distances_to_wrong(V, top, cones)
+    assert len(records) == len(V)
+    for v, rec in zip(V, records):
+        verdict, dists = unpruned_margins(v, top, cones)
+        assert rec.verdict == verdict
+        assert abs(rec.boundary_distance - min(dists.values())) <= 1e-12
+        # the named region is a candidate at the reported distance
+        named = [d for k, d in dists.items() if cones[k].topology.newick() == rec.nearest_region]
+        assert named and abs(min(named) - rec.boundary_distance) <= 1e-12
+
+
+def test_batched_margins_equal_unpruned_minimum(census5, census6, rng):
+    for cns, trees, count in ((census5, 4, 30), (census6, 2, 12)):
+        for _ in range(trees):
+            top, V = noisy_tree_rows(cns.n, rng, count, (0.05, 0.2, 0.5))
+            assert_margins_match_unpruned(V, top, cns.cones)
+
+
+def test_exact_tree_metrics_name_a_region_at_the_margin(census6):
+    # at sigma = 0 several wrong regions can be equidistant up to rounding;
+    # whichever is named must lie at the reported distance.  Pendant edges
+    # 0.42, interior edges 0.03.
+    pos = [0.0, 0.0, 0.03, 0.06, 0.09, 0.09]  # caterpillar attachment points
+    for newick, path in (
+        ("((((0,1),2),3),4,5);", lambda a, b: 0.84 + abs(pos[a] - pos[b])),
+        ("((0,1),(2,3),(4,5));", lambda a, b: 0.84 + 0.06 * (a // 2 != b // 2)),
+    ):
+        top = TreeTopology.from_newick(newick)
+        d = np.array([path(a, b) for a in range(1, 6) for b in range(a)])
+        assert distance_to_wrong(d, top, census6.cones).verdict == "correct"
+        assert_margins_match_unpruned(np.array([d, d, d]), top, census6.cones)
+
+
+def test_one_row_is_the_batched_case(census6, rng):
+    # 60 six-taxa rows take several blocks; exact tree metrics, whose
+    # margins tie between regions, get the same region in a block and alone
+    top, V = noisy_tree_rows(6, rng, 60, (0.0, 0.0, 0.1, 0.3))
+    assert distances_to_wrong(V, top, census6.cones) == [
+        distance_to_wrong(v, top, census6.cones) for v in V
+    ]
+
+
+def test_batched_margins_reject_non_finite_rows(census5, rng):
+    top, V = noisy_tree_rows(5, rng, 4, (0.1,))
+    for bad in (np.nan, np.inf, -np.inf):
+        W = V.copy()
+        W[2, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            distances_to_wrong(W, top, census5.cones)

@@ -17,3 +17,4 @@ def test_quick_start_runs(tmp_path, monkeypatch, capsys):
     verdict, distance = lines[2].split()
     assert verdict == "correct"
     assert float(distance) == pytest.approx(0.28867513459481, abs=1e-12)
+    assert lines[3] == "['correct', 'correct']"
