@@ -16,10 +16,9 @@ a block function is not counted twice.  Functions absent from the
 package on the path are skipped, which lets the same script time older
 and newer versions of the package:
 
-    PYTHONPATH=src python3 scripts/layer_times.py --reps 2000 --vecs 600
+    PYTHONPATH=src python3 scripts/layer_times.py
 """
 
-import argparse
 import contextlib
 import functools
 import json
@@ -38,6 +37,9 @@ LAYERS = {
     "nearest_point": ((projection, "nearest_point"),),
 }
 CATERPILLAR = "((((0,1),2),3),4,5);"
+REPS = 2000  # replicates of each of T1 and T2
+VECS = 600   # noisy six-taxa vectors
+SEED = 1
 
 
 def instrument(totals: dict) -> None:
@@ -80,34 +82,28 @@ def per_unit(totals: dict, units: int) -> dict:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--reps", type=int, default=2000, help="replicates per tree")
-    ap.add_argument("--vecs", type=int, default=600, help="noisy six-taxa vectors")
-    ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args()
-
     totals = dict.fromkeys(LAYERS, 0.0)
     instrument(totals)
     report = {}
     with tempfile.TemporaryDirectory() as tmp:
         for tree in ("T1", "T2"):
-            cli.main(["sim", "--tree", tree, "--reps", str(args.reps),
-                      "--seed", str(args.seed), "--out", str(Path(tmp) / tree)])
-        report["sim_us_per_replicate"] = per_unit(totals, 2 * args.reps)
+            cli.main(["sim", "--tree", tree, "--reps", str(REPS),
+                      "--seed", str(SEED), "--out", str(Path(tmp) / tree)])
+        report["sim_us_per_replicate"] = per_unit(totals, 2 * REPS)
 
         totals.update(dict.fromkeys(LAYERS, 0.0))
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(SEED)
         base = caterpillar_metric()
         sigmas = (0.02, 0.05)
         rows = [base + sigmas[k % 2] * rng.standard_normal(base.size)
-                for k in range(args.vecs)]
+                for k in range(VECS)]
         path = Path(tmp) / "noisy.vecs"
         path.write_text("".join(" ".join(repr(float(x)) for x in v) + "\n" for v in rows))
         with open(Path(tmp) / "distance.csv", "w") as sink:
             with contextlib.redirect_stdout(sink):
                 cli.main(["distance", "--input", str(path), "--true-tree", CATERPILLAR,
                           "--format", "vecs"])
-        report["distance_us_per_vector"] = per_unit(totals, args.vecs)
+        report["distance_us_per_vector"] = per_unit(totals, VECS)
     print(json.dumps(report, indent=2))
     return 0
 

@@ -10,16 +10,18 @@ face of the cone and keeps the nearest feasible candidate, with no
 multipliers and no least-squares solver.
 
 Margins are computed a block of input vectors at a time
-(distances_to_wrong): the distinct normals of all cones, stacked once,
-screen the whole block, giving each row its verdict and a lower bound
-on its distance to each cone, and nearest_point runs only on the cones
-whose bound can still beat the best distance found.  distance_to_wrong
-is the one-row case.
+(distances_to_wrong): the distinct normals of all cones, stacked once
+per cone sequence, screen the whole block, giving each row its verdict and
+a lower bound on its distance to each cone, and nearest_point runs only
+on the cones whose bound can still beat the best distance found.
+distance_to_wrong is the one-row case.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import orth
@@ -240,20 +242,61 @@ def projection_oracle(cone, V, tol: float = 1e-9, batch: int = 128):
     return dist, points
 
 
-# Budget of one block's (rows x cone normals) slack matrix; distances_to_wrong
-# takes as many rows at a time as fit, so its temporaries stay this small.
-_BLOCK_BYTES = 1 << 20
+# Budget of a block in the noise experiments: distances_to_wrong takes as many
+# rows as keep the (rows x cone normals) slack matrix this small, and
+# simulate.run_experiment as many replicates as keep one edge's draws plus the
+# vertex sequences this small, so peak memory does not grow with the rows.
+BLOCK_BYTES = 1 << 20
+
+
+class _NormalIndex(NamedTuple):
+    H: np.ndarray          # the distinct normals of all cones, as floats
+    inv_norms: np.ndarray  # 1 / |h| per row of H
+    cols: np.ndarray       # row of H of every normal of every cone, cone by cone
+    sizes: np.ndarray      # normals per cone
+
+
+# (weak references to the cones of the last call, their _NormalIndex); one
+# tuple, swapped whole.  Weak, so that a census is not kept alive by it.
+_last_index: tuple = ((), None)
+
+
+def _normal_index(cones) -> _NormalIndex:
+    """The stacked normals of a cone sequence, built once per sequence.
+
+    A census of 6 taxa has 11,250 normals but 1,200 distinct ones, and
+    collecting them costs ten times more than screening one row, so the
+    index of the last sequence is kept while it holds the same cone
+    objects; cones and their normals are immutable.
+    """
+    global _last_index
+    refs, index = _last_index
+    if len(refs) != len(cones) or any(r() is not c for r, c in zip(refs, cones)):
+        distinct: dict = {}
+        cols = [distinct.setdefault(h, len(distinct)) for c in cones for h in c.normals]
+        H = np.array(list(distinct), dtype=float)
+        index = _NormalIndex(
+            H,
+            1.0 / np.linalg.norm(H, axis=1),
+            np.array(cols),
+            np.array([len(c.normals) for c in cones]),
+        )
+        _last_index = (tuple(weakref.ref(c) for c in cones), index)
+    return index
+
+
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(sizes[:-1])))
 
 
 def distances_to_wrong(V, true_topology, cones, tol: float = 1e-9) -> list:
     """distance_to_wrong for every row of V: one ClassificationRecord per row.
 
-    Rows go through in blocks.  Cones share most of their normals (a
-    census of 6 taxa has 11,250 normals but 1,200 distinct ones), so the
-    distinct integer normals, stacked once, give every raw slack (h, v)
-    of the block.  A row is correct when some cone of the true
-    topology has all its raw slacks >= -tol (the rule of
-    cones.membership).  Each (row, cone) pair also gets the violation
+    Rows go through in blocks.  Cones share most of their normals, so
+    the distinct integer normals, stacked once per cone sequence, give
+    every raw slack (h, v) of the block.  A row is correct when some
+    cone of the true topology has all its raw slacks >= -tol (the rule
+    of cones.membership).  Each (row, cone) pair also gets the violation
     bound max(0, -min_h (h, v) / |h|), which never exceeds the distance
     from v to the cone.  nearest_point then visits the candidate cones
     in ascending bound order (census order on ties) while a bound is
@@ -268,18 +311,13 @@ def distances_to_wrong(V, true_topology, cones, tol: float = 1e-9) -> list:
     mine = np.array([c.topology == true_topology for c in cones])
     if not mine.any():
         raise ValueError("census contains no cone for the given topology")
-    distinct: dict = {}
-    cols = [[distinct.setdefault(h, len(distinct)) for h in c.normals] for c in cones]
-    H = np.array(list(distinct), dtype=float)
-    inv_norms = 1.0 / np.linalg.norm(H, axis=1)
-    starts = np.cumsum([0] + [len(k) for k in cols[:-1]])
-    mine_cols = [k for k, m in zip(cols, mine) if m]
-    mine_starts = np.cumsum([0] + [len(k) for k in mine_cols[:-1]])
-    cols = np.concatenate(cols)
-    mine_cols = np.concatenate(mine_cols)
+    H, inv_norms, cols, sizes = _normal_index(cones)
+    starts = _starts(sizes)
+    mine_cols = cols[np.repeat(mine, sizes)]
+    mine_starts = _starts(sizes[mine])
     names: dict = {}
     records = []
-    step = max(1, _BLOCK_BYTES // (8 * len(cols)))
+    step = max(1, BLOCK_BYTES // (8 * len(cols)))
     for lo in range(0, len(V), step):
         X = V[lo:lo + step]
         # a matvec per row rather than one matmul: a row's rounding, and with

@@ -12,10 +12,19 @@ Replicates run a block at a time.  The BFS edge plan and each edge's
 change thresholds are built once per experiment; every replicate makes
 its own Philox draws (root sequence, then one uniform per site and
 edge), and each edge maps the whole block's draws through one XOR
-lookup table.  Distances are estimated for all pairs and replicates of
-the block at once.  The estimates of all blocks are then classified by
-projection.distances_to_wrong, which takes its own blocks of rows.
-simulate_alignment and estimate_distances are the one-alignment cases.
+lookup table.  Distances are estimated a pair at a time for all
+replicates of the block.  The estimates of all blocks are then
+classified by projection.distances_to_wrong, which takes its own blocks
+of rows.  simulate_alignment and estimate_distances are the
+one-alignment cases.
+
+A block holds as many replicates as keep one edge's draws (8 bytes a
+site) and the sequences of all vertices (1 byte a site each) within
+projection.BLOCK_BYTES together; the other temporaries are smaller.  A
+block is never less than one replicate, so above BLOCK_BYTES / 16 =
+65,536 sites (5 taxa, 8 vertices) the temporaries grow with the sites:
+one edge's draws and the vertex sequences of one replicate, 16 bytes a
+site, which simulating any single replicate needs.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ import numpy as np
 
 from .census import ConeCensus
 from .distvec import DissimilarityVector, all_pairs, index_to_pair, num_pairs
-from .projection import distances_to_wrong
+from .projection import BLOCK_BYTES, distances_to_wrong
 from .trees import TreeTopology, path_metric
 
 _EDGES = ((0, 5), (1, 5), (5, 6), (2, 6), (6, 7), (3, 7), (4, 7))
@@ -78,9 +87,6 @@ def _change_probs(t: float, submodel: str, kappa: float):
     return 0.25 + 0.25 * e4b - 0.5 * eab, 0.25 - 0.25 * e4b
 
 
-# Budget of one block's random draws: run_experiment simulates as many
-# replicates at a time as fit, so no temporary grows with the replicate count.
-_BLOCK_BYTES = 1 << 20
 # Thresholds a draw reaches (0..3) -> the XOR it applies to the parent's
 # base: a transition (1), a transversion (2 or 3), or no change (0).
 _XOR = np.array([1, 2, 3, 0], dtype=np.int8)
@@ -127,18 +133,20 @@ def _simulate_block(plan: _EdgePlan, rngs, sites: int) -> np.ndarray:
     """(len(rngs), n, sites) int8 leaf sequences, one replicate per generator.
 
     Each generator draws its root sequence, then one uniform per site for
-    every edge in plan order; each edge then maps the whole block's draws
-    through _XOR at once.
+    every edge in plan order.  The generators are independent streams, so
+    the block draws an edge at a time and holds only that edge's draws,
+    which it maps through _XOR at once.
     """
     if sites < 1:
         raise ValueError("need at least one site")
     seqs = np.empty((len(rngs), plan.vertices, sites), dtype=np.int8)
-    draws = np.empty((len(rngs), len(plan.steps), sites))
     for r, rng in enumerate(rngs):
         seqs[r, plan.root] = rng.integers(0, 4, size=sites, dtype=np.int8)
-        rng.random(out=draws[r])
-    for e, (u, w, thresholds) in enumerate(plan.steps):
-        reached = sum((draws[:, e] >= t).view(np.int8) for t in thresholds)
+    draws = np.empty((len(rngs), sites))
+    for u, w, thresholds in plan.steps:
+        for rng, row in zip(rngs, draws):
+            rng.random(out=row)
+        reached = sum((draws >= t).view(np.int8) for t in thresholds)
         np.bitwise_xor(seqs[:, u], _XOR[reached], out=seqs[:, w])
     return seqs[:, : plan.leaves]
 
@@ -165,20 +173,27 @@ def _estimates(alignments: np.ndarray, submodel: str, d_max: float):
 
     Returns (values, capped), both (..., pairs) in flat pair order;
     capped marks the pairs whose correction had no defined logarithm
-    and got clamped at d_max.
+    and got clamped at d_max.  Pairs are counted one at a time over all
+    leading axes, so the only temporaries are (..., sites) bytes.
     """
-    n, sites = alignments.shape[-2:]
-    a, b = np.array(all_pairs(n)).T
-    diff = alignments[..., a, :] ^ alignments[..., b, :]
-    if submodel == "jc":
-        p = np.count_nonzero(diff, axis=-1) / sites
-        args = [1.0 - 4.0 * p / 3.0]
-    elif submodel == "k2p":
-        p = np.count_nonzero(diff == 1, axis=-1) / sites
-        q = np.count_nonzero(diff >= 2, axis=-1) / sites
-        args = [1.0 - 2.0 * p - q, 1.0 - 2.0 * q]
-    else:
+    if submodel not in ("jc", "k2p"):
         raise ValueError("substitution model must be 'jc' or 'k2p'")
+    n, sites = alignments.shape[-2:]
+    pairs = all_pairs(n)
+    changed = np.empty(alignments.shape[:-2] + (len(pairs),), dtype=np.int64)
+    transitions = np.empty_like(changed)
+    for i, (a, b) in enumerate(pairs):
+        diff = alignments[..., a, :] ^ alignments[..., b, :]
+        changed[..., i] = np.count_nonzero(diff, axis=-1)
+        if submodel == "k2p":
+            transitions[..., i] = np.count_nonzero(diff == 1, axis=-1)
+    if submodel == "jc":
+        p = changed / sites
+        args = [1.0 - 4.0 * p / 3.0]
+    else:
+        p = transitions / sites
+        q = (changed - transitions) / sites
+        args = [1.0 - 2.0 * p - q, 1.0 - 2.0 * q]
     capped = np.logical_or.reduce([x <= 0.0 for x in args])
     logs = [_log(np.where(capped, 1.0, x)) for x in args]
     if submodel == "jc":
@@ -280,7 +295,7 @@ def run_experiment(config: ExperimentConfig, cns: ConeCensus) -> ExperimentRepor
     if cns.n != config.model.topology.n:
         raise ValueError("census does not match the model's taxon count")
     plan = _edge_plan(config.model, config.submodel, config.kappa)
-    block = max(1, _BLOCK_BYTES // (8 * len(plan.steps) * config.sites))
+    block = max(1, BLOCK_BYTES // ((8 + plan.vertices) * config.sites))
     estimates = []
     for lo in range(0, config.replicates, block):
         reps = range(lo, min(lo + block, config.replicates))

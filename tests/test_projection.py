@@ -1,8 +1,12 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
+from njcones import projection
+from njcones.census import census
 from njcones.cones import (
     NJCone,
     cone_from_trace,
@@ -206,6 +210,25 @@ def test_one_row_is_the_batched_case(census6, rng):
         distance_to_wrong(v, top, census6.cones) for v in V
     ]
 
+
+def test_normals_are_stacked_once_per_cone_sequence(census5, census6, rng):
+    index = projection._normal_index(census6.cones)
+    assert projection._normal_index(list(census6.cones)) is index
+    assert len(index.H) == 1200 and index.sizes.sum() == 11250
+    # other cones replace the kept index; results do not depend on it
+    top, V = noisy_tree_rows(5, rng, 6, (0.1,))
+    records = distances_to_wrong(V, top, census5.cones)
+    assert projection._normal_index(census6.cones) is not index
+    assert distances_to_wrong(V, top, census5.cones[::-1]) == records
+
+
+def test_the_kept_normals_do_not_keep_a_census_alive():
+    cones = census(5).cones
+    assert projection._normal_index(cones) is projection._normal_index(cones)
+    ref = weakref.ref(cones[0])
+    del cones
+    gc.collect()
+    assert ref() is None
 
 def test_batched_margins_reject_non_finite_rows(census5, rng):
     top, V = noisy_tree_rows(5, rng, 4, (0.1,))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,6 +330,23 @@ def test_estimates_match_the_reference_at_every_count():
             ref, ref_capped = pairwise_estimate(aln, submodel)
             assert list(map(repr, vals.tolist())) == list(map(repr, ref.values))
             assert tuple(np.flatnonzero(caps).tolist()) == ref_capped
+
+
+def test_a_replicate_larger_than_a_block_holds_one_edge_of_draws(census5):
+    # 200,000 sites put one replicate in each block.  Its peak is one edge's
+    # draws (8 bytes a site), the eight vertex sequences (8 bytes a site) and
+    # byte-sized temporaries, not every edge's draws (56 bytes a site) or a
+    # (pairs x sites) difference tensor (10 bytes a site, and its masks)
+    sites = 200_000
+    for submodel in ("jc", "k2p"):
+        config = ExperimentConfig(build_model("T2"), submodel, sites, 2, seed=3)
+        tracemalloc.start()
+        try:
+            run_experiment(config, census5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * sites
 
 
 # sha256 of the files written by earlier versions of `nj sim` / `nj sim-gauss`
