@@ -19,7 +19,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .distvec import (
     DissimilarityVector,
@@ -142,80 +141,36 @@ def membership(cone: NJCone, d, tol: float = 1e-9) -> str:
 
 def interior_point(cone: NJCone):
     """An exact rational point with every slack >= 1, or None."""
-    rows = [[Fraction(v) for v in h] for h in cone.normals]
-    rhs = [Fraction(1)] * len(rows)
-    return feasible_point(rows, rhs)
-
-
-def _violation_witnessed(cone: NJCone) -> set[int]:
-    """Positions k with an exactly checked point that violates normal k only.
-
-    A float LP (HiGHS) proposes x with (h_j, x) >= 1 for every j != k and
-    (h_k, x) <= -1; the proposal counts only if its slacks, recomputed in
-    exact rationals, have the right signs.  Such a point proves that
-    halfspace k is implied by no subset of the others.  In a
-    full-dimensional cone every irredundant normal has one.
-    """
-    H = np.array(cone.normals, dtype=float)
-    k, m = H.shape
-    witnessed = set()
-    for idx in range(k):
-        signs = np.ones(k)
-        signs[idx] = -1.0
-        lp = linprog(
-            np.zeros(m),
-            A_ub=-signs[:, None] * H,
-            b_ub=-np.ones(k),
-            bounds=(None, None),
-            method="highs",
-        )
-        if lp.status != 0:
-            continue
-        exact = slacks(cone, [Fraction(t) for t in lp.x.tolist()])
-        if all((s < 0) == (j == idx) for j, s in enumerate(exact)):
-            witnessed.add(idx)
-    return witnessed
+    return feasible_point(cone.normals)
 
 
 def redundant_indices(cone: NJCone) -> list[int]:
     """Positions whose halfspace is implied by the rest, found one by one.
 
-    Each test asks (exactly) whether the others admit a point with
-    (h_k, x) <= -1; homogeneity makes -1 equivalent to any negative slack.
-    Normals with an exactly checked float witness (see
-    _violation_witnessed) are implied by no subset of the others, so they
-    skip the exact test: it would keep them anyway.  Every removal is
-    still decided by the exact LP, in the same order as without the
-    witnesses.
+    Normal k is kept when some x violates it and no other kept normal.
+    Asking for x with (h_k, x) < 0 < (h_j, x) is the same question with
+    strict slacks, because the cone is full-dimensional: adding a small
+    multiple of an interior point to x makes the other slacks positive
+    and keeps (h_k, x) negative.  feasible_point answers it exactly.
     """
     normals = cone.normals
     if not normals:
         return []
-    witnessed = _violation_witnessed(cone)
+    if interior_point(cone) is None:
+        raise DegenerateConeError("cone has empty interior")
     kept = list(range(len(normals)))
     removed = []
     for idx in range(len(normals)):
-        if idx in witnessed:
-            continue
-        rows = []
-        rhs = []
-        for j in kept:
-            if j == idx:
-                continue
-            rows.append([Fraction(v) for v in normals[j]])
-            rhs.append(Fraction(0))
-        rows.append([Fraction(-v) for v in normals[idx]])
-        rhs.append(Fraction(1))
-        if feasible_point(rows, rhs) is None:
+        rows = [normals[j] for j in kept if j != idx]
+        rows.append([-v for v in normals[idx]])
+        if feasible_point(rows) is None:
             kept.remove(idx)
             removed.append(idx)
     return removed
 
 
 def irredundant(cone: NJCone) -> NJCone:
-    """Facet-only copy of the cone; exact LP certifies every removal."""
-    if interior_point(cone) is None:
-        raise DegenerateConeError("cone has empty interior")
+    """Facet-only copy of the cone; an exact certificate backs every removal."""
     removed = redundant_indices(cone)
     gone = set(removed)
     return replace(

@@ -5,8 +5,10 @@ redundancy tests, where the deliverable is an exact integer count and
 floating point is not good enough.  Elimination works on integers: each
 input row is scaled to coprime integers once, and fraction-free
 Gauss-Jordan keeps it integral from then on.  Fractions appear only in
-what `solve` and `feasible_point` return.  Matrices stay small (tens of
-rows), so clarity wins over asymptotics.
+what `solve` and `feasible_point` return.  `feasible_point` lets a float
+LP (HiGHS) propose its answer and returns it only once the answer is
+checked in exact arithmetic.  Matrices stay small (tens of rows), so
+clarity wins over asymptotics.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-
-def frac_rows(rows) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+import numpy as np
+from scipy.optimize import linprog
 
 
 def _coprime(ints: list[int]) -> list[int]:
@@ -112,101 +113,38 @@ def affine_rank(points) -> int:
     return rank([[1, *p] for p in points]) - 1
 
 
-def feasible_point(G, g) -> Optional[list[Fraction]]:
-    """An exact x with G x >= g, or None when the system is infeasible.
+def feasible_point(G) -> Optional[list[Fraction]]:
+    """An exact x with every (G x)_i >= 1 for a rational matrix G, or None.
 
-    Phase-one simplex on the standard form with split free variables,
-    using Bland's rule so termination is guaranteed.  Sizes here are at
-    most a few dozen rows, so the dense tableau is fine.
+    Gordan's alternative: either some x has G x > 0, or some y >= 0 with
+    sum(y) = 1 has G^T y = 0, never both.  One HiGHS LP, max t subject to
+    G x >= t and t <= 1, proposes both: x when t reaches 1, and its
+    multipliers y when t stays 0.  The proposal is only a hint.  x is
+    accepted if its exact slacks are all positive, and is then divided by
+    the smallest.  None is returned only if y, re-solved exactly on its
+    support, is nonnegative.  When neither checks out, ArithmeticError is
+    raised rather than a guess returned.
     """
-    G = frac_rows(G)
-    g = [Fraction(x) for x in g]
-    if not G:
+    if not len(G):
         return []
-    k = len(G)
-    m = len(G[0])
-
-    # G x - s = g with s >= 0 and x = u - w.  Rows with a nonpositive
-    # right hand side are negated so the tableau starts with rhs >= 0.
-    # After negation the slack enters with +1 and can start basic; only
-    # rows with a positive right hand side get an artificial variable.
-    rows = []
-    rhs = []
-    slack_sign = []
-    for i in range(k):
-        if g[i] <= 0:
-            rows.append([-x for x in G[i]])
-            rhs.append(-g[i])
-            slack_sign.append(Fraction(1))
-        else:
-            rows.append(list(G[i]))
-            rhs.append(g[i])
-            slack_sign.append(Fraction(-1))
-
-    art_rows = [i for i in range(k) if slack_sign[i] < 0]
-    n_art = len(art_rows)
-    ncols = 2 * m + k + n_art
-    tab = []
-    for i in range(k):
-        row = [Fraction(0)] * (ncols + 1)
-        for j in range(m):
-            row[j] = rows[i][j]
-            row[m + j] = -rows[i][j]
-        row[2 * m + i] = slack_sign[i]
-        row[ncols] = rhs[i]
-        tab.append(row)
-    basis = [0] * k
-    for pos, i in enumerate(art_rows):
-        tab[i][2 * m + k + pos] = Fraction(1)
-        basis[i] = 2 * m + k + pos
-    for i in range(k):
-        if slack_sign[i] > 0:
-            basis[i] = 2 * m + i
-
-    # objective: minimize the sum of artificials
-    obj = [Fraction(0)] * (ncols + 1)
-    for pos in range(n_art):
-        obj[2 * m + k + pos] = Fraction(1)
-    for i in art_rows:
-        obj = [o - t for o, t in zip(obj, tab[i])]
-
-    while True:
-        enter = None
-        for j in range(ncols):
-            if obj[j] < 0:
-                enter = j
-                break
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(k):
-            if tab[i][enter] > 0:
-                ratio = tab[i][ncols] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            # unbounded phase-one objective cannot happen (bounded below by 0)
-            raise ArithmeticError("phase-one simplex became unbounded")
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(k):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, tab[leave])]
-        basis[leave] = enter
-
-    if -obj[ncols] != 0:
-        return None
-    x = [Fraction(0)] * m
-    for i in range(k):
-        b = basis[i]
-        if b < m:
-            x[b] += tab[i][ncols]
-        elif b < 2 * m:
-            x[b - m] -= tab[i][ncols]
-    return x
+    A = np.array(G, dtype=float)
+    k, m = A.shape
+    lp = linprog(
+        np.r_[np.zeros(m), -1.0],
+        A_ub=np.c_[-A, np.ones(k)],
+        b_ub=np.zeros(k),
+        bounds=[(None, None)] * m + [(None, 1)],
+        method="highs",
+    )
+    if lp.status == 0:
+        x = primitive(lp.x[:m].tolist())
+        least = min(sum(a * v for a, v in zip(row, x)) for row in G)
+        if least > 0:
+            return [Fraction(v, least) for v in x]
+        # the marginals of G x >= t are -y; a vertex's support pins y uniquely
+        support = [i for i, mu in enumerate(lp.ineqlin.marginals) if mu < -1e-9]
+        rows = [[G[i][c] for i in support] for c in range(m)] + [[1] * len(support)]
+        y = solve(rows, [0] * m + [1])
+        if y is not None and min(y) >= 0:
+            return None
+    raise ArithmeticError("no proposal of the LP checks out exactly")

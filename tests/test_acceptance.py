@@ -216,8 +216,9 @@ def test_criterion_09_projection_oracle(census5, type_reps):
         res = nearest_point(cone5, V5[k])
         worst = max(worst, abs(res.distance - oracle_d[k]))
 
-    for rep in type_reps:
+    for rep, removed in zip(type_reps, [(13, 21, 22), (13, 18, 22), (18, 19)]):
         slim = irredundant(rep)
+        assert slim.removed == removed
         V6 = rng.normal(size=(1000, 15)) * 2
         oracle_d, _ = projection_oracle(slim, V6)
         for k in range(1000):

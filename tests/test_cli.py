@@ -5,7 +5,7 @@ import pytest
 import njcones.cli
 import njcones.polytopes
 from njcones.cli import main
-from njcones.cones import read_cone_text
+from njcones.cones import NJCone, read_cone_text, write_cone_text
 from njcones.simulate import build_model, tree_metric
 
 DEMO_CSV = "a,b,3\na,c,1.8\nb,c,2.8\na,d,2.5\nb,d,3.5\nc,d,1.3\n"
@@ -163,6 +163,16 @@ def test_cones_reduce_finds_redundant_pair(tmp_path, capsys, census5):
     code, out, _ = run_cli(capsys, "cones", "reduce", "--in", cone_file)
     assert code == 0
     assert out.splitlines()[0] == "# removed: 1 2"
+
+
+def test_cones_reduce_refuses_an_empty_interior(tmp_path, capsys):
+    cone_file = tmp_path / "flat.txt"
+    h = (1, -1) + (0,) * 8
+    cone_file.write_text(write_cone_text(NJCone(5, (h, tuple(-v for v in h)))))
+    code, out, err = run_cli(capsys, "cones", "reduce", "--in", str(cone_file))
+    assert code == 2
+    assert out == ""
+    assert "empty interior" in err
 
 
 def test_polytope_outputs(tmp_path, capsys):

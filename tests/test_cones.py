@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from njcones.cones import (
+    DegenerateConeError,
     NJCone,
     cone_from_trace,
     facet_witness,
@@ -124,6 +125,35 @@ def test_pick_34_then_01_redundancy():
         assert (membership(cone, x) == "outside") == (
             membership(slim, x) == "outside"
         )
+
+
+# irredundant(census(5).cones[i]).removed, each removal first decided by an
+# exact phase-one simplex over Fractions
+CENSUS5_REMOVED = (
+    (7, 8), (4, 8), (4, 7), (6, 8), (3, 8), (3, 6), (5, 8), (2, 8), (2, 5), (6, 7),
+    (2, 7), (2, 6), (5, 7), (1, 7), (1, 5), (5, 6), (0, 6), (0, 5), (4, 5), (2, 5),
+    (2, 4), (3, 5), (1, 5), (1, 3), (3, 4), (0, 4), (0, 3), (1, 2), (0, 2), (0, 1),
+)
+
+
+def test_census5_removed_lists_are_pinned(census5):
+    assert tuple(irredundant(c).removed for c in census5.cones) == CENSUS5_REMOVED
+
+
+DEGENERATE = {
+    "opposite": ((1, -1) + (0,) * 8, (0, 0, 1) + (0,) * 7, (-1, 1) + (0,) * 8),
+    "zero-row": ((1,) + (0,) * 9, (0,) * 10),
+}
+
+
+@pytest.mark.parametrize("normals", DEGENERATE.values(), ids=DEGENERATE)
+def test_degenerate_cones_are_refused(normals):
+    cone = NJCone(5, normals)
+    assert interior_point(cone) is None
+    with pytest.raises(DegenerateConeError, match="empty interior"):
+        redundant_indices(cone)
+    with pytest.raises(DegenerateConeError, match="empty interior"):
+        irredundant(cone)
 
 
 def test_facet_witness_touches_one_facet():

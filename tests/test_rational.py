@@ -2,23 +2,18 @@ from fractions import Fraction
 from math import gcd
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from njcones import rational
 from njcones.rational import (
     affine_rank,
     feasible_point,
-    frac_rows,
     nullspace,
     primitive,
     rank,
     solve,
 )
-
-
-def test_frac_rows_preserves_values():
-    rows = frac_rows([[1, 0.5, Fraction(2, 3)], [0, 1, 2]])
-    assert rows[0] == [Fraction(1), Fraction(1, 2), Fraction(2, 3)]
-    assert all(isinstance(x, Fraction) for row in rows for x in row)
 
 
 def test_primitive_scales_and_orients():
@@ -44,8 +39,8 @@ def test_nullspace_vectors_annihilate():
     basis = nullspace(rows)
     assert len(basis) == 4 - rank(rows)
     for v in basis:
-        for r in frac_rows(rows):
-            assert sum(a * b for a, b in zip(r, v)) == 0
+        for r in rows:
+            assert sum(Fraction(a) * b for a, b in zip(r, v)) == 0
 
 
 def test_solve_exact_and_inconsistent():
@@ -63,18 +58,84 @@ def test_affine_rank_of_simplex_and_segment():
     assert affine_rank([[5, 5]]) == 0
 
 
-def test_feasible_point_box():
-    # G x >= g: the unit box 0 <= x, y <= 1
-    G = [[1, 0], [-1, 0], [0, 1], [0, -1]]
-    g = [0, -1, 0, -1]
-    x = feasible_point(G, g)
+def slacks_of(G, x):
+    return [sum(a * v for a, v in zip(row, x)) for row in G]
+
+
+small_rows = st.integers(1, 6).flatmap(
+    lambda m: st.lists(
+        st.lists(st.integers(-3, 3), min_size=m, max_size=m), min_size=1, max_size=8
+    )
+)
+
+
+@given(small_rows, st.data())
+@settings(max_examples=200, deadline=None)
+def test_feasible_point_finds_planted_interior_points(G, data):
+    m = len(G[0])
+    x0 = data.draw(
+        st.lists(st.integers(-3, 3), min_size=m, max_size=m).filter(any)
+    )
+    # orient every row so that G x0 > 0; rows orthogonal to x0 get x0 added
+    planted = []
+    for row, s in zip(G, slacks_of(G, x0)):
+        if s == 0:
+            row = [a + b for a, b in zip(row, x0)]
+        planted.append(row if s >= 0 else [-a for a in row])
+    x = feasible_point(planted)
     assert x is not None
-    for row, b in zip(frac_rows(G), g):
-        assert sum(a * v for a, v in zip(row, x)) >= b
+    assert all(isinstance(v, Fraction) for v in x)
+    assert min(slacks_of(planted, x)) >= 1
 
 
-def test_feasible_point_empty_region():
-    assert feasible_point([[1], [-1]], [1, 0]) is None
+@given(small_rows, st.data())
+@settings(max_examples=200, deadline=None)
+def test_feasible_point_certifies_planted_dependencies(G, data):
+    lam = data.draw(
+        st.lists(st.integers(0, 3), min_size=len(G), max_size=len(G)).filter(any)
+    )
+    # the last row is -sum(lam_i g_i): y = (lam, 1) is a Gordan certificate
+    last = [-sum(l * row[c] for l, row in zip(lam, G)) for c in range(len(G[0]))]
+    assert feasible_point(G + [last]) is None
+
+
+def moved_coordinate(lp):
+    lp.x[0] -= 10 * (abs(lp.x[0]) + 1)  # the slack of row [1, 0, 0] goes negative
+
+
+def dropped_multiplier(lp):
+    y = lp.ineqlin.marginals  # -y
+    y[np.argmin(y)] *= -1
+
+
+def added_multiplier(lp):
+    # the support becomes all three rows, where the exact solution is (-1, 2, 0)
+    y = lp.ineqlin.marginals
+    y[np.argmax(y)] = y.min()
+
+
+@pytest.mark.parametrize(
+    "G, feasible, perturb",
+    [
+        ([[1, 0, 0], [0, 1, 0], [1, 1, 1], [2, -1, 1]], True, moved_coordinate),
+        ([[2], [1], [-1]], False, dropped_multiplier),
+        ([[2], [1], [-1]], False, added_multiplier),
+    ],
+    ids=["moved_coordinate", "dropped_multiplier", "added_multiplier"],
+)
+def test_feasible_point_rejects_a_perturbed_proposal(monkeypatch, G, feasible, perturb):
+    """A wrong LP proposal raises; it never becomes an answer."""
+    assert (feasible_point(G) is not None) == feasible
+    real = rational.linprog
+
+    def perturbed(*args, **kwargs):
+        lp = real(*args, **kwargs)
+        perturb(lp)
+        return lp
+
+    monkeypatch.setattr(rational, "linprog", perturbed)
+    with pytest.raises(ArithmeticError):
+        feasible_point(G)
 
 
 def textbook_rref(rows):
@@ -83,7 +144,7 @@ def textbook_rref(rows):
     The reference the integer kernel is checked against: unit pivots,
     exact Fraction arithmetic throughout.
     """
-    a = frac_rows(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     pivots = []
