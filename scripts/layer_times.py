@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Microseconds per replicate or vector in each layer of `nj sim` and `nj distance`.
+"""Time per call in the layers of `nj sim`, `nj distance` and `nj polytope`.
 
 Runs `nj sim --tree T1|T2` (JC, 500 sites) and `nj distance --format vecs`
 on noisy six-taxa caterpillar metrics in this process, with a timer
-around each layer's functions, and prints one JSON object:
+around each layer's functions, then calls the layers of `nj polytope`
+directly, and prints one JSON object:
 
 - simulate: `simulate_alignment`, or its block form `_simulate_block`;
 - estimate: `estimate_distances`, or its block form `_estimates`;
 - screen: `distance_to_wrong` / `distances_to_wrong` minus the time
   spent inside `nearest_point`;
-- nearest_point: the projections themselves.
+- nearest_point: the projections themselves;
+- polytope_ms: milliseconds per call of `facet_enumeration(build_p(n))`,
+  `f_vector` and `table_row` at n = 5 and 6, median of three calls each
+  after one warm-up enumeration.
 
 Only the outermost call of a layer is timed, so a one-row wrapper around
 a block function is not counted twice.  Functions absent from the
@@ -22,13 +26,14 @@ and newer versions of the package:
 import contextlib
 import functools
 import json
+import statistics
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-from njcones import cli, projection, simulate
+from njcones import cli, polytopes, projection, simulate
 
 LAYERS = {
     "simulate": ((simulate, "simulate_alignment"), (simulate, "_simulate_block")),
@@ -40,6 +45,8 @@ CATERPILLAR = "((((0,1),2),3),4,5);"
 REPS = 2000  # replicates of each of T1 and T2
 VECS = 600   # noisy six-taxa vectors
 SEED = 1
+POLYTOPE_TAXA = (5, 6)
+POLYTOPE_CALLS = 3  # timed calls per polytope layer
 
 
 def instrument(totals: dict) -> None:
@@ -81,6 +88,29 @@ def per_unit(totals: dict, units: int) -> dict:
     return {k: round(v, 1) for k, v in out.items() if v}
 
 
+def polytope_ms() -> dict:
+    """Median milliseconds per call of each exact polytope layer, per n."""
+    out = {}
+    for n in POLYTOPE_TAXA:
+        inc = polytopes.facet_enumeration(polytopes.build_p(n))
+        layers = {
+            "facet_enumeration": lambda: polytopes.facet_enumeration(
+                polytopes.build_p(n)
+            ),
+            "f_vector": lambda: polytopes.f_vector(inc),
+            "table_row": lambda: polytopes.table_row(inc),
+        }
+        out[str(n)] = {}
+        for name, call in layers.items():
+            times = []
+            for _ in range(POLYTOPE_CALLS):
+                start = time.perf_counter()
+                call()
+                times.append(time.perf_counter() - start)
+            out[str(n)][name] = round(statistics.median(times) * 1e3, 2)
+    return out
+
+
 def main() -> int:
     totals = dict.fromkeys(LAYERS, 0.0)
     instrument(totals)
@@ -104,6 +134,7 @@ def main() -> int:
                 cli.main(["distance", "--input", str(path), "--true-tree", CATERPILLAR,
                           "--format", "vecs"])
         report["distance_us_per_vector"] = per_unit(totals, VECS)
+    report["polytope_ms"] = polytope_ms()
     print(json.dumps(report, indent=2))
     return 0
 

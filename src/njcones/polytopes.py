@@ -3,11 +3,13 @@
 For n taxa the m score functionals give m integer points (one per pair);
 their convex hull is a low-dimensional polytope sitting in R^m whose
 normal cones at vertices are exactly the first-step cones.  Everything
-here is exact and integral: the pivot columns of the point differences
+here is exact and integral.  The pivot columns of the point differences
 give an integer chart of the affine hull (the hull maps one-to-one onto
-those coordinates), facets are fitted through affinely independent point
-subsets in that chart, and faces are counted by closing the vertex-facet
-incidence under intersection.
+those coordinates).  In that chart the facets are the extreme rays of the
+cone of valid inequalities {(nu, c) : nu . x >= c at every point x},
+found by an integer double description (Fukuda & Prodon, 1996).  Faces
+are the intersections of facets, and each face's dimension is read off
+the vertex-facet incidences (Kaibel & Pfetsch, 2002).
 
 Complementary pairs share a score row when n = 4, so the six points
 collapse to three there; counting treats coincident points once.
@@ -17,14 +19,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
-import numpy as np
-
-from .cones import first_step_cone, membership
 from .distvec import num_pairs
 from .nj import q_operator
-from .rational import _eliminate, affine_rank, nullspace, primitive, rank, solve
+from .rational import _coprime, _eliminate, primitive, rank, scaled_solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +67,12 @@ def build_p(n: int) -> PointConfiguration:
 
 
 def facet_enumeration(P: PointConfiguration) -> FacetIncidence:
-    """All supporting hyperplanes spanned by the points, exactly."""
+    """All facets of the hull of the points, exactly.
+
+    Facets are ordered by the lexicographically first d affinely
+    independent points on each (d the hull's dimension), so the order
+    does not depend on how the rays were found.
+    """
     dedup: dict[tuple, list[int]] = {}
     for idx, p in enumerate(P.points):
         dedup.setdefault(p, []).append(idx)
@@ -82,46 +85,99 @@ def facet_enumeration(P: PointConfiguration) -> FacetIncidence:
         raise ValueError("all points coincide; nothing to enumerate")
     rows = rows[:d]  # integer rows spanning the direction space of the hull
     coords = [tuple(p[c] for c in chart) for p in distinct]
+    homogeneous = [[*x, -1] for x in coords]  # (x, -1) . (nu, c) = nu . x - c
+    outward = _outward_map(rows, chart)
 
-    found: dict[tuple, Facet] = {}
-    for subset in combinations(range(len(distinct)), d):
-        anchor = coords[subset[0]]
-        diffs = [[x - a for x, a in zip(coords[j], anchor)] for j in subset[1:]]
-        nulls = nullspace(diffs)
-        if len(nulls) != 1:
-            continue
-        normal = nulls[0]
-        offset = sum(a * x for a, x in zip(normal, anchor))
-        slack = [sum(a * x for a, x in zip(normal, c)) - offset for c in coords]
-        if min(slack) < 0 < max(slack):
-            continue
-        if min(slack) < 0:
-            normal = [-x for x in normal]
-            offset = -offset
-            slack = [-s for s in slack]
-        key = (*normal, offset)  # normal is primitive, so the key is too
-        if key in found:
-            continue
-        verts = frozenset(i for i, s in enumerate(slack) if s == 0)
-        found[key] = Facet(
-            verts, tuple(normal), offset, _ambient_outward(rows, chart, normal)
-        )
-    facets = tuple(found.values())
-    return FacetIncidence(P.n, d, distinct, original_ids, tuple(coords), facets)
+    facets = []
+    for ray, zeros in _extreme_rays(homogeneous):
+        normal = ray[:d]
+        verts = [i for i in range(len(distinct)) if zeros >> i & 1]
+        first = _independent([homogeneous[i] for i in verts])
+        ambient = primitive([-sum(a * v for a, v in zip(r, normal)) for r in outward])
+        facet = Facet(frozenset(verts), tuple(normal), ray[d], ambient)
+        facets.append((tuple(verts[i] for i in first), facet))
+    facets.sort(key=lambda kf: kf[0])
+    return FacetIncidence(
+        P.n, d, distinct, original_ids, tuple(coords), tuple(f for _, f in facets)
+    )
 
 
-def _ambient_outward(rows, chart, hull_normal):
-    """Outward ambient normal whose maximum over the hull is on the facet.
+def _independent(vectors) -> list[int]:
+    """Indices of the greedy basis of integer vectors, in order.
+
+    Each vector is kept if it is independent of those kept before, which
+    makes the kept indices the lexicographically first basis.
+    """
+    kept, reduced = [], []
+    for i, v in enumerate(vectors):
+        for c, r in reduced:
+            if v[c]:
+                v = [r[c] * a - v[c] * b for a, b in zip(v, r)]
+        c = next((c for c, a in enumerate(v) if a), None)
+        if c is not None:
+            kept.append(i)
+            reduced.append((c, _coprime(v)))
+    return kept
+
+
+def _extreme_rays(rows) -> list[tuple[list[int], int]]:
+    """Extreme rays of the pointed cone {w : r . w >= 0 for each row r}.
+
+    Each ray is primitive and comes with its zero set, a bit mask of the
+    rows tight at it.  Double description: the cone of a basis B of the
+    rows is simplicial, its rays the columns of B^-1.  Each further row
+    keeps the rays on its nonnegative side and adds, for each pair of
+    rays on opposite sides that are adjacent, their combination on the
+    row's hyperplane.  Two rays are adjacent when no third ray is tight on
+    every row both are tight on, and at least dim - 2 rows are.
+    """
+    basis = _independent(rows)
+    dim = len(basis)
+    seen = sum(1 << b for b in basis)
+    identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    inverse = scaled_solve([rows[b] for b in basis], identity)
+    rays = [
+        (_coprime([r[j] for r in inverse]), seen ^ (1 << b))
+        for j, b in enumerate(basis)
+    ]
+    for k, row in enumerate(rows):
+        bit = 1 << k
+        if seen & bit:
+            continue
+        slack = [sum(a * w for a, w in zip(row, ray)) for ray, _ in rays]
+        kept = [(w, z | bit if s == 0 else z) for (w, z), s in zip(rays, slack) if s >= 0]
+        for (p, zp), sp in zip(rays, slack):
+            if sp <= 0:
+                continue
+            for (q, zq), sq in zip(rays, slack):
+                common = zp & zq
+                if (
+                    sq < 0
+                    and common.bit_count() >= dim - 2
+                    and sum(z & common == common for _, z in rays) == 2
+                ):
+                    w = _coprime([sp * b - sq * a for a, b in zip(p, q)])
+                    kept.append((w, common | bit))
+        rays = kept
+        seen |= bit
+    return rays
+
+
+def _outward_map(rows, chart) -> list[list[int]]:
+    """Integer matrix A such that -A nu is an outward ambient facet normal.
 
     The inward hull functional nu acts on the chart coordinates x[chart].
     g = R^T w with Gram(R) w = R[:, chart] nu lies in the direction space
-    spanned by the rows R and reproduces nu on it, so -g points outward.
+    spanned by the rows R and reproduces nu on it, so -g points outward and
+    its maximum over the hull is on the facet.  A = R^T L Gram(R)^-1 R[:, chart]
+    for some L > 0 gives g up to that positive scale, for every facet at once.
     """
     gram = [[sum(a * b for a, b in zip(ri, rj)) for rj in rows] for ri in rows]
-    rhs = [sum(r[c] * v for c, v in zip(chart, hull_normal)) for r in rows]
-    w = solve(gram, rhs)
-    g = [sum(wj * r[s] for wj, r in zip(w, rows)) for s in range(len(rows[0]))]
-    return primitive([-x for x in g])
+    w = scaled_solve(gram, [[r[c] for c in chart] for r in rows])
+    return [
+        [sum(r[s] * wi[j] for r, wi in zip(rows, w)) for j in range(len(chart))]
+        for s in range(len(rows[0]))
+    ]
 
 
 def polytope_vertices(incidence: FacetIncidence) -> list[int]:
@@ -135,34 +191,26 @@ def polytope_vertices(incidence: FacetIncidence) -> list[int]:
 
 
 def f_vector(incidence: FacetIncidence) -> tuple:
-    """Face counts (f_-1, f_0, ..., f_d) by closing incidence intersections."""
-    nv = len(incidence.distinct_points)
-    full = (1 << nv) - 1
-    facet_masks = []
-    for f in incidence.facets:
-        mask = 0
-        for i in f.vertex_ids:
-            mask |= 1 << i
-        facet_masks.append(mask)
-    faces = set(facet_masks)
-    frontier = set(facet_masks)
+    """Face counts (f_-1, f_0, ..., f_d) from the vertex-facet incidences.
+
+    The proper faces are the intersections of facets, as vertex masks.  A
+    face's own facets are its largest intersections with the facets that do
+    not contain it, so its dimension is one more than the largest of theirs;
+    the empty face has dimension -1.
+    """
+    masks = [sum(1 << i for i in f.vertex_ids) for f in incidence.facets]
+    faces = set(masks)
+    frontier = set(masks)
     while frontier:
-        fresh = set()
-        for a in frontier:
-            for b in facet_masks:
-                c = a & b
-                if c not in faces and c not in fresh:
-                    fresh.add(c)
-        faces |= fresh
-        frontier = fresh
-    faces.discard(0)
-    faces.discard(full)
+        frontier = {a & b for a in frontier for b in masks} - faces
+        faces |= frontier
+    dims = {0: -1}
+    for face in sorted(faces - {0}, key=int.bit_count):
+        dims[face] = 1 + max(dims[face & g] for g in masks if face & g != face)
     counts = [0] * (incidence.dim + 2)
-    counts[0] = 1  # the empty face
-    counts[incidence.dim + 1] = 1  # the polytope itself
-    for mask in faces:
-        pts = [incidence.hull_coords[i] for i in range(nv) if mask >> i & 1]
-        counts[affine_rank(pts) + 1] += 1
+    for dim in dims.values():
+        counts[dim + 1] += 1
+    counts[-1] = 1  # the polytope itself
     return tuple(counts)
 
 
@@ -186,69 +234,6 @@ def table_row(incidence: FacetIncidence) -> TableRow:
     return TableRow(
         incidence.n, len(verts), incidence.dim, len(incidence.facets), per_vertex.pop()
     )
-
-
-@dataclass(frozen=True, eq=False)
-class NormalConeReport:
-    pair_index: int
-    ok: bool
-    facets_through_vertex: int
-    samples_checked: int
-    samples_skipped: int
-    witness: tuple | None = None
-
-
-def normal_cone_check(
-    P: PointConfiguration,
-    i: int,
-    incidence: FacetIncidence | None = None,
-    samples: int = 10_000,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> NormalConeReport:
-    """Agreement between the score-argmax region of point i and its cone.
-
-    Checks, for vertex p_i: every outward facet normal through it lies in
-    the first-step cone of pair i; random vectors achieve their score
-    maximum at i exactly when they belong to that cone; and for n >= 5
-    the point p_i itself is interior to its own cone.
-    """
-    if incidence is None:
-        incidence = facet_enumeration(P)
-    n = P.n
-    cone = first_step_cone(i, n)
-    point = P.points[i]
-    vid = next(
-        k for k, ids in enumerate(incidence.original_ids) if i in ids
-    )
-    through = [f for f in incidence.facets if vid in f.vertex_ids]
-    for f in through:
-        if membership(cone, f.ambient_normal) == "outside":
-            return NormalConeReport(i, False, len(through), 0, 0, f.ambient_normal)
-    if n >= 5:
-        if membership(cone, point) != "interior":
-            return NormalConeReport(i, False, len(through), 0, 0, point)
-    pts = np.array(P.points, dtype=float)
-    rng = np.random.default_rng(seed)
-    skipped = 0
-    checked = 0
-    gap = 1e-6
-    for _ in range(samples):
-        x = rng.standard_normal(pts.shape[1])
-        scores = pts @ x
-        top = scores.max()
-        in_max = scores >= top - tol
-        rest = scores[~in_max]
-        if rest.size and top - rest.max() < gap:
-            skipped += 1
-            continue
-        geometric = membership(cone, x, tol=tol) != "outside"
-        if bool(in_max[i]) != geometric:
-            return NormalConeReport(
-                i, False, len(through), checked, skipped, tuple(x)
-            )
-        checked += 1
-    return NormalConeReport(i, True, len(through), checked, skipped)
 
 
 def write_incidence_text(incidence: FacetIncidence) -> str:

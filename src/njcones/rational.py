@@ -32,9 +32,12 @@ def primitive(vec) -> tuple[int, ...]:
     The sign is never flipped: for half-space normals the orientation is
     part of the meaning.  The zero vector maps to itself.
     """
+    if all(isinstance(x, (int, np.integer)) for x in vec):
+        return tuple(_coprime([int(x) for x in vec]))
     fracs = [Fraction(x) for x in vec]
     den = lcm(*(f.denominator for f in fracs))
-    return tuple(_coprime([f.numerator * (den // f.denominator) for f in fracs]))
+    # int(): the numerator of Fraction(numpy int) keeps the numpy type, which can wrap
+    return tuple(_coprime([int(f.numerator) * (den // f.denominator) for f in fracs]))
 
 
 def _eliminate(rows) -> tuple[list[list[int]], list[int]]:
@@ -104,6 +107,18 @@ def solve(rows, rhs) -> Optional[list[Fraction]]:
     for r, pc in enumerate(pivots):
         x[pc] = Fraction(red[r][ncols], red[r][pc])
     return x
+
+
+def scaled_solve(a, b) -> list[list[int]]:
+    """L a^-1 b for a nonsingular square a and a matrix b, with some integer L > 0.
+
+    For callers that need the solutions only up to a positive scale: one
+    elimination of [a | b] serves every column of b, and no Fraction is made.
+    """
+    k = len(a)
+    red, _ = _eliminate([list(ra) + list(rb) for ra, rb in zip(a, b)])
+    scale = lcm(*(red[i][i] for i in range(k)))
+    return [[x * (scale // red[i][i]) for x in red[i][k:]] for i in range(k)]
 
 
 def affine_rank(points) -> int:

@@ -27,6 +27,28 @@ def test_primitive_zero_vector_passes_through():
     assert primitive([0, 0, 0]) == (0, 0, 0)
 
 
+def _numpy_ints(dtype):
+    info = np.iinfo(dtype)
+    return st.integers(max(info.min, -1000), min(info.max, 1000)).map(dtype)
+
+
+_small = st.integers(-1000, 1000)
+_numpy_int = st.sampled_from([np.int8, np.int32, np.int64, np.uint16]).flatmap(_numpy_ints)
+
+
+@given(
+    st.lists(st.integers(-(10**30), 10**30), max_size=6)
+    | st.lists(_numpy_int, max_size=6)
+    | st.lists(_small, max_size=6).map(lambda v: np.array(v, dtype=np.int64))
+    | st.lists(_small | _numpy_int | st.fractions(max_denominator=30), max_size=6)
+)
+@settings(max_examples=300, deadline=None)
+def test_primitive_integer_fast_path_matches_the_fraction_path(vec):
+    got = primitive(vec)
+    assert got == primitive([Fraction(x) for x in vec])
+    assert all(type(v) is int for v in got)
+
+
 def test_rank_matches_numpy_on_random_integer_matrices():
     rng = np.random.default_rng(7)
     for _ in range(25):
