@@ -147,6 +147,8 @@ def _cmd_cones_member(args) -> int:
         raise ValueError(
             f"vector has {len(vals)} entries, cone needs {num_pairs(cone.n)}"
         )
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("vector entries must be finite")
     print(membership(cone, vals, tol=args.tol))
     return 0
 

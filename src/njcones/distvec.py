@@ -197,7 +197,10 @@ def _parse_value(text: str, exact: bool):
     text = text.strip()
     if exact:
         return Fraction(text)
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise InputFormatError(f"distance {text!r} is not finite")
+    return value
 
 
 def parse_pair_csv(text: str, exact: bool = False):

@@ -7,9 +7,10 @@ here is exact and integral.  The pivot columns of the point differences
 give an integer chart of the affine hull (the hull maps one-to-one onto
 those coordinates).  In that chart the facets are the extreme rays of the
 cone of valid inequalities {(nu, c) : nu . x >= c at every point x},
-found by an integer double description (Fukuda & Prodon, 1996).  Faces
-are the intersections of facets, and each face's dimension is read off
-the vertex-facet incidences (Kaibel & Pfetsch, 2002).
+found by the integer double description rational.extreme_rays (Fukuda &
+Prodon, 1996).  Faces are the intersections of facets
+(intersection_closure), and each face's dimension is read off the
+vertex-facet incidences (Kaibel & Pfetsch, 2002).
 
 Complementary pairs share a score row when n = 4, so the six points
 collapse to three there; counting treats coincident points once.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from .distvec import num_pairs
 from .nj import q_operator
-from .rational import _coprime, _eliminate, primitive, rank, scaled_solve
+from .rational import _eliminate, _independent, extreme_rays, primitive, rank, scaled_solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +57,7 @@ def build_p(n: int) -> PointConfiguration:
         raise ValueError("need at least 4 taxa")
     if n > 6:
         warnings.warn(
-            f"facet enumeration for n={n} is untested territory and may be slow",
+            f"n={n} is untested territory: facets are quick, but f_vector may not finish",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -89,7 +90,7 @@ def facet_enumeration(P: PointConfiguration) -> FacetIncidence:
     outward = _outward_map(rows, chart)
 
     facets = []
-    for ray, zeros in _extreme_rays(homogeneous):
+    for ray, zeros in extreme_rays(homogeneous):
         normal = ray[:d]
         verts = [i for i in range(len(distinct)) if zeros >> i & 1]
         first = _independent([homogeneous[i] for i in verts])
@@ -100,67 +101,6 @@ def facet_enumeration(P: PointConfiguration) -> FacetIncidence:
     return FacetIncidence(
         P.n, d, distinct, original_ids, tuple(coords), tuple(f for _, f in facets)
     )
-
-
-def _independent(vectors) -> list[int]:
-    """Indices of the greedy basis of integer vectors, in order.
-
-    Each vector is kept if it is independent of those kept before, which
-    makes the kept indices the lexicographically first basis.
-    """
-    kept, reduced = [], []
-    for i, v in enumerate(vectors):
-        for c, r in reduced:
-            if v[c]:
-                v = [r[c] * a - v[c] * b for a, b in zip(v, r)]
-        c = next((c for c, a in enumerate(v) if a), None)
-        if c is not None:
-            kept.append(i)
-            reduced.append((c, _coprime(v)))
-    return kept
-
-
-def _extreme_rays(rows) -> list[tuple[list[int], int]]:
-    """Extreme rays of the pointed cone {w : r . w >= 0 for each row r}.
-
-    Each ray is primitive and comes with its zero set, a bit mask of the
-    rows tight at it.  Double description: the cone of a basis B of the
-    rows is simplicial, its rays the columns of B^-1.  Each further row
-    keeps the rays on its nonnegative side and adds, for each pair of
-    rays on opposite sides that are adjacent, their combination on the
-    row's hyperplane.  Two rays are adjacent when no third ray is tight on
-    every row both are tight on, and at least dim - 2 rows are.
-    """
-    basis = _independent(rows)
-    dim = len(basis)
-    seen = sum(1 << b for b in basis)
-    identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    inverse = scaled_solve([rows[b] for b in basis], identity)
-    rays = [
-        (_coprime([r[j] for r in inverse]), seen ^ (1 << b))
-        for j, b in enumerate(basis)
-    ]
-    for k, row in enumerate(rows):
-        bit = 1 << k
-        if seen & bit:
-            continue
-        slack = [sum(a * w for a, w in zip(row, ray)) for ray, _ in rays]
-        kept = [(w, z | bit if s == 0 else z) for (w, z), s in zip(rays, slack) if s >= 0]
-        for (p, zp), sp in zip(rays, slack):
-            if sp <= 0:
-                continue
-            for (q, zq), sq in zip(rays, slack):
-                common = zp & zq
-                if (
-                    sq < 0
-                    and common.bit_count() >= dim - 2
-                    and sum(z & common == common for _, z in rays) == 2
-                ):
-                    w = _coprime([sp * b - sq * a for a, b in zip(p, q)])
-                    kept.append((w, common | bit))
-        rays = kept
-        seen |= bit
-    return rays
 
 
 def _outward_map(rows, chart) -> list[list[int]]:
@@ -190,6 +130,21 @@ def polytope_vertices(incidence: FacetIncidence) -> list[int]:
     return out
 
 
+def intersection_closure(masks) -> set[int]:
+    """Every intersection of one or more of the bit masks.
+
+    Given the vertex sets of the facets of a polytope, these are its proper
+    faces; given the zero sets of the extreme rays of a pointed cone, the
+    equality sets of its faces other than the apex.
+    """
+    faces = set(masks)
+    frontier = set(masks)
+    while frontier:
+        frontier = {a & b for a in frontier for b in masks} - faces
+        faces |= frontier
+    return faces
+
+
 def f_vector(incidence: FacetIncidence) -> tuple:
     """Face counts (f_-1, f_0, ..., f_d) from the vertex-facet incidences.
 
@@ -199,11 +154,7 @@ def f_vector(incidence: FacetIncidence) -> tuple:
     the empty face has dimension -1.
     """
     masks = [sum(1 << i for i in f.vertex_ids) for f in incidence.facets]
-    faces = set(masks)
-    frontier = set(masks)
-    while frontier:
-        frontier = {a & b for a in frontier for b in masks} - faces
-        faces |= frontier
+    faces = intersection_closure(masks)
     dims = {0: -1}
     for face in sorted(faces - {0}, key=int.bit_count):
         dims[face] = 1 + max(dims[face & g] for g in masks if face & g != face)

@@ -5,10 +5,11 @@ redundancy tests, where the deliverable is an exact integer count and
 floating point is not good enough.  Elimination works on integers: each
 input row is scaled to coprime integers once, and fraction-free
 Gauss-Jordan keeps it integral from then on.  Fractions appear only in
-what `solve` and `feasible_point` return.  `feasible_point` lets a float
-LP (HiGHS) propose its answer and returns it only once the answer is
-checked in exact arithmetic.  Matrices stay small (tens of rows), so
-clarity wins over asymptotics.
+what `solve` and `feasible_point` return.  `extreme_rays` is the one
+double description: integer extreme rays of a pointed cone, with their
+zero sets.  `feasible_point` lets a float LP (HiGHS) propose its answer
+and returns it only once the answer is checked in exact arithmetic.
+Matrices stay small (tens of rows), so clarity wins over asymptotics.
 """
 
 from __future__ import annotations
@@ -119,6 +120,71 @@ def scaled_solve(a, b) -> list[list[int]]:
     red, _ = _eliminate([list(ra) + list(rb) for ra, rb in zip(a, b)])
     scale = lcm(*(red[i][i] for i in range(k)))
     return [[x * (scale // red[i][i]) for x in red[i][k:]] for i in range(k)]
+
+
+def _independent(vectors) -> list[int]:
+    """Indices of the greedy basis of integer vectors, in order.
+
+    Each vector is kept if it is independent of those kept before, which
+    makes the kept indices the lexicographically first basis.
+    """
+    kept, reduced = [], []
+    for i, v in enumerate(vectors):
+        for c, r in reduced:
+            if v[c]:
+                v = [r[c] * a - v[c] * b for a, b in zip(v, r)]
+        c = next((c for c, a in enumerate(v) if a), None)
+        if c is not None:
+            kept.append(i)
+            reduced.append((c, _coprime(v)))
+    return kept
+
+
+def extreme_rays(rows) -> list[tuple[list[int], int]]:
+    """Extreme rays of the pointed cone {w : r . w >= 0 for each row r}.
+
+    Each ray is primitive and comes with its zero set, a bit mask of the
+    rows tight at it.  Double description: the cone of a basis B of the
+    rows is simplicial, its rays the columns of B^-1.  Each further row
+    keeps the rays on its nonnegative side and adds, for each pair of
+    rays on opposite sides that are adjacent, their combination on the
+    row's hyperplane.  Two rays are adjacent when no third ray is tight on
+    every row both are tight on, and at least dim - 2 rows are (Fukuda &
+    Prodon, 1996).  Raises ValueError unless the rows have full column
+    rank, which is what makes the cone pointed.
+    """
+    basis = _independent(rows)
+    dim = len(basis)
+    if not rows or dim != len(rows[0]):
+        raise ValueError("the rows do not have full column rank: the cone is not pointed")
+    seen = sum(1 << b for b in basis)
+    identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    inverse = scaled_solve([rows[b] for b in basis], identity)
+    rays = [
+        (_coprime([r[j] for r in inverse]), seen ^ (1 << b))
+        for j, b in enumerate(basis)
+    ]
+    for k, row in enumerate(rows):
+        bit = 1 << k
+        if seen & bit:
+            continue
+        slack = [sum(a * w for a, w in zip(row, ray)) for ray, _ in rays]
+        kept = [(w, z | bit if s == 0 else z) for (w, z), s in zip(rays, slack) if s >= 0]
+        for (p, zp), sp in zip(rays, slack):
+            if sp <= 0:
+                continue
+            for (q, zq), sq in zip(rays, slack):
+                common = zp & zq
+                if (
+                    sq < 0
+                    and common.bit_count() >= dim - 2
+                    and sum(z & common == common for _, z in rays) == 2
+                ):
+                    w = _coprime([sp * b - sq * a for a, b in zip(p, q)])
+                    kept.append((w, common | bit))
+        rays = kept
+        seen |= bit
+    return rays
 
 
 def affine_rank(points) -> int:

@@ -30,9 +30,11 @@ from njcones.distvec import (
 )
 from njcones.nj import CherryTrace, nj_run, q_criterion, unique_topologies
 from njcones.polytopes import build_p, f_vector, facet_enumeration, table_row
-from njcones.projection import nearest_point, projection_oracle
+from njcones.projection import nearest_point
 from njcones.simulate import ExperimentConfig, build_model, run_experiment
 from njcones.trees import path_metric, random_topology
+
+from test_projection import projection_oracle
 
 pytestmark = pytest.mark.acceptance
 

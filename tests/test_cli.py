@@ -5,10 +5,11 @@ import pytest
 import njcones.cli
 import njcones.polytopes
 from njcones.cli import main
-from njcones.cones import NJCone, read_cone_text, write_cone_text
+from njcones.cones import NJCone, first_step_cone, read_cone_text, write_cone_text
 from njcones.simulate import build_model, tree_metric
 
 DEMO_CSV = "a,b,3\na,c,1.8\nb,c,2.8\na,d,2.5\nb,d,3.5\nc,d,1.3\n"
+DEMO_PHYLIP = "4\na 0 3 1.8 2.5\nb 3 0 2.8 3.5\nc 1.8 2.8 0 1.3\nd 2.5 3.5 1.3 0\n"
 
 
 def run_cli(capsys, *argv):
@@ -65,18 +66,25 @@ def test_run_all_ties(tmp_path, capsys):
 
 def test_run_phylip(tmp_path, capsys):
     f = tmp_path / "m.phy"
-    f.write_text(
-        "4\n"
-        "a 0 3 1.8 2.5\n"
-        "b 3 0 2.8 3.5\n"
-        "c 1.8 2.8 0 1.3\n"
-        "d 2.5 3.5 1.3 0\n"
-    )
+    f.write_text(DEMO_PHYLIP)
     code, out, _ = run_cli(
         capsys, "run", "--input", str(f), "--format", "phylip"
     )
     assert code == 0
     assert out == "((a,b),(c,d));\n"
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize(
+    "fmt, text", [("csv", DEMO_CSV), ("phylip", DEMO_PHYLIP)], ids=["csv", "phylip"]
+)
+def test_run_rejects_non_finite_distances(tmp_path, capsys, fmt, text, bad):
+    f = tmp_path / "m.txt"
+    f.write_text(text.replace("1.8", bad))
+    code, out, err = run_cli(capsys, "run", "--input", str(f), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert repr(bad) in err and "finite" in err
 
 
 def test_run_errors(tmp_path, capsys):
@@ -122,6 +130,17 @@ def test_cones_build_reduce_member(tmp_path, capsys):
         capsys, "cones", "member", "--in", cone_file, "--vector", "1,2,3"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+def test_cones_member_rejects_non_finite_vectors(tmp_path, capsys, bad):
+    cone_file = tmp_path / "cone9.txt"
+    cone_file.write_text(write_cone_text(first_step_cone(9, 5)))
+    vec = ",".join(["1"] * 9 + [bad])
+    code, out, err = run_cli(capsys, "cones", "member", "--in", str(cone_file), "--vector", vec)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_cones_build_needs_exactly_one_source(capsys):

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg import orth
 
 from njcones import projection
 from njcones.census import census
@@ -16,12 +17,9 @@ from njcones.cones import (
     membership,
 )
 from njcones.nj import CherryTrace
-from njcones.projection import (
-    distance_to_wrong,
-    distances_to_wrong,
-    nearest_point,
-    projection_oracle,
-)
+from njcones.polytopes import intersection_closure
+from njcones.projection import distance_to_wrong, distances_to_wrong, nearest_point
+from njcones.rational import _eliminate, extreme_rays
 from njcones.trees import TreeTopology, random_metric_tree
 
 
@@ -103,6 +101,68 @@ def all_subsets_projection(cone, v, tol=1e-9):
     return best
 
 
+def cone_faces(cone):
+    """(rays, faces) of the cone, exactly; each face as its equality set.
+
+    K = {w : Hw >= 0} splits as (K ∩ {w_free = 0}) ⊕ null(H), the free
+    columns being those off the pivots of H's echelon form.  H on the pivot
+    columns has full column rank, so its cone is pointed and has extreme
+    rays.  A face is named by its equality set, the bit mask of the rows
+    tight on all of it: an intersection of the rays' zero sets, or every
+    row for the apex.
+    """
+    _, pivots = _eliminate(cone.normals)
+    rays = extreme_rays([[h[c] for c in pivots] for h in cone.normals])
+    apex = (1 << len(cone.normals)) - 1
+    return rays, intersection_closure([z for _, z in rays]) | {apex}
+
+
+def projection_oracle(cone, V, tol=1e-9):
+    """Brute-force projections of the rows of V, for cross-checking.
+
+    Enumerates every face of the cone.  The projection of v lies in the
+    relative interior of exactly one face F, and there it equals the
+    orthogonal projection of v onto F's linear hull (any direction along
+    F keeps the point inside the cone, so v minus the point is orthogonal
+    to F).  Every other feasible candidate is a point of the cone and so
+    no closer to v.  The nearest feasible candidate over all faces is
+    therefore the projection; no multipliers and no least-squares
+    solver are involved.  Returns (distances, points).
+
+    The faces come from exact zero sets (cone_faces); the linear hull of
+    the face with equality set A is the null space of H_A, found by a float
+    SVD.  Everything runs in coordinates on the span of the constraint
+    rows: projections leave the orthogonal (lineality) component untouched,
+    so distances are unchanged.
+    """
+    H = cone.unit_rows
+    V = np.asarray(V, dtype=float)
+    U = orth(H.T)                      # (m, r) orthonormal row-space basis
+    Hq = H @ U                         # unit rows again (they live in span(U))
+    Wt = U.T @ V.T                     # (r, npts): points run along the last axis
+    lineal = V - Wt.T @ U.T
+    scales = 1.0 + np.linalg.norm(V, axis=1)
+    best_d2 = np.full(len(V), np.inf)
+    best_w = np.zeros_like(Wt)
+
+    _, faces = cone_faces(cone)
+    equal = np.array([[face >> j & 1 for j in range(len(H))] for face in faces], dtype=bool)
+    cols = np.arange(len(V))
+    for start in range(0, len(equal), 128):
+        _, sv, vt = np.linalg.svd(Hq * equal[start:start + 128, :, None], full_matrices=False)
+        B = vt * (sv <= tol * sv[:, :1])[:, :, None]   # (b, r, r): rows span null(H_A)
+        X = B.transpose(0, 2, 1) @ (B @ Wt)            # (b, r, npts) candidates
+        feas = (Hq @ X).min(axis=1) >= -tol * scales
+        R = X - Wt
+        d2 = np.where(feas, (R * R).sum(axis=1), np.inf)
+        which = d2.argmin(axis=0)
+        dmin = d2[which, cols]
+        upd = dmin < best_d2
+        best_d2[upd] = dmin[upd]
+        best_w[:, upd] = X[which[upd], :, cols[upd]].T
+    return np.sqrt(np.maximum(best_d2, 0.0)), best_w.T @ U.T + lineal
+
+
 def test_matches_exhaustive_oracle(rng):
     for cone in (first_step_cone(0, 5), irredundant(pick34_cone())):
         V = rng.normal(size=(40, 10)) * 2
@@ -114,6 +174,12 @@ def test_matches_exhaustive_oracle(rng):
             literal_d, literal_x = all_subsets_projection(cone, V[k])
             assert abs(literal_d - dists[k]) <= 1e-12
             assert np.allclose(literal_x, points[k], rtol=0, atol=1e-12)
+
+
+def test_rays_and_faces_of_the_criterion_9_cones_are_pinned(census5, type_reps):
+    cones = (census5.cones[27], *(irredundant(rep) for rep in type_reps))
+    counts = [tuple(map(len, cone_faces(cone))) for cone in cones]
+    assert counts == [(14, 84), (274, 11630), (254, 11170), (334, 14244)]
 
 
 def test_distance_to_wrong_classifies_tree_metrics(census5, rng):

@@ -1,13 +1,15 @@
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from njcones import rational
 from njcones.rational import (
     affine_rank,
+    extreme_rays,
     feasible_point,
     nullspace,
     primitive,
@@ -239,3 +241,51 @@ def test_integer_kernel_matches_textbook_elimination(system):
 
     diffs = [[a - b for a, b in zip(r, rows[0])] for r in rows[1:]]
     assert affine_rank(rows) == len(textbook_rref(diffs)[1])
+
+
+def brute_force_rays(rows):
+    """Extreme rays by definition: feasible, and tight on rows of rank dim - 1.
+
+    Each rank-(dim - 1) subset of rows leaves a one-dimensional null space;
+    its primitive vector, with either sign, is kept when every row is
+    nonnegative on it.
+    """
+    dim = len(rows[0])
+    rays = set()
+    for subset in combinations(rows, dim - 1):
+        if rank(list(subset)) != dim - 1:
+            continue
+        (v,) = nullspace(list(subset))
+        for w in (v, [-x for x in v]):
+            if min(slacks_of(rows, w)) >= 0:
+                rays.add(tuple(w))
+    return rays
+
+
+@st.composite
+def pointed_cones(draw):
+    """Integer rows of full column rank, with repeated and redundant rows."""
+    dim = draw(st.integers(2, 4))
+    row = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    rows = draw(st.lists(row, min_size=dim, max_size=7))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(st.integers(0, 2)), draw(st.integers(1, 2))
+        rows.insert(draw(st.integers(0, len(rows))), [s * x + t * y for x, y in zip(a, b)])
+    assume(rank(rows) == dim)
+    return rows
+
+
+@given(pointed_cones())
+@settings(max_examples=300, deadline=None)
+def test_extreme_rays_match_brute_force_enumeration(rows):
+    rays = extreme_rays(rows)
+    assert sorted(tuple(w) for w, _ in rays) == sorted(brute_force_rays(rows))
+    for w, zeros in rays:
+        assert zeros == sum(1 << k for k, s in enumerate(slacks_of(rows, w)) if s == 0)
+
+
+@pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0]], [[1, 2], [2, 4], [-1, -2]], []])
+def test_extreme_rays_reject_a_cone_that_is_not_pointed(rows):
+    with pytest.raises(ValueError, match="not pointed"):
+        extreme_rays(rows)
