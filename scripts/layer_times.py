@@ -13,7 +13,12 @@ directly, and prints one JSON object:
 - nearest_point: the projections themselves;
 - polytope_ms: milliseconds per call of `facet_enumeration(build_p(n))`,
   `f_vector` and `table_row` at n = 5 and 6, median of three calls each
-  after one warm-up enumeration.
+  after one warm-up enumeration;
+- census: milliseconds per `census(5)` and `census(6)` call (median of
+  seven after one warm-up), microseconds per `TreeTopology` built from
+  the edge lists of 1,000 random trees on 5-20 leaves, and microseconds
+  per `cone_from_trace` call over the 450 six-taxa census traces (each a
+  median of three passes).
 
 Only the outermost call of a layer is timed, so a one-row wrapper around
 a block function is not counted twice.  Functions absent from the
@@ -33,7 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from njcones import cli, polytopes, projection, simulate
+from njcones import cli, cones, polytopes, projection, simulate, trees
+from njcones.census import census
 
 LAYERS = {
     "simulate": ((simulate, "simulate_alignment"), (simulate, "_simulate_block")),
@@ -47,6 +53,8 @@ VECS = 600   # noisy six-taxa vectors
 SEED = 1
 POLYTOPE_TAXA = (5, 6)
 POLYTOPE_CALLS = 3  # timed calls per polytope layer
+CENSUS_CALLS = 7
+TREES = 1000  # random trees timed for TreeTopology construction
 
 
 def instrument(totals: dict) -> None:
@@ -88,6 +96,15 @@ def per_unit(totals: dict, units: int) -> dict:
     return {k: round(v, 1) for k, v in out.items() if v}
 
 
+def median_time(call, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
 def polytope_ms() -> dict:
     """Median milliseconds per call of each exact polytope layer, per n."""
     out = {}
@@ -100,14 +117,39 @@ def polytope_ms() -> dict:
             "f_vector": lambda: polytopes.f_vector(inc),
             "table_row": lambda: polytopes.table_row(inc),
         }
-        out[str(n)] = {}
-        for name, call in layers.items():
-            times = []
-            for _ in range(POLYTOPE_CALLS):
-                start = time.perf_counter()
-                call()
-                times.append(time.perf_counter() - start)
-            out[str(n)][name] = round(statistics.median(times) * 1e3, 2)
+        out[str(n)] = {
+            name: round(median_time(call, POLYTOPE_CALLS) * 1e3, 2)
+            for name, call in layers.items()
+        }
+    return out
+
+
+def census_times() -> dict:
+    """census(n) in ms; TreeTopology and cone_from_trace in us per call."""
+    out = {}
+    for n in (5, 6):
+        census(n)
+        per_call = median_time(lambda: census(n), CENSUS_CALLS)
+        out[f"census{n}_ms"] = round(per_call * 1e3, 2)
+    rng = np.random.default_rng(SEED)
+    shapes = []
+    for _ in range(TREES):
+        n = int(rng.integers(5, 21))
+        shapes.append((n, trees.random_topology(n, rng).edges()))
+
+    def build_all():
+        for n, edges in shapes:
+            trees.TreeTopology(n, edges)
+
+    out["tree_topology_us"] = round(median_time(build_all, 3) / TREES * 1e6, 1)
+    traces = [c.trace for c in census(6).cones]
+
+    def cones_from_traces():
+        for trace in traces:
+            cones.cone_from_trace(trace)
+
+    per_call = median_time(cones_from_traces, 3) / len(traces)
+    out["cone_from_trace_us"] = round(per_call * 1e6, 1)
     return out
 
 
@@ -135,6 +177,7 @@ def main() -> int:
                           "--format", "vecs"])
         report["distance_us_per_vector"] = per_unit(totals, VECS)
     report["polytope_ms"] = polytope_ms()
+    report["census"] = census_times()
     print(json.dumps(report, indent=2))
     return 0
 

@@ -17,21 +17,23 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import permutations, product
+from itertools import permutations
 from math import sqrt
 
 import numpy as np
 
-from .cones import NJCone, cone_from_trace
+from .cones import NJCone, _gap_rows
 from .distvec import num_pairs, permute_flat
 from .nj import (
     CherryTrace,
+    _canonical_last_join,
+    _leaves,
+    join_clusters,
     join_operator,
     permute_trace,
     q_operator,
-    trace_from_picks,
 )
 
 _CHUNK = 1 << 17
@@ -78,26 +80,55 @@ def _type_of(trace: CherryTrace) -> str:
 
 
 def census(n: int) -> ConeCensus:
-    """All completed-trace cones in canonical id order, typed and indexed."""
+    """All completed-trace cones in canonical id order, typed and indexed.
+
+    One depth-first walk of the pick tree in id order.  Each prefix
+    scores its current distances once and hands its composed join map,
+    its normals so far and its cluster list to every child, so the
+    shared steps of the traces below it are done once.  A trace's
+    topology is looked up by its splits, the merged clusters taken on the
+    side without leaf 0, and built only the first time they appear.
+    """
     if n not in (5, 6):
         raise ValueError("census is implemented for 5 or 6 taxa")
+    every = frozenset(range(n))
     cones = []
     types = []
-    index: dict = {}
-    for picks in product(*map(range, pick_radices(n))):
-        trace = trace_from_picks(n, picks)
-        cone = cone_from_trace(trace)
+    index: dict = {}       # TreeTopology -> cone ids
+    topologies: dict = {}  # split set -> TreeTopology
+
+    def add_cone(merges, normals):
+        trace = CherryTrace(n, merges)
+        splits = frozenset(
+            c if 0 not in c else every - c for c in (a | b for a, b in merges)
+        )
+        topology = topologies.get(splits)
+        if topology is None:
+            topology = topologies[splits] = trace.topology()
         if n == 5:
             # the first cherry and the middle leaf, which is in no cherry
             (b,), (a,) = trace.merges[0]
-            (mid,) = set(range(5)).difference(*cone.topology.cherries())
+            (mid,) = every.difference(*topology.cherries())
             t, label = "", f"C_{{{b}{a},{mid}}}"
         else:
             t = _type_of(trace)
             label = f"{t}:{trace.label()}"
-        index.setdefault(cone.topology, []).append(len(cones))
-        cones.append(replace(cone, label=label))
+        index.setdefault(topology, []).append(len(cones))
+        cones.append(NJCone(n, normals, trace=trace, topology=topology, label=label))
         types.append(t)
+
+    def walk(nk, L, rows, clusters, merges):
+        # at four nodes only the split classes {1,0}, {2,0}, {2,1} are picks
+        picks = range(num_pairs(nk) if nk > 4 else 3)
+        for p, gaps in zip(picks, _gap_rows(q_operator(nk) @ L, picks)):
+            normals = rows | dict.fromkeys(gaps)
+            if nk == 4:
+                add_cone(merges + (_canonical_last_join(clusters, p),), tuple(normals))
+            else:
+                nxt, join = join_clusters(clusters, p)
+                walk(nk - 1, join_operator(p, nk) @ L, normals, nxt, merges + (join,))
+
+    walk(n, np.eye(num_pairs(n), dtype=np.int64), {}, _leaves(n), ())
     return ConeCensus(
         n, tuple(cones), tuple(types), {k: tuple(v) for k, v in index.items()}
     )

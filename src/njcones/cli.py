@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -62,6 +63,27 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+# a value argparse would take for an option: minus, then a number or inf/nan
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+def _attach_negative_values(argv: list) -> list:
+    """Write `--opt -1,2` as `--opt=-1,2`, which argparse cannot misread.
+
+    argparse takes a token that starts with '-' for an option unless it is
+    a plain negative number, so a comma-joined vector such as -1,2,2 or a
+    value such as -1e-9 or -inf would be read as an unknown flag.
+    """
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and _NEGATIVE_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _sha256(path: Path) -> str:
@@ -405,6 +427,7 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -67,24 +67,38 @@ class NJCone:
             raise ValueError("normal length does not match the pair count")
 
 
+def _gap_rows(scores: np.ndarray, picks) -> list:
+    """Per pick p, the normals forcing it among integer score rows.
+
+    The normals are the gaps score_j - score_p, each divided by the gcd
+    of its entries, which keeps its orientation; zero rows (row p itself,
+    and coinciding scores) drop out.  One array pass serves all the picks
+    of a node.  This is the one place normals are made, for a single
+    trace here and for the whole census in census.census.
+    """
+    G = scores[None, :, :] - scores[list(picks), None, :]
+    g = np.gcd.reduce(G, axis=2)
+    keep = g != 0
+    G //= np.where(keep, g, 1)[:, :, None]
+    return [
+        [tuple(row) for row, k in zip(rows, ks) if k]
+        for rows, ks in zip(G.tolist(), keep.tolist())
+    ]
+
+
 def _pick_normals(n: int, picks) -> tuple:
-    """Normals forcing each pick in turn: score_j - score_p on the input space.
+    """Normals forcing each pick in turn, repeats dropped, first kept in order.
 
     L is 2**step times the current distances, so each step's score rows
-    are integers.  Each gap row is divided by the gcd of its entries,
-    which keeps its orientation; zero rows (coinciding scores) and
-    repeats are dropped, first occurrences kept in order.
+    are integers.
     """
     L = np.eye(num_pairs(n), dtype=np.int64)
-    gaps = []
+    rows: dict = {}
     for nk, p in zip(range(n, 3, -1), picks):
-        scores = q_operator(nk) @ L
-        gaps.append(scores - scores[p])  # row p is zero and drops out
+        (gaps,) = _gap_rows(q_operator(nk) @ L, [p])
+        rows |= dict.fromkeys(gaps)
         L = join_operator(p, nk) @ L
-    G = np.concatenate(gaps)
-    g = np.gcd.reduce(G, axis=1)
-    G = G[g != 0] // g[g != 0, None]
-    return tuple(dict.fromkeys(map(tuple, G.tolist())))
+    return tuple(rows)
 
 
 def first_step_cone(i: int, n: int) -> NJCone:

@@ -51,43 +51,39 @@ class TreeTopology:
                 raise TreeError(f"internal node {u} has degree {len(adj[u])}")
         if len(seen) != len(adj) - 1:
             raise TreeError("edge count does not match a tree")
-        # connectivity
-        stack, reached = [0], {0}
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in reached:
-                    reached.add(v)
-                    stack.append(v)
-        if len(reached) != len(adj):
-            raise TreeError("tree is not connected")
         self.n = n
         self._adj = {u: tuple(sorted(vs)) for u, vs in adj.items()}
         self._splits = self._compute_splits()
 
     # -- identity ----------------------------------------------------------
 
-    def _leaves_behind(self, node: int, parent: int) -> frozenset:
-        acc = []
-        stack = [(node, parent)]
-        while stack:
-            u, p = stack.pop()
-            if u < self.n:
-                acc.append(u)
-            for v in self._adj[u]:
-                if v != p:
-                    stack.append((v, u))
-        return frozenset(acc)
-
     def _compute_splits(self) -> frozenset:
+        """Nontrivial splits in one post-order pass of the tree hung from leaf 0.
+
+        The leaves below each node are the side of its parent edge without
+        leaf 0.  The pass also checks that every node hangs from leaf 0.
+        """
+        parent = {0: None}
+        order = [0]
+        for u in order:  # breadth first: parents before their children
+            for v in self._adj[u]:
+                if v not in parent:
+                    parent[v] = u
+                    order.append(v)
+        if len(order) != len(self._adj):
+            raise TreeError("tree is not connected")
+        below: dict = {}
         out = set()
-        every = frozenset(range(self.n))
-        for u, vs in self._adj.items():
-            for v in vs:
-                if u < v:
-                    side = self._leaves_behind(v, u)
-                    if 2 <= len(side) <= self.n - 2:
-                        out.add(side if 0 not in side else every - side)
+        for u in reversed(order[1:]):
+            if u < self.n:
+                below[u] = frozenset((u,))
+                continue
+            side = below[u] = frozenset().union(
+                *(below[v] for v in self._adj[u] if v != parent[u])
+            )
+            # two children put two leaves below; the edge at leaf 0 is trivial
+            if len(side) <= self.n - 2:
+                out.add(side)
         return frozenset(out)
 
     @property

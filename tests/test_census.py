@@ -2,13 +2,15 @@ import hashlib
 import json
 import weakref
 from collections import Counter
-from itertools import permutations
+from dataclasses import replace
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
 from njcones.census import (
     AngleSurvey,
+    _type_of,
     census,
     classify_batch,
     load_census,
@@ -19,9 +21,43 @@ from njcones.census import (
     stabilizer,
     topology_angle,
 )
-from njcones.cones import membership
+from njcones.cones import cone_from_trace, membership
 from njcones.distvec import DissimilarityVector, num_pairs
 from njcones.nj import canonical_trace, nj_run, trace_from_picks
+
+
+def per_trace_census(n):
+    """The census built one trace at a time: replay each pick sequence alone.
+
+    Every trace recomputes its whole chain of scores and builds its own
+    topology, the way census(n) did before it walked the pick tree.
+    """
+    cones, types, index = [], [], {}
+    for picks in product(*map(range, pick_radices(n))):
+        trace = trace_from_picks(n, picks)
+        cone = cone_from_trace(trace)
+        if n == 5:
+            (b,), (a,) = trace.merges[0]
+            (mid,) = set(range(5)).difference(*cone.topology.cherries())
+            t, label = "", f"C_{{{b}{a},{mid}}}"
+        else:
+            t = _type_of(trace)
+            label = f"{t}:{trace.label()}"
+        index.setdefault(cone.topology, []).append(len(cones))
+        cones.append(replace(cone, label=label))
+        types.append(t)
+    return tuple(cones), tuple(types), {k: tuple(v) for k, v in index.items()}
+
+
+def test_census_walk_matches_per_trace_build(census5, census6):
+    for cns in (census5, census6):
+        cones, types, index = per_trace_census(cns.n)
+        assert cns.cones == cones  # normals in order, trace, topology, label
+        assert cns.types == types
+        assert list(cns.topology_index.items()) == list(index.items())
+        # one topology object per split set, shared by its cones
+        for top, ids in cns.topology_index.items():
+            assert all(cns.cones[i].topology is top for i in ids)
 
 
 def test_census_only_five_or_six():

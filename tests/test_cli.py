@@ -143,6 +143,27 @@ def test_cones_member_rejects_non_finite_vectors(tmp_path, capsys, bad):
     assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "vec, verdict",
+    [("-1,2,2,2,2,2,2,2,2,2", "outside"), ("-1,2,2,2,2,2,2,2,2,-3", "interior")],
+)
+def test_cones_member_takes_a_negative_first_entry(tmp_path, capsys, vec, verdict):
+    # argparse reads "-1,..." as an option unless the CLI attaches it
+    cone_file = tmp_path / "cone9.txt"
+    cone_file.write_text(write_cone_text(first_step_cone(9, 5)))
+    for argv in (["--vector", vec], [f"--vector={vec}"]):
+        code, out, err = run_cli(capsys, "cones", "member", "--in", str(cone_file), *argv)
+        assert code == 0, err
+        assert out.strip() == verdict
+
+    # a non-finite first entry reaches the finiteness check: exit 2, not 1
+    bad = ",".join(["-inf"] + ["1"] * 9)
+    code, out, err = run_cli(capsys, "cones", "member", "--in", str(cone_file), "--vector", bad)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_cones_build_needs_exactly_one_source(capsys):
     assert main(["cones", "build", "--taxa", "5"]) == 1
     assert (

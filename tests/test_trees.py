@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from njcones.distvec import DissimilarityVector
 from njcones.trees import (
@@ -16,9 +17,49 @@ QUARTET = TreeTopology(4, [(0, 4), (1, 4), (4, 5), (2, 5), (3, 5)])
 FIVE = TreeTopology(5, [(0, 5), (1, 5), (5, 6), (2, 6), (6, 7), (3, 7), (4, 7)])
 
 
+def per_edge_splits(top):
+    """Nontrivial splits found one edge at a time, by a walk behind each edge."""
+
+    def leaves_behind(node, parent):
+        acc = []
+        stack = [(node, parent)]
+        while stack:
+            u, p = stack.pop()
+            if u < top.n:
+                acc.append(u)
+            stack.extend((v, u) for v in top.neighbors(u) if v != p)
+        return frozenset(acc)
+
+    every = frozenset(range(top.n))
+    out = set()
+    for u, v in top.edges():
+        side = leaves_behind(v, u)
+        if 2 <= len(side) <= top.n - 2:
+            out.add(side if 0 not in side else every - side)
+    return frozenset(out)
+
+
+random_shapes = st.integers(4, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, 2**32 - 1), st.permutations(range(n)))
+)
+
+
 def test_splits():
     assert QUARTET.splits == frozenset({frozenset({2, 3})})
     assert FIVE.splits == frozenset({frozenset({2, 3, 4}), frozenset({3, 4})})
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_shapes)
+def test_splits_match_per_edge_walk(shape):
+    n, seed, sigma = shape
+    top = random_topology(n, np.random.default_rng(seed))
+    assert top.splits == per_edge_splits(top)
+    assert len(top.splits) == n - 3
+    moved = top.relabel(sigma)
+    assert moved.splits == per_edge_splits(moved)
+    parsed = TreeTopology.from_newick(moved.newick())
+    assert parsed.splits == per_edge_splits(parsed) == moved.splits
 
 
 def test_equality_ignores_internal_labels():
@@ -37,6 +78,11 @@ def test_validation_errors():
         TreeTopology(4, [(0, 4), (0, 4), (1, 4), (4, 5), (2, 5), (3, 5)])
     with pytest.raises(TreeError):
         TreeTopology(3, [(0, 1)])
+    with pytest.raises(TreeError, match="not connected"):
+        # right degrees and edge count, but a K4 of internal nodes apart
+        k4 = [(8, 9), (8, 10), (8, 11), (9, 10), (9, 11), (10, 11)]
+        stars = [(0, 12), (1, 12), (2, 12), (3, 13), (4, 13), (5, 13), (6, 7)]
+        TreeTopology(8, k4 + stars)
 
 
 def test_cherries():
