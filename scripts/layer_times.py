@@ -14,16 +14,19 @@ directly, and prints one JSON object:
 - polytope_ms: milliseconds per call of `facet_enumeration(build_p(n))`,
   `f_vector` and `table_row` at n = 5 and 6, median of three calls each
   after one warm-up enumeration;
-- census: milliseconds per `census(5)` and `census(6)` call (median of
-  seven after one warm-up), microseconds per `TreeTopology` built from
-  the edge lists of 1,000 random trees on 5-20 leaves, and microseconds
-  per `cone_from_trace` call over the 450 six-taxa census traces (each a
+- census: milliseconds per `census(5)`, `census(6)` and `census(7)` call
+  (median of seven after one warm-up), rows per second of
+  `classify_batch(7)` on one sampler chunk of Gaussian rows (median of
+  three), microseconds per `TreeTopology` built from the edge lists of
+  1,000 random trees on 5-20 leaves, and microseconds per
+  `cone_from_trace` call over the 450 six-taxa census traces (each a
   median of three passes).
 
 Only the outermost call of a layer is timed, so a one-row wrapper around
-a block function is not counted twice.  Functions absent from the
+a block function is not counted twice.  Layer functions absent from the
 package on the path are skipped, which lets the same script time older
-and newer versions of the package:
+and newer versions of the package (the census part needs a package
+whose census reaches 7 taxa):
 
     PYTHONPATH=src python3 scripts/layer_times.py
 """
@@ -39,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from njcones import cli, cones, polytopes, projection, simulate, trees
-from njcones.census import census
+from njcones.census import _CHUNK, census, classify_batch
 
 LAYERS = {
     "simulate": ((simulate, "simulate_alignment"), (simulate, "_simulate_block")),
@@ -125,12 +128,17 @@ def polytope_ms() -> dict:
 
 
 def census_times() -> dict:
-    """census(n) in ms; TreeTopology and cone_from_trace in us per call."""
+    """census(n) in ms, classify_batch(7) in rows/s, TreeTopology and
+    cone_from_trace in us per call."""
     out = {}
-    for n in (5, 6):
+    for n in (5, 6, 7):
         census(n)
         per_call = median_time(lambda: census(n), CENSUS_CALLS)
         out[f"census{n}_ms"] = round(per_call * 1e3, 2)
+    X = np.random.default_rng(SEED).standard_normal((_CHUNK, 21))
+    out["classify_batch7_rows_per_s"] = round(
+        _CHUNK / median_time(lambda: classify_batch(7, X), 3)
+    )
     rng = np.random.default_rng(SEED)
     shapes = []
     for _ in range(TREES):

@@ -4,7 +4,7 @@ The pairwise distances of n taxa are flattened into a vector in
 R^(n(n-1)/2).  Each step of neighbor joining minimizes a linear
 functional of that vector, so the set of inputs leading to one
 sequence of cherry picks is a polyhedral cone.  This package builds
-those cones exactly, enumerates them for five and six taxa, relates
+those cones exactly, enumerates them for five to seven taxa, relates
 the first step to the normal fan of a vertex polytope, measures cone
 solid angles by Monte Carlo, and runs robustness experiments that
 classify noisy distance estimates by the distance to the nearest

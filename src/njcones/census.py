@@ -1,4 +1,4 @@
-"""Complete decision-cone censuses for 5 and 6 taxa, plus solid-angle sampling.
+"""Complete decision-cone censuses for 5 to 7 taxa, plus solid-angle sampling.
 
 A completed trace is named by its pick sequence (see the join
 convention in nj): the flat pair index picked among nk current nodes
@@ -6,11 +6,14 @@ for nk = n, ..., 5, then the split class 0, 1 or 2 picked at four nodes
 (pairs {1,0}, {2,0}, {2,1}, each scoring like its complement).  The
 cone id, for any n, is that sequence read as a mixed-radix number with
 digits m(n), ..., m(5), 3, most significant first; for 6 taxa it is
-(10 * p6 + p5) * 3 + s.  The census lists its cones in id order.  The
-Monte Carlo classifier walks the same decision cascade with composed
-float maps (all entries are exact dyadics, so its scores match exact
-replay up to rounding) and reports the same ids, which is what ties the
-sampling to the H-representations.
+(10 * p6 + p5) * 3 + s.  The census lists its cones in id order.
+_cascade composes the join maps down the pick tree once, and both the
+census and the Monte Carlo classifier read their node scores from it,
+which ties the sampling to the H-representations.
+
+A cone's type is its orbit under relabeling the taxa.  Types are named
+I, II, ... by first cone id (the paper's I, II and III at 6 taxa); the
+one orbit at 5 taxa keeps the type "".
 """
 
 from __future__ import annotations
@@ -25,18 +28,18 @@ from math import sqrt
 import numpy as np
 
 from .cones import NJCone, _gap_rows
-from .distvec import num_pairs, permute_flat
+from .distvec import index_to_pair, num_pairs, permute_flat
 from .nj import (
     CherryTrace,
     _canonical_last_join,
     _leaves,
     join_clusters,
     join_operator,
-    permute_trace,
     q_operator,
 )
 
 _CHUNK = 1 << 17
+_TYPE_NAMES = "I II III IV V VI VII VIII IX X XI".split()  # 11 orbits at 7 taxa
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,7 @@ class AngleEstimate:
 class ConeCensus:
     n: int
     cones: tuple                  # NJCone, position = cone id
-    types: tuple                  # "I"/"II"/"III" for n=6, "" for n=5
+    types: tuple                  # orbit name per cone: "" for n=5, else I, II, ...
     topology_index: dict          # TreeTopology -> tuple of cone ids
 
     @cached_property
@@ -63,41 +66,72 @@ class ConeCensus:
         return tuple(i for i, x in enumerate(self.types) if x == t)
 
 
-def pick_radices(n: int) -> list[int]:
-    """Digits of the mixed-radix cone id: pair counts for nk = n..5, then 3."""
-    return [num_pairs(nk) for nk in range(n, 4, -1)] + [3]
+@lru_cache(maxsize=None)
+def _cascade(n: int) -> dict:
+    """Integer score rows of every decision node, keyed by its pick prefix.
 
+    After a prefix of picks the current distances are the input under
+    the composed join maps L, which carry a factor 2**len(prefix); the
+    node's rows are q_operator(nk) @ L, restricted at four nodes to the
+    three split classes.  Nodes are listed depth first in id order.
+    """
+    rows = {}
 
-def _type_of(trace: CherryTrace) -> str:
-    (a, b), (c, e), last = trace.merges
-    merged = a | b
-    if c == merged or e == merged:
-        return "III"
-    p, q = last
-    if {p, q} == {merged, c | e} or (len(p) == 1 and len(q) == 1):
-        return "I"
-    return "II"
+    def walk(prefix, nk, L):
+        q = q_operator(nk) if nk > 4 else q_operator(4)[:3]
+        rows[prefix] = q @ L
+        rows[prefix].setflags(write=False)
+        if nk > 4:
+            for p in range(num_pairs(nk)):
+                walk(prefix + (p,), nk - 1, join_operator(p, nk) @ L)
+
+    walk((), n, np.eye(num_pairs(n), dtype=np.int64))
+    return rows
 
 
 def census(n: int) -> ConeCensus:
     """All completed-trace cones in canonical id order, typed and indexed.
 
-    One depth-first walk of the pick tree in id order.  Each prefix
-    scores its current distances once and hands its composed join map,
-    its normals so far and its cluster list to every child, so the
-    shared steps of the traces below it are done once.  A trace's
-    topology is looked up by its splits, the merged clusters taken on the
-    side without leaf 0, and built only the first time they appear.
+    One depth-first walk of the pick tree in id order, over the score
+    rows of _cascade.  Each prefix hands its normals so far and its
+    cluster list to every child, so the shared steps of the traces below
+    it are done once.  A trace's topology is looked up by its splits,
+    the merged clusters taken on the side without leaf 0, and built only
+    the first time they appear.  At 8 taxa it would hold 264,600 cones.
     """
-    if n not in (5, 6):
-        raise ValueError("census is implemented for 5 or 6 taxa")
+    if not 5 <= n <= 7:
+        raise ValueError("census is implemented for 5 to 7 taxa")
     every = frozenset(range(n))
+    scores = _cascade(n)
     cones = []
     types = []
+    names: dict = {}       # orbit key -> type number
+    by_form: dict = {}     # a four-node's merges and clusters in parts -> types
     index: dict = {}       # TreeTopology -> cone ids
     topologies: dict = {}  # split set -> TreeTopology
 
-    def add_cone(merges, normals):
+    def last_types(clusters, merges) -> tuple:
+        """Type names of the three cones below a four-node, by split class.
+
+        The orbit key of a trace forgets its leaf labels: each join as the
+        sorted pair of its parts (-1 for a leaf, j for the cluster made at
+        step j), the last join as its unordered 2+2 split of parts.
+        """
+        made = {a | b: j for j, (a, b) in enumerate(merges)}
+        part = tuple(made.get(c, -1) for c in clusters)
+        form = tuple(tuple(sorted(made.get(c, -1) for c in m)) for m in merges), part
+        if form not in by_form:
+            keys = []
+            for p in range(3):
+                x, y = index_to_pair(p, 4)
+                rest = sorted(v for i, v in enumerate(part) if i != x and i != y)
+                split = frozenset((tuple(sorted((part[x], part[y]))), tuple(rest)))
+                keys.append((form[0], split))
+            by_form[form] = tuple(_TYPE_NAMES[names.setdefault(k, len(names))] for k in keys)
+        return by_form[form]
+
+    def add_cone(clusters, p, merges, normals, t):
+        merges += (_canonical_last_join(clusters, p),)
         trace = CherryTrace(n, merges)
         splits = frozenset(
             c if 0 not in c else every - c for c in (a | b for a, b in merges)
@@ -111,24 +145,22 @@ def census(n: int) -> ConeCensus:
             (mid,) = every.difference(*topology.cherries())
             t, label = "", f"C_{{{b}{a},{mid}}}"
         else:
-            t = _type_of(trace)
             label = f"{t}:{trace.label()}"
         index.setdefault(topology, []).append(len(cones))
-        cones.append(NJCone(n, normals, trace=trace, topology=topology, label=label))
+        cones.append(NJCone(n, tuple(normals), trace=trace, topology=topology, label=label))
         types.append(t)
 
-    def walk(nk, L, rows, clusters, merges):
-        # at four nodes only the split classes {1,0}, {2,0}, {2,1} are picks
-        picks = range(num_pairs(nk) if nk > 4 else 3)
-        for p, gaps in zip(picks, _gap_rows(q_operator(nk) @ L, picks)):
+    def walk(prefix, rows, clusters, merges):
+        kinds = last_types(clusters, merges) if len(clusters) == 4 else None
+        for p, gaps in enumerate(_gap_rows(scores[prefix], range(len(scores[prefix])))):
             normals = rows | dict.fromkeys(gaps)
-            if nk == 4:
-                add_cone(merges + (_canonical_last_join(clusters, p),), tuple(normals))
+            if kinds:
+                add_cone(clusters, p, merges, normals, kinds[p])
             else:
                 nxt, join = join_clusters(clusters, p)
-                walk(nk - 1, join_operator(p, nk) @ L, normals, nxt, merges + (join,))
+                walk(prefix + (p,), normals, nxt, merges + (join,))
 
-    walk(n, np.eye(num_pairs(n), dtype=np.int64), {}, _leaves(n), ())
+    walk((), {}, _leaves(n), ())
     return ConeCensus(
         n, tuple(cones), tuple(types), {k: tuple(v) for k, v in index.items()}
     )
@@ -150,37 +182,8 @@ def stabilizer(cone: NJCone, n: int | None = None) -> list:
     ]
 
 
-def orbit_ids(cns: ConeCensus, cone_id: int) -> set:
-    """Census ids of the full symmetric-group orbit of one cone."""
-    trace = cns.cones[cone_id].trace
-    ids = cns.trace_ids
-    return {ids[permute_trace(sigma, trace)] for sigma in permutations(range(cns.n))}
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo solid angles
-
-
-@lru_cache(maxsize=None)
-def _cascade(n: int) -> dict:
-    """Float score map of every decision node, keyed by its pick prefix.
-
-    After a prefix of picks, the current distances are the input under
-    the composed join maps; the node scores them with q_operator,
-    restricted at four nodes to the three split classes.
-    """
-    maps = {}
-    level = {(): np.eye(num_pairs(n), dtype=np.int64)}  # 2**len(prefix) times
-    for nk in range(n, 3, -1):
-        q = q_operator(nk) if nk > 4 else q_operator(4)[:3]
-        nxt = {}
-        for prefix, L in level.items():
-            maps[prefix] = (q @ L) / 2.0 ** len(prefix)
-            if nk > 4:
-                for p in range(num_pairs(nk)):
-                    nxt[prefix + (p,)] = join_operator(p, nk) @ L
-        level = nxt
-    return maps
 
 
 def _argmin_gap(scores: np.ndarray, tol: float):
@@ -191,9 +194,7 @@ def _argmin_gap(scores: np.ndarray, tol: float):
 
 def classify_batch(n: int, X: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Cone id per row of X (see the module docstring); -1 where a step tied."""
-    if n < 4:
-        raise ValueError("need at least 4 taxa")
-    maps = _cascade(n)
+    scores = _cascade(n)  # raises below 4 taxa
     X = np.asarray(X, dtype=float)
     ids = np.full(X.shape[0], -1, dtype=np.int64)
 
@@ -203,7 +204,7 @@ def classify_batch(n: int, X: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     while todo:
         prefix, parent_rows, take, sel, code = todo.pop()
         rows = parent_rows[take]
-        A = maps[prefix]
+        A = scores[prefix] / 2.0 ** len(prefix)  # exact dyadics: the true scores
         pick, ok = _argmin_gap(rows @ A.T, tol)
         code *= len(A)
         if len(prefix) == n - 4:
@@ -225,30 +226,25 @@ class AngleSurvey:
     counts: tuple
     discarded: int
 
+    def _mass(self, label: str, ids) -> AngleEstimate:
+        """Sampled fraction of the cones with these ids, with its stderr."""
+        f = sum(self.counts[i] for i in ids) / self.samples
+        return AngleEstimate(label, self.samples, f, sqrt(f * (1 - f) / self.samples))
+
     def estimates(self, cns: ConeCensus) -> list:
-        out = []
-        for cone, c in zip(cns.cones, self.counts):
-            f = c / self.samples
-            out.append(
-                AngleEstimate(
-                    cone.label, self.samples, f, sqrt(f * (1 - f) / self.samples)
-                )
-            )
-        return out
+        return [self._mass(cone.label, [i]) for i, cone in enumerate(cns.cones)]
 
     def per_type(self, cns: ConeCensus) -> list:
-        """Symmetry-averaged per-cone fraction for each n=6 type class."""
-        if cns.n != 6:
-            raise ValueError("type classes exist only for 6 taxa")
+        """Symmetry-averaged per-cone fraction of each type (orbit), from 6 taxa on."""
+        classes = tuple(dict.fromkeys(cns.types))
+        if len(classes) < 2:
+            raise ValueError("type classes need at least 6 taxa")
         out = []
-        for t in ("I", "II", "III"):
-            members = cns.cones_of_type(t)
-            total = sum(self.counts[i] for i in members) / self.samples
-            err = sqrt(total * (1 - total) / self.samples)
+        for t in classes:
+            ids = cns.cones_of_type(t)
+            est = self._mass(f"type-{t}", ids)
             out.append(
-                AngleEstimate(
-                    f"type-{t}", self.samples, total / len(members), err / len(members)
-                )
+                AngleEstimate(est.label, est.samples, est.fraction / len(ids), est.stderr / len(ids))
             )
         return out
 
@@ -264,13 +260,7 @@ def topology_angle(cns: ConeCensus, survey: AngleSurvey, topology) -> AngleEstim
     members = cns.topology_index.get(topology)
     if members is None:
         raise ValueError("topology does not appear in the census")
-    total = sum(survey.counts[i] for i in members) / survey.samples
-    return AngleEstimate(
-        topology.newick(),
-        survey.samples,
-        total,
-        sqrt(total * (1 - total) / survey.samples),
-    )
+    return survey._mass(topology.newick(), members)
 
 
 def solid_angles_mc(

@@ -191,10 +191,10 @@ def _cmd_polytope(args) -> int:
 
 
 def _cmd_angles(args) -> int:
+    mode = args.mode or ("per-type" if args.taxa >= 6 else "per-cone")
+    if mode == "per-type" and args.taxa < 6:
+        raise SystemExit(_usage(args, "--per-type needs --taxa 6 or more"))
     cns = census(args.taxa)
-    mode = args.mode or ("per-type" if args.taxa == 6 else "per-cone")
-    if mode == "per-type" and args.taxa != 6:
-        raise SystemExit(_usage(args, "--per-type applies only to --taxa 6"))
     survey = solid_angles_mc(cns, args.samples, args.seed, threads=args.threads)
     if mode == "per-cone":
         rows = survey.estimates(cns)
@@ -226,6 +226,8 @@ def _cmd_distance(args) -> int:
         rows = [(args.input, list(vec.as_array()))]
     true_top = TreeTopology.from_newick(args.true_tree, names)
     n = true_top.n
+    if not 5 <= n <= 6:
+        raise ValueError("margins are computed for 5 or 6 taxa")
     for where, v in rows:
         if len(v) != num_pairs(n):
             raise ValueError(f"{where}: vector length does not match the tree's taxon count")
@@ -371,7 +373,7 @@ def build_parser() -> _Parser:
     poly.set_defaults(func=_cmd_polytope)
 
     angles = sub.add_parser("angles", help="MC solid angles")
-    angles.add_argument("--taxa", type=int, choices=(5, 6), required=True)
+    angles.add_argument("--taxa", type=int, choices=(5, 6, 7), required=True)
     angles.add_argument("--samples", type=int, required=True)
     angles.add_argument("--seed", type=int, required=True)
     mode = angles.add_mutually_exclusive_group()

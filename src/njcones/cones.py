@@ -92,6 +92,8 @@ def _pick_normals(n: int, picks) -> tuple:
     L is 2**step times the current distances, so each step's score rows
     are integers.
     """
+    if n < 4:
+        raise ValueError("need at least 4 taxa")
     L = np.eye(num_pairs(n), dtype=np.int64)
     rows: dict = {}
     for nk, p in zip(range(n, 3, -1), picks):

@@ -10,20 +10,49 @@ import pytest
 
 from njcones.census import (
     AngleSurvey,
-    _type_of,
     census,
     classify_batch,
     load_census,
-    orbit_ids,
-    permute_trace,
-    pick_radices,
     solid_angles_mc,
     stabilizer,
     topology_angle,
 )
 from njcones.cones import cone_from_trace, membership
 from njcones.distvec import DissimilarityVector, num_pairs
-from njcones.nj import canonical_trace, nj_run, trace_from_picks
+from njcones.nj import canonical_trace, nj_run, permute_trace, trace_from_picks
+
+
+def pick_radices(n: int) -> list[int]:
+    """Digits of the mixed-radix cone id: pair counts for nk = n..5, then 3."""
+    return [num_pairs(nk) for nk in range(n, 4, -1)] + [3]
+
+
+def orbit_ids(cns, cone_id: int) -> set:
+    """Census ids of the full symmetric-group orbit of one cone, by brute force."""
+    trace = cns.cones[cone_id].trace
+    ids = cns.trace_ids
+    return {ids[permute_trace(sigma, trace)] for sigma in permutations(range(cns.n))}
+
+
+def type_of(trace) -> str:
+    """The six-taxa type by the paper's rule, written out by hand.
+
+    III: the second join takes in the first cluster.  I: the last join
+    pairs the two merged clusters, or two leaves.  II: the rest.
+    """
+    (a, b), (c, e), last = trace.merges
+    merged = a | b
+    if c == merged or e == merged:
+        return "III"
+    p, q = last
+    if {p, q} == {merged, c | e} or (len(p) == 1 and len(q) == 1):
+        return "I"
+    return "II"
+
+
+@pytest.fixture(scope="module")
+def census7():
+    return census(7)
 
 
 def per_trace_census(n):
@@ -41,7 +70,7 @@ def per_trace_census(n):
             (mid,) = set(range(5)).difference(*cone.topology.cherries())
             t, label = "", f"C_{{{b}{a},{mid}}}"
         else:
-            t = _type_of(trace)
+            t = type_of(trace)
             label = f"{t}:{trace.label()}"
         index.setdefault(cone.topology, []).append(len(cones))
         cones.append(replace(cone, label=label))
@@ -60,9 +89,10 @@ def test_census_walk_matches_per_trace_build(census5, census6):
             assert all(cns.cones[i].topology is top for i in ids)
 
 
-def test_census_only_five_or_six():
-    with pytest.raises(ValueError):
-        census(4)
+def test_census_only_five_to_seven():
+    for n in (4, 8):
+        with pytest.raises(ValueError):
+            census(n)
 
 
 def test_five_taxa_census_shape(census5):
@@ -131,6 +161,32 @@ def test_stabilizers_and_orbits(census5, census6, type_reps):
         orbit = orbit_ids(census6, rep_id)
         assert len(orbit) * len(stab) == 720
         assert {census6.types[i] for i in orbit} == {t}
+
+
+def test_types_are_the_symmetric_group_orbits(census5, census6):
+    for cns, sizes in ((census5, {"": 30}), (census6, {"I": 90, "II": 180, "III": 180})):
+        classes = dict.fromkeys(cns.types)
+        assert {t: len(cns.cones_of_type(t)) for t in classes} == sizes
+        for t in classes:
+            members = cns.cones_of_type(t)
+            assert orbit_ids(cns, members[0]) == set(members)
+    # the classes are named in the order of their first cone
+    assert [census6.cones_of_type(t)[0] for t in ("I", "II", "III")] == [0, 1, 18]
+
+
+def test_seven_taxa_census_and_its_orbits(census7):
+    assert len(census7.cones) == 9450
+    assert len(census7.topology_index) == 945
+    assert all(len(c.normals) == 45 for c in census7.cones)
+    names = list(dict.fromkeys(census7.types))
+    assert names == "I II III IV V VI VII VIII IX X XI".split()
+    sizes = Counter(len(census7.cones_of_type(t)) for t in names)
+    assert sizes == {630: 7, 1260: 4}
+    assert all(c.label.startswith(f"{t}:") for c, t in zip(census7.cones, census7.types))
+    # brute force over all 5,040 relabelings, for one class of each size
+    for t in ("I", "V"):
+        members = census7.cones_of_type(t)
+        assert orbit_ids(census7, members[len(members) // 2]) == set(members)
 
 
 def test_stabilizer_is_a_group(census5):
@@ -204,8 +260,8 @@ def test_classify_batch_matches_tree_runs(census5, census6, rng):
             assert cns.cones[ids[0]].trace in traces
 
 
-def test_classify_batch_beyond_the_census(rng):
-    # seven taxa: decode each id into its pick sequence and its trace
+def test_classify_batch_at_seven_taxa(census7, rng):
+    # decode each id into its pick sequence and its trace, the census's cone
     X = rng.normal(size=(200, 21))
     ids = classify_batch(7, X)
     assert ids.max() < 21 * 15 * 10 * 3
@@ -215,6 +271,8 @@ def test_classify_batch_beyond_the_census(rng):
             continue
         picks = [int(p) for p in np.unravel_index(cid, pick_radices(7))]
         trace = trace_from_picks(7, picks)
+        assert census7.cones[cid].trace == trace
+        assert membership(census7.cones[cid], x) != "outside"
         d = DissimilarityVector(7, tuple(float(v) for v in x))
         assert trace in {tr for tr, _ in nj_run(d)}
 

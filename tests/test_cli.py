@@ -193,6 +193,23 @@ def test_cones_build_rejects_bad_first_pick(capsys):
         assert "nj: error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--taxa", "3", "--first-pick", "0"],
+        ["--taxa", "2", "--first-pick", "0"],
+        ["--trace", '{"n":3,"merges":[]}'],
+    ],
+)
+def test_cones_build_needs_four_taxa(tmp_path, capsys, argv):
+    # below four taxa the join makes no choice, so there is no cone to write
+    code, out, err = run_cli(capsys, "cones", "build", *argv, "--out", str(tmp_path / "c"))
+    assert code == 2
+    assert out == ""
+    assert "need at least 4 taxa" in err
+    assert not (tmp_path / "c").exists()
+
+
 def test_cones_reduce_finds_redundant_pair(tmp_path, capsys, census5):
     trace_json = census5.cones[27].trace.to_json()
     cone_file = str(tmp_path / "c34.txt")
@@ -283,6 +300,22 @@ def test_angles_per_type_needs_six_taxa(capsys):
     assert code == 1
 
 
+def test_angles_seven_taxa_per_type(capsys):
+    code, out, _ = run_cli(
+        capsys, "angles", "--taxa", "7", "--samples", "20000", "--seed", "0"
+    )
+    assert code == 0
+    header, *rows, tail = out.strip().splitlines()
+    assert header == "label,samples,fraction,stderr"
+    labels = [r.split(",")[0] for r in rows]
+    assert labels == [f"type-{t}" for t in "I II III IV V VI VII VIII IX X XI".split()]
+    assert tail.startswith("# discarded_ties ")
+    # seven classes of 630 cones and four of 1,260; their masses add up to one
+    sizes = [630] * 4 + [1260, 630, 1260, 630, 630, 1260, 1260]
+    mass = sum(float(r.split(",")[2]) * k for r, k in zip(rows, sizes))
+    assert mass == pytest.approx(1.0, abs=1e-9)
+
+
 def test_distance_vecs(tmp_path, capsys):
     d = tree_metric(build_model("T1"))
     good = " ".join(str(x) for x in d.values)
@@ -323,6 +356,24 @@ def test_distance_rejects_non_finite_vectors(tmp_path, capsys, bad):
     assert code == 2
     assert out == ""
     assert "line 4" in err and "finite" in err
+
+
+def test_distance_needs_five_or_six_taxa(tmp_path, capsys):
+    f = tmp_path / "vecs.txt"
+    f.write_text(" ".join(["1"] * 21) + "\n")
+    code, out, err = run_cli(
+        capsys,
+        "distance",
+        "--input",
+        str(f),
+        "--true-tree",
+        "((((0,1),2),3),4,(5,6));",
+        "--format",
+        "vecs",
+    )
+    assert code == 2
+    assert out == ""
+    assert "5 or 6 taxa" in err
 
 
 def test_sim_writes_run_directory(tmp_path, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from njcones.census import classify_batch, permute_trace
+from njcones.census import classify_batch
 from njcones.cones import first_step_cone, membership
 from njcones.distvec import (
     DissimilarityVector,
@@ -15,9 +15,9 @@ from njcones.distvec import (
     pair_to_index,
     shift_basis,
 )
-from njcones.nj import nj_run, q_criterion
-from njcones.projection import nearest_point
-from njcones.trees import TreeTopology, random_topology
+from njcones.nj import nj_run, permute_trace, q_criterion
+from njcones.projection import distance_to_wrong, nearest_point
+from njcones.trees import TreeTopology, path_metric, random_topology
 
 exact_vectors = st.integers(4, 6).flatmap(
     lambda n: st.tuples(
@@ -114,6 +114,26 @@ def test_membership_classifier_agreement(census5, seed):
         if cid < 0:
             continue
         assert membership(census5.cones[cid], x, tol=1e-9) != "outside"
+
+
+@given(
+    st.sampled_from([5, 6]),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(0.01, 1.0), min_size=9, max_size=9),
+)
+@settings(max_examples=40, deadline=None)
+def test_atteson_radius_around_tree_metrics(census5, census6, n, seed, lengths):
+    # Atteson (Algorithmica 25, 1999): NJ returns T whenever ||d - D_T||_inf
+    # < alpha / 2, with alpha the shortest interior edge (Mihaescu, Levy and
+    # Pachter 2009).  The Euclidean norm bounds the max norm, so no cone of
+    # another topology comes nearer to D_T than alpha / 2.
+    top = random_topology(n, np.random.default_rng(seed))
+    w = {(min(u, v), max(u, v)): x for (u, v), x in zip(top.edges(), lengths)}
+    alpha = min(x for (u, v), x in w.items() if u >= n)  # both ends inner nodes
+    cones = (census5 if n == 5 else census6).cones
+    rec = distance_to_wrong(path_metric(n, top.edges(), w), top, cones)
+    assert rec.verdict == "correct"
+    assert rec.boundary_distance >= alpha / 2 - 1e-9
 
 
 @given(st.integers(4, 8), st.integers(0, 2**32 - 1))
