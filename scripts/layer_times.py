@@ -12,8 +12,8 @@ directly, and prints one JSON object:
   spent inside `nearest_point`;
 - nearest_point: the projections themselves;
 - polytope_ms: milliseconds per call of `facet_enumeration(build_p(n))`,
-  `f_vector` and `table_row` at n = 5 and 6, median of three calls each
-  after one warm-up enumeration;
+  `f_vector`, `polytope_vertices` and `table_row` at n = 5 and 6, median
+  of three calls each after one warm-up enumeration;
 - census: milliseconds per `census(5)`, `census(6)` and `census(7)` call
   (median of seven after one warm-up), rows per second of
   `classify_batch(7)` on one sampler chunk of Gaussian rows (median of
@@ -118,6 +118,7 @@ def polytope_ms() -> dict:
                 polytopes.build_p(n)
             ),
             "f_vector": lambda: polytopes.f_vector(inc),
+            "polytope_vertices": lambda: polytopes.polytope_vertices(inc),
             "table_row": lambda: polytopes.table_row(inc),
         }
         out[str(n)] = {

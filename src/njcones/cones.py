@@ -20,14 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .distvec import (
-    DissimilarityVector,
-    index_to_pair,
-    num_pairs,
-    pair_to_index,
-    permute_flat,
-)
-from .nj import CherryTrace, join_operator, permute_trace, q_operator
+from .distvec import DissimilarityVector, index_to_pair, num_pairs
+from .nj import CherryTrace, join_operator, q_operator
 from .rational import feasible_point
 from .trees import TreeTopology
 
@@ -194,53 +188,6 @@ def irredundant(cone: NJCone) -> NJCone:
         normals=tuple(h for k, h in enumerate(cone.normals) if k not in gone),
         irredundant=True,
         removed=tuple(removed),
-    )
-
-
-def facet_witness(i: int, j: int, n: int) -> DissimilarityVector:
-    """A vector on the face score_i = score_j with all other scores larger.
-
-    Entries are 2 on pairs i and j and 4 elsewhere.  For n = 5 with i and
-    j sharing a taxon, that pattern also ties the pair formed by the two
-    untouched taxa; raising that single entry to 5 breaks the extra tie
-    without moving the i-j equality (their score rows ignore the entry).
-    """
-    if n < 5:
-        raise ValueError("witness construction needs at least 5 taxa")
-    if i == j:
-        raise ValueError("need two distinct pair indices")
-    m = num_pairs(n)
-    vals = [Fraction(4)] * m
-    vals[i] = Fraction(2)
-    vals[j] = Fraction(2)
-    ti, tj = set(index_to_pair(i, n)), set(index_to_pair(j, n))
-    if n == 5 and ti & tj:
-        outside = sorted(set(range(n)) - ti - tj)
-        k0 = pair_to_index(outside[1], outside[0], n)
-        vals[k0] += 1
-    return DissimilarityVector(n, tuple(vals))
-
-
-def permute_cone(sigma, cone: NJCone) -> NJCone:
-    """Relabel taxa in the cone: constraints, trace, and topology together."""
-    normals = tuple(
-        tuple(permute_flat(sigma, h, cone.n)) for h in cone.normals
-    )
-    trace = None
-    topology = None
-    label = cone.label
-    if cone.trace is not None:
-        trace = permute_trace(sigma, cone.trace)
-        label = trace.label()
-    if cone.topology is not None:
-        topology = cone.topology.relabel(sigma)
-    return NJCone(
-        cone.n,
-        normals,
-        trace=trace,
-        topology=topology,
-        irredundant=cone.irredundant,
-        label=label,
     )
 
 

@@ -8,9 +8,11 @@ give an integer chart of the affine hull (the hull maps one-to-one onto
 those coordinates).  In that chart the facets are the extreme rays of the
 cone of valid inequalities {(nu, c) : nu . x >= c at every point x},
 found by the integer double description rational.extreme_rays (Fukuda &
-Prodon, 1996).  Faces are the intersections of facets
-(intersection_closure), and each face's dimension is read off the
-vertex-facet incidences (Kaibel & Pfetsch, 2002).
+Prodon, 1996).  The faces are then read off the vertex-facet incidences
+alone (Kaibel & Pfetsch, 2002): a face is its set of facets, the closure
+of a face F and a point v is the set of facets through both, and the
+faces one dimension up from F are the covering steps, the largest of
+those closures.  f_vector climbs them one dimension per level.
 
 Complementary pairs share a score row when n = 4, so the six points
 collapse to three there; counting treats coincident points once.
@@ -18,12 +20,14 @@ collapse to three there; counting treats coincident points once.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import projection
 from .distvec import num_pairs
 from .nj import q_operator
-from .rational import _eliminate, _independent, extreme_rays, primitive, rank, scaled_solve
+from .rational import _eliminate, _independent, extreme_rays, primitive, scaled_solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,12 +59,6 @@ class FacetIncidence:
 def build_p(n: int) -> PointConfiguration:
     if n < 4:
         raise ValueError("need at least 4 taxa")
-    if n > 6:
-        warnings.warn(
-            f"n={n} is untested territory: facets are quick, but f_vector may not finish",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     mat = q_operator(n)
     m = num_pairs(n)
     pts = tuple(tuple(int(-mat[i, t]) for t in range(m)) for i in range(m))
@@ -121,48 +119,79 @@ def _outward_map(rows, chart) -> list[list[int]]:
 
 
 def polytope_vertices(incidence: FacetIncidence) -> list[int]:
-    """Distinct-point ids that are extreme: incident facet normals span."""
-    out = []
-    for i in range(len(incidence.distinct_points)):
-        normals = [list(f.hull_normal) for f in incidence.facets if i in f.vertex_ids]
-        if normals and rank(normals) == incidence.dim:
-            out.append(i)
-    return out
-
-
-def intersection_closure(masks) -> set[int]:
-    """Every intersection of one or more of the bit masks.
-
-    Given the vertex sets of the facets of a polytope, these are its proper
-    faces; given the zero sets of the extreme rays of a pointed cone, the
-    equality sets of its faces other than the apex.
-    """
-    faces = set(masks)
-    frontier = set(masks)
-    while frontier:
-        frontier = {a & b for a in frontier for b in masks} - faces
-        faces |= frontier
-    return faces
+    """Distinct-point ids that are extreme: the facets through one meet in it alone."""
+    nv = len(incidence.distinct_points)
+    meet = [(1 << nv) - 1] * nv
+    for f in incidence.facets:
+        mask = sum(1 << v for v in f.vertex_ids)
+        for v in f.vertex_ids:
+            meet[v] &= mask
+    return [i for i in range(nv) if meet[i] == 1 << i]
 
 
 def f_vector(incidence: FacetIncidence) -> tuple:
     """Face counts (f_-1, f_0, ..., f_d) from the vertex-facet incidences.
 
-    The proper faces are the intersections of facets, as vertex masks.  A
-    face's own facets are its largest intersections with the facets that do
-    not contain it, so its dimension is one more than the largest of theirs;
-    the empty face has dimension -1.
+    The faces are built bottom-up, one dimension per level, each face as
+    its set of facets: a row of 64-bit words.  For a face F and a point v
+    off it, fs(F) & fs(v) is the facet set of the smallest face holding
+    both; the largest of these sets are the faces that cover F (Kaibel &
+    Pfetsch, 2002), and the distinct covers of a level are the next level.
+    Level k holds the faces of dimension k - 1, from the empty face (every
+    facet) up to the polytope itself (no facet).
     """
-    masks = [sum(1 << i for i in f.vertex_ids) for f in incidence.facets]
-    faces = intersection_closure(masks)
-    dims = {0: -1}
-    for face in sorted(faces - {0}, key=int.bit_count):
-        dims[face] = 1 + max(dims[face & g] for g in masks if face & g != face)
-    counts = [0] * (incidence.dim + 2)
-    for dim in dims.values():
-        counts[dim + 1] += 1
-    counts[-1] = 1  # the polytope itself
+    nf = len(incidence.facets)
+    through = np.zeros((len(incidence.distinct_points), -(-nf // 64)), np.uint64)
+    for k, f in enumerate(incidence.facets):
+        through[sorted(f.vertex_ids), k // 64] |= np.uint64(1 << k % 64)
+    level = np.bitwise_or.reduce(through, axis=0, keepdims=True)
+    counts = [1]
+    while level.any():
+        level = _covers(level, through)
+        counts.append(len(level))
     return tuple(counts)
+
+
+def _covers(faces, through):
+    """The distinct faces covering the faces of one level, as facet-set rows.
+
+    The candidates of F are c_a = fs(F) & fs(a), one per point a, and c_w
+    contains c_a exactly when fs(F) & fs(a) & ~fs(w) is empty, so the
+    candidates of one face compare as an (nv, nv) table.  A candidate is
+    kept when a is off F (c_a is not all of fs(F)) and no candidate of a
+    point off F strictly contains it.  Faces go in chunks of
+    BLOCK_BYTES / 32 table entries, so the uint64 and boolean
+    (nv, nv, faces) tables that a chunk holds at once stay within
+    projection.BLOCK_BYTES.
+    """
+    nv, words = through.shape
+    # apart[j, w, a]: the facets of word j through a but not through w
+    apart = (through & ~through[:, None, :]).transpose(2, 0, 1)[..., None]
+    step = max(1, projection.BLOCK_BYTES // (32 * nv * nv))
+    found = np.empty((0, words), np.uint64)
+    pending = []
+    for start in range(0, len(faces), step):
+        face = faces[start : start + step]
+        word = np.ascontiguousarray(face.T)  # [j, face]
+        fresh = (word[:, None, :] & ~through.T[:, :, None]).any(0)  # a is off F
+        # outside[w, a, face]: the facets of c_a off w, none when c_w contains c_a
+        outside = apart[0] & word[0]
+        for j in range(1, words):
+            outside |= apart[j] & word[j]
+        holds = outside == 0
+        larger = holds & ~holds.transpose(1, 0, 2) & fresh[:, None, :]  # c_w > c_a
+        point, row = np.nonzero(fresh & ~larger.any(0))
+        pending.append(face[row] & through[point])
+        # merge once the raw covers outnumber the distinct ones found so far
+        if sum(map(len, pending)) > len(found):
+            found = _distinct(np.concatenate([found, *pending]))
+            pending = []
+    return _distinct(np.concatenate([found, *pending]))
+
+
+def _distinct(rows):
+    rows = rows[np.lexsort(rows.T)]
+    return rows[np.r_[True, (rows[1:] != rows[:-1]).any(-1)]]
 
 
 @dataclass(frozen=True)

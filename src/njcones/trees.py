@@ -361,18 +361,3 @@ def path_metric(n: int, edges, lengths) -> list:
         for b in range(a):
             out[a * (a - 1) // 2 + b] = dist[b]
     return out
-
-
-def random_metric_tree(n: int, rng, low: float = 0.1, high: float = 1.0):
-    """Random topology plus the tree metric of uniform edge lengths.
-
-    Returns (topology, DissimilarityVector with float entries).
-    """
-    from .distvec import DissimilarityVector
-
-    top = random_topology(n, rng)
-    lengths = {
-        (min(u, v), max(u, v)): float(rng.uniform(low, high)) for u, v in top.edges()
-    }
-    vals = path_metric(n, top.edges(), lengths)
-    return top, DissimilarityVector(n, tuple(vals))

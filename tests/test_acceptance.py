@@ -15,7 +15,6 @@ import pytest
 from njcones.census import classify_batch, solid_angles_mc, stabilizer
 from njcones.cones import (
     cone_from_trace,
-    facet_witness,
     first_step_cone,
     irredundant,
     membership,
@@ -34,6 +33,7 @@ from njcones.projection import nearest_point
 from njcones.simulate import ExperimentConfig, build_model, run_experiment
 from njcones.trees import path_metric, random_topology
 
+from test_cones import facet_witness
 from test_projection import projection_oracle
 
 pytestmark = pytest.mark.acceptance

@@ -20,6 +20,7 @@ from njcones.census import (
 from njcones.cones import cone_from_trace, membership
 from njcones.distvec import DissimilarityVector, num_pairs
 from njcones.nj import canonical_trace, nj_run, permute_trace, trace_from_picks
+from test_trees import random_metric_tree
 
 
 def pick_radices(n: int) -> list[int]:
@@ -249,8 +250,6 @@ def test_classify_batch_agrees_with_membership(census5, census6, rng):
 
 
 def test_classify_batch_matches_tree_runs(census5, census6, rng):
-    from njcones.trees import random_metric_tree
-
     for cns in (census5, census6):
         for _ in range(10):
             top, d = random_metric_tree(cns.n, rng)

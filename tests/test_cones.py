@@ -8,12 +8,10 @@ from njcones.cones import (
     DegenerateConeError,
     NJCone,
     cone_from_trace,
-    facet_witness,
     first_step_cone,
     interior_point,
     irredundant,
     membership,
-    permute_cone,
     read_cone_text,
     redundant_indices,
     slacks,
@@ -27,9 +25,10 @@ from njcones.distvec import (
     pair_to_index,
     permute_flat,
 )
-from njcones.nj import CherryTrace, nj_run, q_operator
+from njcones.nj import CherryTrace, nj_run, permute_trace, q_operator
 from njcones.rational import primitive
-from njcones.trees import path_metric, random_metric_tree
+from njcones.trees import path_metric
+from test_trees import random_metric_tree
 
 
 def halfspace_normal(i: int, j: int, n: int) -> tuple:
@@ -96,6 +95,53 @@ def test_first_step_cone_shape_and_membership():
     d = path_metric(5, edges, lengths)
     assert membership(cone, d) == "interior"
     assert membership(first_step_cone(0, 5), d) == "outside"
+
+
+def facet_witness(i: int, j: int, n: int) -> DissimilarityVector:
+    """A vector on the face score_i = score_j with all other scores larger.
+
+    Entries are 2 on pairs i and j and 4 elsewhere.  For n = 5 with i and
+    j sharing a taxon, that pattern also ties the pair formed by the two
+    untouched taxa; raising that single entry to 5 breaks the extra tie
+    without moving the i-j equality (their score rows ignore the entry).
+    """
+    if n < 5:
+        raise ValueError("witness construction needs at least 5 taxa")
+    if i == j:
+        raise ValueError("need two distinct pair indices")
+    m = num_pairs(n)
+    vals = [Fraction(4)] * m
+    vals[i] = Fraction(2)
+    vals[j] = Fraction(2)
+    ti, tj = set(index_to_pair(i, n)), set(index_to_pair(j, n))
+    if n == 5 and ti & tj:
+        outside = sorted(set(range(n)) - ti - tj)
+        k0 = pair_to_index(outside[1], outside[0], n)
+        vals[k0] += 1
+    return DissimilarityVector(n, tuple(vals))
+
+
+def permute_cone(sigma, cone: NJCone) -> NJCone:
+    """Relabel taxa in the cone: constraints, trace, and topology together."""
+    normals = tuple(
+        tuple(permute_flat(sigma, h, cone.n)) for h in cone.normals
+    )
+    trace = None
+    topology = None
+    label = cone.label
+    if cone.trace is not None:
+        trace = permute_trace(sigma, cone.trace)
+        label = trace.label()
+    if cone.topology is not None:
+        topology = cone.topology.relabel(sigma)
+    return NJCone(
+        cone.n,
+        normals,
+        trace=trace,
+        topology=topology,
+        irredundant=cone.irredundant,
+        label=label,
+    )
 
 
 def test_cone_from_trace_contains_its_metric(rng):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from njcones import projection
 from njcones.cones import first_step_cone, membership
 from njcones.distvec import num_pairs
 from njcones.nj import q_operator
@@ -21,7 +22,7 @@ from njcones.polytopes import (
     table_row,
     write_incidence_text,
 )
-from njcones.rational import _eliminate, affine_rank, nullspace, primitive, solve
+from njcones.rational import _eliminate, affine_rank, nullspace, primitive, rank, solve
 
 
 def subset_facet_enumeration(P):
@@ -72,28 +73,54 @@ def subset_facet_enumeration(P):
     )
 
 
-def rank_f_vector(incidence):
-    """Face counts with each face's dimension from the affine rank of its points.
+def intersection_closure(masks) -> set[int]:
+    """Every intersection of one or more of the bit masks.
 
-    The count that the incidence recursion of `f_vector` replaced, kept as
-    its oracle.
+    Given the vertex sets of the facets of a polytope, these are its proper
+    faces; given the zero sets of the extreme rays of a pointed cone, the
+    equality sets of its faces other than the apex.
     """
-    nv = len(incidence.distinct_points)
-    masks = [sum(1 << i for i in f.vertex_ids) for f in incidence.facets]
     faces = set(masks)
     frontier = set(masks)
     while frontier:
-        fresh = {a & b for a in frontier for b in masks} - faces
-        faces |= fresh
-        frontier = fresh
-    faces.discard(0)
+        frontier = {a & b for a in frontier for b in masks} - faces
+        faces |= frontier
+    return faces
+
+
+def rank_f_vector(incidence):
+    """Face counts with each face's dimension from the affine rank of its points.
+
+    The proper faces are the intersections of facets.  The count that the
+    covering levels of `f_vector` replaced, kept as its oracle.
+    """
+    nv = len(incidence.distinct_points)
+    masks = [sum(1 << i for i in f.vertex_ids) for f in incidence.facets]
     counts = [0] * (incidence.dim + 2)
     counts[0] = 1
     counts[-1] = 1
-    for mask in faces:
+    for mask in intersection_closure(masks) - {0}:
         pts = [incidence.hull_coords[i] for i in range(nv) if mask >> i & 1]
         counts[affine_rank(pts) + 1] += 1
     return tuple(counts)
+
+
+def rank_polytope_vertices(incidence):
+    """Distinct-point ids whose incident facet normals span the hull's directions.
+
+    The rank rule that the facet-mask rule of `polytope_vertices` replaced,
+    kept as its oracle.
+    """
+    out = []
+    for i in range(len(incidence.distinct_points)):
+        normals = [list(f.hull_normal) for f in incidence.facets if i in f.vertex_ids]
+        if normals and rank(normals) == incidence.dim:
+            out.append(i)
+    return out
+
+
+def euler_sum(fv):
+    return sum((-1) ** k * c for k, c in enumerate(fv))
 
 
 def facet_rows(incidence):
@@ -198,7 +225,16 @@ def test_five_taxa_f_vector_and_euler():
     inc = facet_enumeration(P)
     fv = f_vector(inc)
     assert fv == (1, 10, 45, 90, 75, 22, 1)
-    assert sum((-1) ** k * c for k, c in enumerate(fv)) == 0
+    assert euler_sum(fv) == 0
+
+
+def test_f_vector_with_one_face_per_chunk(monkeypatch):
+    # criterion 3's vectors when every chunk of the covering test is one face
+    monkeypatch.setattr(projection, "BLOCK_BYTES", 1)
+    assert f_vector(facet_enumeration(build_p(5))) == (1, 10, 45, 90, 75, 22, 1)
+    assert f_vector(facet_enumeration(build_p(6))) == (
+        1, 15, 105, 435, 1095, 1657, 1470, 735, 195, 25, 1
+    )
 
 
 def test_facets_have_full_rank_and_separate():
@@ -276,6 +312,7 @@ def test_double_description_matches_the_subset_oracle_on_build_p(n):
     want = subset_facet_enumeration(P)
     assert facet_rows(inc) == facet_rows(want)
     assert f_vector(inc) == rank_f_vector(want)
+    assert polytope_vertices(inc) == rank_polytope_vertices(inc)
 
 
 @st.composite
@@ -321,4 +358,15 @@ def test_double_description_matches_the_subset_oracle(P):
     )
     # the same facets in the same order: the order the subsets first meet them
     assert facet_rows(inc) == facet_rows(want)
-    assert f_vector(inc) == rank_f_vector(want)
+    fv = f_vector(inc)
+    assert fv == rank_f_vector(want)
+    assert euler_sum(fv) == 0
+    assert fv[1] == len(polytope_vertices(inc))
+
+
+@given(point_configurations())
+@example(PointConfiguration(0, ((0, 0), (2, 0), (0, 2), (1, 0), (1, 1), (1, 1))))
+@settings(max_examples=200, deadline=None)
+def test_vertices_match_the_rank_rule(P):
+    inc = facet_enumeration(P)
+    assert polytope_vertices(inc) == rank_polytope_vertices(inc)

@@ -17,10 +17,11 @@ from njcones.cones import (
     membership,
 )
 from njcones.nj import CherryTrace
-from njcones.polytopes import intersection_closure
 from njcones.projection import distance_to_wrong, distances_to_wrong, nearest_point
 from njcones.rational import _eliminate, extreme_rays
-from njcones.trees import TreeTopology, random_metric_tree
+from njcones.trees import TreeTopology
+from test_polytopes import intersection_closure
+from test_trees import random_metric_tree
 
 
 def pick34_cone():

@@ -5,16 +5,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from njcones.distvec import DissimilarityVector
-from njcones.trees import (
-    TreeError,
-    TreeTopology,
-    path_metric,
-    random_metric_tree,
-    random_topology,
-)
+from njcones.trees import TreeError, TreeTopology, path_metric, random_topology
 
 QUARTET = TreeTopology(4, [(0, 4), (1, 4), (4, 5), (2, 5), (3, 5)])
 FIVE = TreeTopology(5, [(0, 5), (1, 5), (5, 6), (2, 6), (6, 7), (3, 7), (4, 7)])
+
+
+def random_metric_tree(n: int, rng, low: float = 0.1, high: float = 1.0):
+    """Random topology plus the tree metric of uniform edge lengths.
+
+    Returns (topology, DissimilarityVector with float entries).
+    """
+    top = random_topology(n, rng)
+    lengths = {
+        (min(u, v), max(u, v)): float(rng.uniform(low, high)) for u, v in top.edges()
+    }
+    vals = path_metric(n, top.edges(), lengths)
+    return top, DissimilarityVector(n, tuple(vals))
 
 
 def per_edge_splits(top):
