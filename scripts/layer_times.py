@@ -20,7 +20,10 @@ directly, and prints one JSON object:
   three), microseconds per `TreeTopology` built from the edge lists of
   1,000 random trees on 5-20 leaves, and microseconds per
   `cone_from_trace` call over the 450 six-taxa census traces (each a
-  median of three passes).
+  median of three passes);
+- irredundant: milliseconds per `cones.irredundant` call on the first
+  census cone of each six-taxa type (median of three calls after one
+  warm-up), and the `feasible_point` calls each one makes.
 
 Only the outermost call of a layer is timed, so a one-row wrapper around
 a block function is not counted twice.  Layer functions absent from the
@@ -162,6 +165,32 @@ def census_times() -> dict:
     return out
 
 
+def irredundant_times() -> dict:
+    """Per six-taxa type: irredundant ms per call and feasible_point calls."""
+    six = census(6)
+    calls = [0]
+    real = cones.feasible_point
+
+    def counted(G):
+        calls[0] += 1
+        return real(G)
+
+    out = {}
+    cones.feasible_point = counted
+    try:
+        for kind in ("I", "II", "III"):
+            cone = six.cones[six.types.index(kind)]
+            calls[0] = 0
+            cones.irredundant(cone)
+            out[kind] = {
+                "feasible_point_calls": calls[0],
+                "ms": round(median_time(lambda: cones.irredundant(cone), 3) * 1e3, 2),
+            }
+    finally:
+        cones.feasible_point = real
+    return out
+
+
 def main() -> int:
     totals = dict.fromkeys(LAYERS, 0.0)
     instrument(totals)
@@ -187,6 +216,7 @@ def main() -> int:
         report["distance_us_per_vector"] = per_unit(totals, VECS)
     report["polytope_ms"] = polytope_ms()
     report["census"] = census_times()
+    report["irredundant"] = irredundant_times()
     print(json.dumps(report, indent=2))
     return 0
 

@@ -19,10 +19,11 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .distvec import DissimilarityVector, index_to_pair, num_pairs
 from .nj import CherryTrace, join_operator, q_operator
-from .rational import feasible_point
+from .rational import feasible_point, primitive, solve
 from .trees import TreeTopology
 
 
@@ -154,26 +155,88 @@ def interior_point(cone: NJCone):
     return feasible_point(cone.normals)
 
 
+# A residual this small next to its normal proposes the redundant certificate.
+_RESIDUAL_TOL = 1e-9
+# The facet certificate rounds -r to integers of at most this magnitude.
+_ROUND_SCALE = float(1 << 30)
+
+
+def _certificate(H, Z, x0, s0, k: int, others: list):
+    """An exact certificate for or against h_k in the cone of `others`, or None.
+
+    H and Z hold the normals as floats and as Python integers, x0 is an
+    integer interior point and s0 = Z x0 its slacks.  scipy's NNLS of h_k
+    onto the other normals proposes one certificate, and it is returned
+    only once it checks out in integer arithmetic:
+
+    - (True, y): h_k = sum_j y_j h_j with rational y_j >= 0, re-solved
+      exactly on the NNLS support, so h_k is implied;
+    - (False, p): an integer p with (h_k, p) = 0 < (h_j, p) for every j
+      in `others`, so p - t x0 cuts h_k off alone for small t > 0.  The NNLS
+      residual r has (h_j, r) <= 0 on the others and (h_k, r) = |r|^2, so
+      x = round(-c r) nearly cuts h_k off alone; with a = Z x,
+      p = s0_k x - a_k x0 and Z p = s0_k a - a_k s0.
+    """
+    h = H[k]
+    if others:
+        try:
+            A = H[others].T
+            y, _ = nnls(A, h)
+            r = h - A @ y
+        except (ValueError, RuntimeError):
+            return None
+    else:  # scipy's nnls aborts the process on a matrix with no columns
+        y, r = np.zeros(0), h
+    if not np.all(np.isfinite(r)):
+        return None
+    if np.linalg.norm(r) <= _RESIDUAL_TOL * np.linalg.norm(h):
+        support = [j for j, v in zip(others, y) if v > 0]
+        coef = solve(Z[support].T.tolist(), Z[k].tolist())
+        if coef is None or any(v < 0 for v in coef):
+            return None
+        return True, dict(zip(support, coef))
+    x = np.rint(-r * (_ROUND_SCALE / np.abs(r).max())).astype(np.int64).astype(object)
+    a = Z @ x
+    slack = s0[k] * a - a[k] * s0
+    if not all(slack[j] > 0 for j in others):
+        return None
+    return False, tuple(s0[k] * x - a[k] * x0)
+
+
 def redundant_indices(cone: NJCone) -> list[int]:
     """Positions whose halfspace is implied by the rest, found one by one.
 
-    Normal k is kept when some x violates it and no other kept normal.
-    Asking for x with (h_k, x) < 0 < (h_j, x) is the same question with
-    strict slacks, because the cone is full-dimensional: adding a small
-    multiple of an interior point to x makes the other slacks positive
-    and keeps (h_k, x) negative.  feasible_point answers it exactly.
+    Normal k is removed when h_k lies in the cone of the normals still
+    kept (the later ones and the earlier ones not removed), so of two
+    equal or positively proportional normals the earlier one goes.  As
+    the cone is full-dimensional, that is the same as: no x has
+    (h_k, x) < 0 < (h_j, x) for the other kept j (Farkas).  One
+    feasible_point call finds an interior point; each normal is then
+    decided by an exact certificate that NNLS proposes (`_certificate`),
+    and by one more feasible_point call on that question only when the
+    proposal does not check out.  No float decides a verdict.
     """
     normals = cone.normals
     if not normals:
         return []
-    if interior_point(cone) is None:
+    x0 = interior_point(cone)
+    if x0 is None:
         raise DegenerateConeError("cone has empty interior")
+    H = np.array(normals, dtype=float)
+    Z = np.array(normals, dtype=object)
+    x0 = np.array(primitive(x0), dtype=object)
+    s0 = Z @ x0
     kept = list(range(len(normals)))
     removed = []
     for idx in range(len(normals)):
-        rows = [normals[j] for j in kept if j != idx]
-        rows.append([-v for v in normals[idx]])
-        if feasible_point(rows) is None:
+        others = [j for j in kept if j != idx]
+        cert = _certificate(H, Z, x0, s0, idx, others)
+        if cert is not None:
+            implied = cert[0]
+        else:
+            rows = [normals[j] for j in others] + [[-v for v in normals[idx]]]
+            implied = feasible_point(rows) is None
+        if implied:
             kept.remove(idx)
             removed.append(idx)
     return removed

@@ -19,8 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .rational import solve
-
 
 class InputFormatError(ValueError):
     """Raised when a distance input file fails validation."""
@@ -105,20 +103,6 @@ class DissimilarityVector:
         return cls(n, tuple(vals))
 
 
-def shift_vector(a: int, n: int) -> DissimilarityVector:
-    """Indicator of the pairs containing taxon a (exact entries)."""
-    if not 0 <= a < n:
-        raise ValueError(f"taxon {a} out of range for n={n}")
-    vals = tuple(
-        Fraction(1) if a in pair else Fraction(0) for pair in all_pairs(n)
-    )
-    return DissimilarityVector(n, vals)
-
-
-def shift_basis(n: int) -> list[DissimilarityVector]:
-    return [shift_vector(a, n) for a in range(n)]
-
-
 def pair_permutation(sigma: Sequence[int], n: int) -> list[int]:
     """Index permutation pi with pi[index(a,b)] = index(sigma a, sigma b)."""
     if sorted(sigma) != list(range(n)):
@@ -142,49 +126,6 @@ def permute_flat(sigma: Sequence[int], values: Sequence, n: int) -> list:
     for i, v in enumerate(values):
         out[pi[i]] = v
     return out
-
-
-# ---------------------------------------------------------------------------
-# The five-taxon kernel basis.
-#
-# For n = 5 the vectors below span the orthogonal complement of the span of
-# the shift vectors, and the relabeling action restricted to that subspace
-# has a pleasant form: the cycle (0 1 2 3 4) permutes the basis cyclically.
-
-
-def w_vector(a: int, b: int, c: int, d: int) -> DissimilarityVector:
-    """Entries +1 at {a,b} and {c,d}, -1 at {a,c} and {b,d}, 0 elsewhere (n=5)."""
-    if len({a, b, c, d}) != 4:
-        raise ValueError("w_vector needs four distinct taxa")
-    vals = [Fraction(0)] * 10
-    vals[pair_to_index(a, b, 5)] += 1
-    vals[pair_to_index(c, d, 5)] += 1
-    vals[pair_to_index(a, c, 5)] -= 1
-    vals[pair_to_index(b, d, 5)] -= 1
-    return DissimilarityVector(5, tuple(vals))
-
-
-def w_basis() -> list[DissimilarityVector]:
-    tuples = [(0, 1, 3, 4), (1, 2, 4, 0), (2, 3, 0, 1), (3, 4, 1, 2), (4, 0, 2, 3)]
-    return [w_vector(*t) for t in tuples]
-
-
-def w_coordinates(v: Sequence) -> list[Fraction]:
-    """Exact coordinates of a vector in the w basis; errors if outside the span."""
-    basis = w_basis()
-    cols = [[Fraction(x) for x in w.values] for w in basis]
-    rows = [[cols[k][i] for k in range(5)] for i in range(10)]
-    sol = solve(rows, [Fraction(x) for x in v])
-    if sol is None:
-        raise ValueError("vector is not in the span of the w basis")
-    return sol
-
-
-def permutation_w_matrix(sigma: Sequence[int]) -> list[list[Fraction]]:
-    """Matrix of the relabeling action on the w span, columns = images of w_k."""
-    basis = w_basis()
-    cols = [w_coordinates(apply_permutation(sigma, w).values) for w in basis]
-    return [[cols[k][i] for k in range(5)] for i in range(5)]
 
 
 # ---------------------------------------------------------------------------

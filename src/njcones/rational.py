@@ -1,15 +1,18 @@
 """Exact linear algebra over the rationals.
 
 Dense textbook routines backing the facet enumeration and the cone
-redundancy tests, where the deliverable is an exact integer count and
-floating point is not good enough.  Elimination works on integers: each
-input row is scaled to coprime integers once, and fraction-free
+redundancy certificates, where the deliverable is an exact integer count
+and floating point is not good enough.  Elimination works on integers:
+each input row is scaled to coprime integers once, and fraction-free
 Gauss-Jordan keeps it integral from then on.  Fractions appear only in
 what `solve` and `feasible_point` return.  `extreme_rays` is the one
 double description: integer extreme rays of a pointed cone, with their
 zero sets.  `feasible_point` lets a float LP (HiGHS) propose its answer
 and returns it only once the answer is checked in exact arithmetic.
-Matrices stay small (tens of rows), so clarity wins over asymptotics.
+Cone reduction calls it once per cone for an interior point, and again
+only for a normal whose NNLS certificate does not check out; `solve`
+re-solves such certificates exactly on their support.  Matrices stay
+small (tens of rows), so clarity wins over asymptotics.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from njcones.distvec import (
     num_pairs,
     pair_permutation,
     pair_to_index,
-    shift_basis,
 )
 from njcones.nj import CherryTrace, nj_run, q_criterion, unique_topologies
 from njcones.polytopes import build_p, f_vector, facet_enumeration, table_row
@@ -34,6 +33,7 @@ from njcones.simulate import ExperimentConfig, build_model, run_experiment
 from njcones.trees import path_metric, random_topology
 
 from test_cones import facet_witness
+from test_distvec import shift_basis
 from test_projection import projection_oracle
 
 pytestmark = pytest.mark.acceptance

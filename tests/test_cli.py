@@ -222,6 +222,31 @@ def test_cones_reduce_finds_redundant_pair(tmp_path, capsys, census5):
     assert out.splitlines()[0] == "# removed: 1 2"
 
 
+def test_cones_reduce_drops_the_earlier_of_two_parallel_rows(tmp_path, capsys, census5):
+    # rows 11 and 12 repeat row 0 and double row 3; rows 1 and 2 are redundant
+    normals = census5.cones[27].normals
+    rows = (*normals, normals[0], tuple(2 * v for v in normals[3]))
+    cone_file = tmp_path / "parallel.txt"
+    cone_file.write_text(write_cone_text(NJCone(5, rows)))
+    code, out, _ = run_cli(capsys, "cones", "reduce", "--in", str(cone_file))
+    assert code == 0
+    assert out.splitlines()[0] == "# removed: 0 1 2 3"
+    slim = read_cone_text(out)
+    assert slim.normals == rows[4:]
+    assert slim.irredundant
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_cones_reduce_keeps_zero_or_one_normal(tmp_path, capsys, count):
+    rows = first_step_cone(9, 5).normals[:count]
+    cone_file = tmp_path / "small.txt"
+    cone_file.write_text(write_cone_text(NJCone(5, rows)))
+    code, out, _ = run_cli(capsys, "cones", "reduce", "--in", str(cone_file))
+    assert code == 0
+    assert out.splitlines()[0] == "# removed: "
+    assert read_cone_text(out).normals == rows
+
+
 def test_cones_reduce_refuses_an_empty_interior(tmp_path, capsys):
     cone_file = tmp_path / "flat.txt"
     h = (1, -1) + (0,) * 8

@@ -1,9 +1,13 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from njcones import cones
 from njcones.cones import (
     DegenerateConeError,
     NJCone,
@@ -26,7 +30,7 @@ from njcones.distvec import (
     permute_flat,
 )
 from njcones.nj import CherryTrace, nj_run, permute_trace, q_operator
-from njcones.rational import primitive
+from njcones.rational import feasible_point, primitive
 from njcones.trees import path_metric
 from test_trees import random_metric_tree
 
@@ -144,6 +148,25 @@ def permute_cone(sigma, cone: NJCone) -> NJCone:
     )
 
 
+def test_a_negative_multiplier_on_the_support_is_refused(monkeypatch):
+    # e1 lies outside the cone of u = e1 + e2, e2 and w = e1 + 2 e2, yet
+    # 0.5 u - 1.5 e2 + 0.5 w = e1, and on the positive support {u, w} the
+    # only solution is 2 u - w
+    e = np.eye(6, dtype=int).tolist()
+    u = [a + b for a, b in zip(e[0], e[1])]
+    w = [a + 2 * b for a, b in zip(e[0], e[1])]
+    cone = NJCone(4, tuple(map(tuple, (e[0], u, e[1], w, *e[2:]))))
+
+    def signed(A, b):
+        y = np.zeros(A.shape[1])
+        if list(b) == e[0]:
+            y[:3] = (0.5, -1.5, 0.5)
+        return y, 0.0
+
+    monkeypatch.setattr(cones, "nnls", signed)
+    assert redundant_indices(cone) == lp_redundant_indices(cone) == [1, 3]
+
+
 def test_cone_from_trace_contains_its_metric(rng):
     for n in (5, 6):
         for _ in range(5):
@@ -173,8 +196,7 @@ def test_pick_34_then_01_redundancy():
         )
 
 
-# irredundant(census(5).cones[i]).removed, each removal first decided by an
-# exact phase-one simplex over Fractions
+# irredundant(census(5).cones[i]).removed; lp_redundant_indices gives the same
 CENSUS5_REMOVED = (
     (7, 8), (4, 8), (4, 7), (6, 8), (3, 8), (3, 6), (5, 8), (2, 8), (2, 5), (6, 7),
     (2, 7), (2, 6), (5, 7), (1, 7), (1, 5), (5, 6), (0, 6), (0, 5), (4, 5), (2, 5),
@@ -182,8 +204,154 @@ CENSUS5_REMOVED = (
 )
 
 
+# sha256 of the compact JSON list of redundant_indices over census(6).cones
+CENSUS6_REMOVED_SHA256 = "7e92306d52a881d8b9622c127497dc62c9cbcb4f344e1f8e0b97ab207f15ea7e"
+
+
+def lp_redundant_indices(cone: NJCone) -> list[int]:
+    """The oracle: one feasible_point question per normal, in index order.
+
+    Normal k goes when no x has (h_k, x) < 0 < (h_j, x) for the other
+    normals j still kept.
+    """
+    normals = cone.normals
+    if not normals:
+        return []
+    if interior_point(cone) is None:
+        raise DegenerateConeError("cone has empty interior")
+    kept = list(range(len(normals)))
+    removed = []
+    for idx in range(len(normals)):
+        rows = [normals[j] for j in kept if j != idx]
+        rows.append([-v for v in normals[idx]])
+        if feasible_point(rows) is None:
+            kept.remove(idx)
+            removed.append(idx)
+    return removed
+
+
 def test_census5_removed_lists_are_pinned(census5):
     assert tuple(irredundant(c).removed for c in census5.cones) == CENSUS5_REMOVED
+
+
+def test_census6_removed_lists_are_pinned(census6):
+    removed = [redundant_indices(c) for c in census6.cones]
+    assert sum(map(len, removed)) == 1170
+    text = json.dumps(removed, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == CENSUS6_REMOVED_SHA256
+
+
+def check_certificate(normals, k, others, cert):
+    """An NNLS certificate holds in exact arithmetic."""
+    h = normals[k]
+    implied, witness = cert
+    if implied:
+        assert set(witness) <= set(others)
+        assert all(y >= 0 for y in witness.values())
+        combo = [sum(y * normals[j][c] for j, y in witness.items()) for c in range(len(h))]
+        assert combo == list(h)
+    else:
+        assert all(isinstance(v, int) for v in witness)
+        assert sum(a * b for a, b in zip(h, witness)) == 0
+        assert all(sum(a * b for a, b in zip(normals[j], witness)) > 0 for j in others)
+
+
+def recorded_certificates(cone: NJCone):
+    """redundant_indices(cone), and every certificate it accepted."""
+    seen = []
+    real = cones._certificate
+
+    def recording(H, Z, x0, s0, k, others):
+        cert = real(H, Z, x0, s0, k, others)
+        if cert is not None:
+            seen.append((k, list(others), cert))
+        return cert
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cones, "_certificate", recording)
+        return redundant_indices(cone), seen
+
+
+@st.composite
+def planted_cones(draw):
+    """Integer cones around a planted interior point, with repeated rows.
+
+    Each row is oriented to have a positive slack at x0 (a row orthogonal
+    to x0 gets x0 added), and some rows are inserted again, as copies or
+    positive multiples, at random positions.
+    """
+    n = draw(st.sampled_from([4, 5]))
+    m = num_pairs(n)
+    vector = st.lists(st.integers(-3, 3), min_size=m, max_size=m)
+    x0 = draw(vector.filter(any))
+    rows = []
+    for row in draw(st.lists(vector, min_size=1, max_size=12)):
+        s = sum(a * b for a, b in zip(row, x0))
+        if s == 0:
+            row = [a + b for a, b in zip(row, x0)]
+        rows.append(tuple(row if s >= 0 else [-a for a in row]))
+    for _ in range(draw(st.integers(0, 3))):
+        scale = draw(st.integers(1, 3))
+        row = draw(st.sampled_from(rows))
+        rows.insert(draw(st.integers(0, len(rows))), tuple(scale * v for v in row))
+    return NJCone(n, tuple(rows))
+
+
+@given(planted_cones())
+@settings(max_examples=100, deadline=None)
+def test_certificates_match_the_lp_oracle(cone):
+    removed, seen = recorded_certificates(cone)
+    assert removed == lp_redundant_indices(cone)
+    for k, others, cert in seen:
+        check_certificate(cone.normals, k, others, cert)
+        assert cert[0] == (k in removed)
+
+
+def test_census_certificates_need_no_fallback(census5, type_reps):
+    for cone in (*census5.cones[::6], *type_reps):
+        _, seen = recorded_certificates(cone)
+        assert [k for k, _, _ in seen] == list(range(len(cone.normals)))
+        for k, others, cert in seen:
+            check_certificate(cone.normals, k, others, cert)
+
+
+def nan_proposal(A, b):
+    return np.full(A.shape[1], np.nan), np.nan
+
+
+def noise_proposal(A, b):
+    y = np.random.default_rng(A.shape[1]).normal(size=A.shape[1])
+    return y, float(np.linalg.norm(A @ y - b))
+
+
+def failed_proposal(A, b):
+    raise RuntimeError("nonnegative least squares did not converge")
+
+
+@pytest.mark.parametrize(
+    "proposal", [nan_proposal, noise_proposal, failed_proposal],
+    ids=["nan", "noise", "raises"],
+)
+def test_a_bad_proposal_falls_back_to_feasible_point(monkeypatch, census5, proposal):
+    calls = []
+    real = cones.feasible_point
+
+    def counted(G):
+        calls.append(G)
+        return real(G)
+
+    monkeypatch.setattr(cones, "nnls", proposal)
+    monkeypatch.setattr(cones, "feasible_point", counted)
+    assert tuple(irredundant(c).removed for c in census5.cones) == CENSUS5_REMOVED
+    if proposal is not noise_proposal:
+        assert len(calls) == sum(1 + len(c.normals) for c in census5.cones)
+    normals = census5.cones[27].normals
+    assert redundant_indices(NJCone(5, normals)) == [1, 2]
+    parallel = (*normals, normals[0], tuple(2 * v for v in normals[3]))
+    assert redundant_indices(NJCone(5, parallel)) == [0, 1, 2, 3]
+    for normals in DEGENERATE.values():
+        with pytest.raises(DegenerateConeError, match="empty interior"):
+            redundant_indices(NJCone(5, normals))
 
 
 DEGENERATE = {

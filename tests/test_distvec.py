@@ -15,14 +15,9 @@ from njcones.distvec import (
     pair_to_index,
     parse_pair_csv,
     parse_phylip,
-    permutation_w_matrix,
     permute_flat,
-    shift_basis,
-    shift_vector,
-    w_basis,
-    w_coordinates,
-    w_vector,
 )
+from njcones.rational import solve
 
 # column-within-row enumeration of pairs, frozen for n=4
 PAIRS_N4 = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
@@ -64,6 +59,20 @@ def test_from_pairs_and_from_matrix_agree():
     assert DissimilarityVector.from_matrix(rows).values == v.values
 
 
+def shift_vector(a: int, n: int) -> DissimilarityVector:
+    """Indicator of the pairs containing taxon a (exact entries)."""
+    if not 0 <= a < n:
+        raise ValueError(f"taxon {a} out of range for n={n}")
+    vals = tuple(
+        Fraction(1) if a in pair else Fraction(0) for pair in all_pairs(n)
+    )
+    return DissimilarityVector(n, vals)
+
+
+def shift_basis(n: int) -> list[DissimilarityVector]:
+    return [shift_vector(a, n) for a in range(n)]
+
+
 def test_shift_vector_pattern():
     s = shift_vector(2, 5)
     for i in range(num_pairs(5)):
@@ -91,6 +100,48 @@ def test_pair_permutation_is_consistent():
         a, b = index_to_pair(i, 5)
         assert moved.get(sigma[a], sigma[b]) == d.get(a, b)
     assert list(moved.values) == permute_flat(sigma, d.values, 5)
+
+
+# The five-taxon kernel basis.
+#
+# For n = 5 the vectors below span the orthogonal complement of the span of
+# the shift vectors, and the relabeling action restricted to that subspace
+# has a pleasant form: the cycle (0 1 2 3 4) permutes the basis cyclically.
+
+
+def w_vector(a: int, b: int, c: int, d: int) -> DissimilarityVector:
+    """Entries +1 at {a,b} and {c,d}, -1 at {a,c} and {b,d}, 0 elsewhere (n=5)."""
+    if len({a, b, c, d}) != 4:
+        raise ValueError("w_vector needs four distinct taxa")
+    vals = [Fraction(0)] * 10
+    vals[pair_to_index(a, b, 5)] += 1
+    vals[pair_to_index(c, d, 5)] += 1
+    vals[pair_to_index(a, c, 5)] -= 1
+    vals[pair_to_index(b, d, 5)] -= 1
+    return DissimilarityVector(5, tuple(vals))
+
+
+def w_basis() -> list[DissimilarityVector]:
+    tuples = [(0, 1, 3, 4), (1, 2, 4, 0), (2, 3, 0, 1), (3, 4, 1, 2), (4, 0, 2, 3)]
+    return [w_vector(*t) for t in tuples]
+
+
+def w_coordinates(v) -> list[Fraction]:
+    """Exact coordinates of a vector in the w basis; errors if outside the span."""
+    basis = w_basis()
+    cols = [[Fraction(x) for x in w.values] for w in basis]
+    rows = [[cols[k][i] for k in range(5)] for i in range(10)]
+    sol = solve(rows, [Fraction(x) for x in v])
+    if sol is None:
+        raise ValueError("vector is not in the span of the w basis")
+    return sol
+
+
+def permutation_w_matrix(sigma) -> list[list[Fraction]]:
+    """Matrix of the relabeling action on the w span, columns = images of w_k."""
+    basis = w_basis()
+    cols = [w_coordinates(apply_permutation(sigma, w).values) for w in basis]
+    return [[cols[k][i] for k in range(5)] for i in range(5)]
 
 
 def test_w_vectors_orthogonal_to_shifts():

@@ -13,11 +13,12 @@ from njcones.distvec import (
     num_pairs,
     pair_permutation,
     pair_to_index,
-    shift_basis,
 )
 from njcones.nj import nj_run, permute_trace, q_criterion
 from njcones.projection import distance_to_wrong, nearest_point
 from njcones.trees import TreeTopology, path_metric, random_topology
+
+from test_distvec import shift_basis
 
 exact_vectors = st.integers(4, 6).flatmap(
     lambda n: st.tuples(
