@@ -6,6 +6,11 @@ on noisy six-taxa caterpillar metrics in this process, with a timer
 around each layer's functions, then calls the layers of `nj polytope`
 directly, and prints one JSON object:
 
+- startup: what every `nj` call pays before it runs, the median wall
+  time and peak RSS (`ru_maxrss`) of `import njcones.cli` over 5 fresh
+  interpreters, whether that import loaded scipy.optimize, and the
+  milliseconds per `cli.build_parser` call (median of 200), of which
+  `cli.main` makes one per call;
 - simulate: `simulate_alignment`, or its block form `_simulate_block`;
 - estimate: `estimate_distances`, or its block form `_estimates`;
 - screen: `distance_to_wrong` / `distances_to_wrong` minus the time
@@ -38,6 +43,8 @@ import contextlib
 import functools
 import json
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -61,6 +68,20 @@ POLYTOPE_TAXA = (5, 6)
 POLYTOPE_CALLS = 3  # timed calls per polytope layer
 CENSUS_CALLS = 7
 TREES = 1000  # random trees timed for TreeTopology construction
+IMPORTS = 5  # fresh interpreters timed importing the CLI
+PARSER_CALLS = 200
+# Run in a fresh interpreter: time `import njcones.cli`, then report it
+# with the process's peak RSS and whether scipy.optimize came along.
+IMPORT_PROBE = """\
+import time
+start = time.perf_counter()
+import njcones.cli
+seconds = time.perf_counter() - start
+import json, resource, sys
+print(json.dumps({"s": seconds,
+                  "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                  "scipy_optimize": "scipy.optimize" in sys.modules}))
+"""
 
 
 def instrument(totals: dict) -> None:
@@ -109,6 +130,21 @@ def median_time(call, repeats: int) -> float:
         call()
         times.append(time.perf_counter() - start)
     return statistics.median(times)
+
+
+def startup_times() -> dict:
+    """What every `nj` call pays before it runs: import, then parser."""
+    runs = [
+        json.loads(subprocess.run([sys.executable, "-c", IMPORT_PROBE], check=True,
+                                  capture_output=True, text=True).stdout)
+        for _ in range(IMPORTS)
+    ]
+    return {
+        "import_s": round(statistics.median(r["s"] for r in runs), 3),
+        "import_rss_mb": round(statistics.median(r["rss_mb"] for r in runs), 1),
+        "scipy_optimize_loaded": any(r["scipy_optimize"] for r in runs),
+        "build_parser_ms": round(median_time(cli.build_parser, PARSER_CALLS) * 1e3, 4),
+    }
 
 
 def polytope_ms() -> dict:
@@ -194,7 +230,7 @@ def irredundant_times() -> dict:
 def main() -> int:
     totals = dict.fromkeys(LAYERS, 0.0)
     instrument(totals)
-    report = {}
+    report = {"startup": startup_times()}
     with tempfile.TemporaryDirectory() as tmp:
         for tree in ("T1", "T2"):
             cli.main(["sim", "--tree", tree, "--reps", str(REPS),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -331,7 +332,13 @@ def _usage(args, message: str) -> int:
 # Parser wiring
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The `nj` parser, built once per process.
+
+    Building it costs far more than a parse, and `parse_args` starts every
+    call from a fresh Namespace, so one call's options never reach the next.
+    """
     parser = _Parser(prog="nj", description=__doc__)
     parser.add_argument("--version", action="version", version=f"nj {__version__}")
     sub = parser.add_subparsers(

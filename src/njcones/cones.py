@@ -10,6 +10,10 @@ Normals keep their semantic orientation.  Scaling to primitive integers
 preserves the inequality; flipping signs would not, so deduplication is
 done on the oriented vectors (duplicates always arise with equal signs
 here, because coinciding score rows coincide exactly).
+
+scipy is used only by `irredundant` and `interior_point` (and so by
+`nj cones reduce`), through `nnls` and `rational.linprog`; scipy.optimize
+is imported on first use, so the rest of the package runs without it.
 """
 
 from __future__ import annotations
@@ -19,12 +23,18 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .distvec import DissimilarityVector, index_to_pair, num_pairs
 from .nj import CherryTrace, join_operator, q_operator
 from .rational import feasible_point, primitive, solve
 from .trees import TreeTopology
+
+
+def nnls(A, b):
+    """scipy.optimize.nnls, imported on the first call (see `rational.linprog`)."""
+    from scipy.optimize import nnls
+
+    return nnls(A, b)
 
 
 class DegenerateConeError(RuntimeError):

@@ -13,6 +13,10 @@ Cone reduction calls it once per cone for an interior point, and again
 only for a normal whose NNLS certificate does not check out; `solve`
 re-solves such certificates exactly on their support.  Matrices stay
 small (tens of rows), so clarity wins over asymptotics.
+
+scipy is used only by `feasible_point` here and by the NNLS certificates
+in `cones`, that is by `cones.irredundant`, `cones.interior_point` and
+`nj cones reduce`; scipy.optimize is imported on first use.
 """
 
 from __future__ import annotations
@@ -22,7 +26,17 @@ from math import gcd, lcm
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call.
+
+    Importing scipy.optimize costs more than the rest of the package, and
+    only cone reduction needs it.
+    """
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
 
 
 def _coprime(ints: list[int]) -> list[int]:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -502,3 +506,92 @@ def test_census_flag_is_accepted_and_ignored(tmp_path, capsys, argv):
     assert main(args + ["--census", str(census_dir)]) == 0
     capsys.readouterr()
     assert list(census_dir.iterdir()) == []
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# criterion 4's cone: pick {3,4} first, then {0,1}
+CRITERION4_TRACE = '{"n": 5, "merges": [[[3], [4]], [[0], [1]]]}'
+CRITERION4_REDUCED = """\
+# removed: 1 2
+# label: 3-4+0-1
+# trace: {"n": 5, "merges": [[[3], [4]], [[0], [1]]]}
+# topology: ((0,1),2,(3,4));
+# irredundant: true
+5 10 9
+1 -1 -1 0 0 1 0 0 1 -1
+-1 -1 0 2 0 0 0 1 1 -2
+-1 0 -1 0 2 0 1 0 1 -2
+0 -1 -1 0 0 2 1 1 0 -2
+-1 -1 0 0 1 1 2 0 0 -2
+-1 0 -1 1 0 1 0 2 0 -2
+0 -1 -1 1 1 0 0 0 2 -2
+-2 2 0 0 1 -1 0 1 -1 0
+-2 0 2 1 0 -1 1 0 -1 0
+"""
+# Imports the CLI in a fresh interpreter, runs each argv of the JSON list
+# in argv[1] through cli.main, and prints per call whether scipy.optimize
+# is loaded after it.
+IMPORT_PROBE = """\
+import contextlib, io, json, sys
+from njcones import cli
+report = ["scipy.optimize" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(argv)
+    report.append([argv[0], rc, out.getvalue(), "scipy.optimize" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def test_only_cones_reduce_loads_scipy_optimize(tmp_path):
+    demo = tmp_path / "fig1.csv"
+    demo.write_text(DEMO_CSV)
+    vecs = tmp_path / "one.vecs"
+    vecs.write_text(" ".join(["1"] * 10) + "\n")
+    cone = str(tmp_path / "cone.txt")
+    calls = [
+        ["run", "--input", str(demo)],
+        ["cones", "build", "--trace", CRITERION4_TRACE, "--out", cone],
+        ["cones", "member", "--in", cone, "--vector", ",".join(["1"] * 10)],
+        ["polytope", "--taxa", "5", "--fvector"],
+        ["sim", "--tree", "T1", "--reps", "3", "--seed", "0",
+         "--out", str(tmp_path / "sim")],
+        ["distance", "--input", str(vecs), "--true-tree", "((0,1),2,(3,4));",
+         "--format", "vecs"],
+        ["angles", "--taxa", "5", "--samples", "2000", "--seed", "0"],
+        ["cones", "reduce", "--in", cone],
+    ]
+    child = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(calls)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    loaded_at_import, *results = json.loads(child.stdout)
+    assert not loaded_at_import
+    *light, (_, rc, out, loaded) = results
+    assert [(name, code, seen) for name, code, _, seen in light] == [
+        (argv[0], 0, False) for argv in calls[:-1]
+    ]
+    assert rc == 0 and loaded
+    assert out == CRITERION4_REDUCED
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    demo = tmp_path / "fig1.csv"
+    demo.write_text(DEMO_CSV)
+    angles = ["angles", "--samples", "2000", "--seed", "3"]
+    calls = [
+        [*angles, "--taxa", "6", "--per-type"],
+        [*angles, "--taxa", "5"],  # per-cone unless --per-type carried over
+        ["run", "--input", str(demo), "--trace"],
+        ["run", "--no-such-flag"],
+        ["run", "--input", str(demo)],
+    ]
+    assert njcones.cli.build_parser() is njcones.cli.build_parser()
+    shared = [run_cli(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in shared] == [0, 0, 0, 1, 0]
+    monkeypatch.setattr(njcones.cli, "build_parser", njcones.cli.build_parser.__wrapped__)
+    fresh = [run_cli(capsys, *argv) for argv in calls]
+    assert shared == fresh
