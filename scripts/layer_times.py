@@ -21,14 +21,17 @@ directly, and prints one JSON object:
   of three calls each after one warm-up enumeration;
 - census: milliseconds per `census(5)`, `census(6)` and `census(7)` call
   (median of seven after one warm-up), rows per second of
-  `classify_batch(7)` on one sampler chunk of Gaussian rows (median of
-  three), microseconds per `TreeTopology` built from the edge lists of
-  1,000 random trees on 5-20 leaves, and microseconds per
-  `cone_from_trace` call over the 450 six-taxa census traces (each a
-  median of three passes);
+  `classify_batch(6)` and `classify_batch(7)` on one sampler chunk of
+  Gaussian rows (median of three), microseconds per `TreeTopology` built
+  from the edge lists of 1,000 random trees on 5-20 leaves, and
+  microseconds per `cone_from_trace` call over the 450 six-taxa census
+  traces (each a median of three passes);
 - irredundant: milliseconds per `cones.irredundant` call on the first
   census cone of each six-taxa type (median of three calls after one
-  warm-up), and the `feasible_point` calls each one makes.
+  warm-up), and the `feasible_point` calls each one makes;
+- sampler: seconds per `solid_angles_mc(census(6), samples)` call (median
+  of three) at 1,000 and 2,000,000 samples and 1 and 2 threads, with the
+  rows it handed to `classify_batch`.
 
 Only the outermost call of a layer is timed, so a one-row wrapper around
 a block function is not counted twice.  Layer functions absent from the
@@ -41,6 +44,7 @@ whose census reaches 7 taxa):
 
 import contextlib
 import functools
+import importlib
 import json
 import statistics
 import subprocess
@@ -53,6 +57,8 @@ import numpy as np
 
 from njcones import cli, cones, polytopes, projection, simulate, trees
 from njcones.census import _CHUNK, census, classify_batch
+
+census_module = importlib.import_module("njcones.census")  # njcones.census is the function
 
 LAYERS = {
     "simulate": ((simulate, "simulate_alignment"), (simulate, "_simulate_block")),
@@ -70,6 +76,8 @@ CENSUS_CALLS = 7
 TREES = 1000  # random trees timed for TreeTopology construction
 IMPORTS = 5  # fresh interpreters timed importing the CLI
 PARSER_CALLS = 200
+SAMPLER_SAMPLES = (1_000, 2_000_000)
+SAMPLER_CALLS = 3
 # Run in a fresh interpreter: time `import njcones.cli`, then report it
 # with the process's peak RSS and whether scipy.optimize came along.
 IMPORT_PROBE = """\
@@ -168,17 +176,18 @@ def polytope_ms() -> dict:
 
 
 def census_times() -> dict:
-    """census(n) in ms, classify_batch(7) in rows/s, TreeTopology and
+    """census(n) in ms, classify_batch(6) and (7) in rows/s, TreeTopology and
     cone_from_trace in us per call."""
     out = {}
     for n in (5, 6, 7):
         census(n)
         per_call = median_time(lambda: census(n), CENSUS_CALLS)
         out[f"census{n}_ms"] = round(per_call * 1e3, 2)
-    X = np.random.default_rng(SEED).standard_normal((_CHUNK, 21))
-    out["classify_batch7_rows_per_s"] = round(
-        _CHUNK / median_time(lambda: classify_batch(7, X), 3)
-    )
+    for n in (6, 7):
+        X = np.random.default_rng(SEED).standard_normal((_CHUNK, n * (n - 1) // 2))
+        out[f"classify_batch{n}_rows_per_s"] = round(
+            _CHUNK / median_time(lambda: classify_batch(n, X), 3)
+        )
     rng = np.random.default_rng(SEED)
     shapes = []
     for _ in range(TREES):
@@ -227,6 +236,35 @@ def irredundant_times() -> dict:
     return out
 
 
+def sampler_times() -> dict:
+    """Seconds and rows classified per solid_angles_mc(census(6), ...) call."""
+    six = census(6)
+    rows = [0]
+    real = census_module.classify_batch
+
+    def counted(n, X, tol=1e-9):
+        rows[0] += len(X)
+        return real(n, X, tol)
+
+    out = {}
+    census_module.classify_batch = counted
+    try:
+        for samples in SAMPLER_SAMPLES:
+            for threads in (1, 2):
+                rows[0] = 0
+                seconds = median_time(
+                    lambda: census_module.solid_angles_mc(six, samples, SEED, threads=threads),
+                    SAMPLER_CALLS,
+                )
+                out[f"samples{samples}_threads{threads}"] = {
+                    "s": round(seconds, 4),
+                    "rows": rows[0] // SAMPLER_CALLS,
+                }
+    finally:
+        census_module.classify_batch = real
+    return out
+
+
 def main() -> int:
     totals = dict.fromkeys(LAYERS, 0.0)
     instrument(totals)
@@ -253,6 +291,7 @@ def main() -> int:
     report["polytope_ms"] = polytope_ms()
     report["census"] = census_times()
     report["irredundant"] = irredundant_times()
+    report["sampler"] = sampler_times()
     print(json.dumps(report, indent=2))
     return 0
 

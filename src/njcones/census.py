@@ -187,13 +187,30 @@ def stabilizer(cone: NJCone, n: int | None = None) -> list:
 
 
 def _argmin_gap(scores: np.ndarray, tol: float):
-    """(argmin per row, mask of rows whose two smallest scores are separated)."""
-    part = np.partition(scores, 1, axis=1)
-    return np.argmin(scores, axis=1), (part[:, 1] - part[:, 0]) > tol
+    """(argmin per column, mask of columns whose two smallest scores are separated).
+
+    scores is (k, rows), one column per row, so each pass runs along rows
+    of the batch's length: the minimum, then the first index holding it (a
+    descending sweep, the smaller index written last), then the minimum
+    again with that one entry set to inf, which is the second-smallest
+    score.  scores is overwritten.
+    """
+    low = scores.min(axis=0)
+    pick = np.full(low.shape, len(scores) - 1)
+    for j in range(len(scores) - 2, -1, -1):
+        pick = np.where(scores[j] == low, j, pick)
+    scores[pick, np.arange(scores.shape[1])] = np.inf
+    return pick, scores.min(axis=0) - low > tol
 
 
 def classify_batch(n: int, X: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Cone id per row of X (see the module docstring); -1 where a step tied."""
+    """Cone id per row of X (see the module docstring); -1 where a step tied.
+
+    A step ties when its two smallest scores are at most tol apart.  Each
+    node scores its rows as A @ rows.T, one column per row, so the gap
+    reductions run along the batch rather than across a node's few pairs.
+    A row's id does not depend on the other rows of the batch.
+    """
     scores = _cascade(n)  # raises below 4 taxa
     X = np.asarray(X, dtype=float)
     ids = np.full(X.shape[0], -1, dtype=np.int64)
@@ -205,7 +222,7 @@ def classify_batch(n: int, X: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         prefix, parent_rows, take, sel, code = todo.pop()
         rows = parent_rows[take]
         A = scores[prefix] / 2.0 ** len(prefix)  # exact dyadics: the true scores
-        pick, ok = _argmin_gap(rows @ A.T, tol)
+        pick, ok = _argmin_gap(A @ rows.T, tol)
         code *= len(A)
         if len(prefix) == n - 4:
             ids[sel[ok]] = code + pick[ok]
@@ -273,46 +290,65 @@ def solid_angles_mc(
 ) -> AngleSurvey:
     """Tally spherically-symmetric draws per cone until `samples` accepted.
 
-    Chunks are keyed by (seed, chunk index) through SeedSequence spawn
-    keys on a counter-based generator and merged in chunk order, so the
-    tallies do not depend on the worker count.  Tied draws are discarded
-    (and counted) rather than assigned.
+    Draws come in chunks keyed by (seed, chunk index) through SeedSequence
+    spawn keys on a counter-based generator and are tallied in chunk order,
+    so the tallies do not depend on the worker count.  Tied draws are
+    discarded (and counted) rather than assigned.
+
+    Exactly samples + discarded rows are drawn and classified, discarded
+    being every tied row among them.  Chunk ci draws at most `chunk` rows,
+    and only as many as could still be needed when it is submitted,
+    samples + (ties counted so far) - ci * chunk; no chunk is submitted
+    while that is not positive.  When ties leave a
+    tallied chunk short, its next rows come from the same generator, since
+    a fill of r rows followed by one of s rows equals one fill of r + s
+    rows.  So the tallies are those of classifying whole chunks and reading
+    their rows in order until `samples` are accepted.  threads (default: all
+    cores) is the number of chunks classified at once.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if threads is not None and threads < 1:
+        raise ValueError("need at least one thread")
     m = num_pairs(cns.n)
-    ncones = len(cns.cones)
+    counts = np.zeros(len(cns.cones), dtype=np.int64)
+    accepted = 0
+    discarded = 0
 
-    def run_chunk(ci: int) -> np.ndarray:
+    def draw(gen, rows: int) -> np.ndarray:
+        return classify_batch(cns.n, gen.standard_normal((rows, m)), tol)
+
+    def run_chunk(ci: int, rows: int):
         gen = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
         )
-        return classify_batch(cns.n, gen.standard_normal((chunk, m)), tol)
+        return gen, draw(gen, rows)
 
-    counts = np.zeros(ncones, dtype=np.int64)
-    accepted = 0
-    discarded = 0
     workers = threads or os.cpu_count() or 1
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = {}
         next_submit = 0
         next_consume = 0
         while accepted < samples:
+            # every chunk before next_consume was drawn whole and tallied, so
+            # the next one to tally always wants a positive number of rows
             while next_submit < next_consume + 2 * workers:
-                pending[next_submit] = pool.submit(run_chunk, next_submit)
+                rows = min(chunk, samples + discarded - next_submit * chunk)
+                if rows <= 0:
+                    break
+                pending[next_submit] = pool.submit(run_chunk, next_submit, rows)
                 next_submit += 1
-            ids = pending.pop(next_consume).result()
+            gen, ids = pending.pop(next_consume).result()
             next_consume += 1
-            good = np.flatnonzero(ids >= 0)
-            take = min(good.size, samples - accepted)
-            if take:
-                used = good[:take]
-                counts += np.bincount(ids[used], minlength=ncones)
-                # ties count only up to the last consumed row of the chunk
-                discarded += int(used[-1] + 1 - take)
-                accepted += take
-            elif good.size == 0:
-                discarded += ids.size
-        for fut in pending.values():
-            fut.cancel()
+            drawn = ids.size
+            while True:
+                good = ids[ids >= 0]
+                counts += np.bincount(good, minlength=counts.size)
+                accepted += good.size
+                discarded += ids.size - good.size
+                more = min(chunk - drawn, samples - accepted)
+                if more <= 0:
+                    break
+                drawn += more
+                ids = draw(gen, more)
     return AngleSurvey(cns.n, samples, seed, tuple(int(c) for c in counts), discarded)

@@ -195,6 +195,8 @@ def _cmd_angles(args) -> int:
     mode = args.mode or ("per-type" if args.taxa >= 6 else "per-cone")
     if mode == "per-type" and args.taxa < 6:
         raise SystemExit(_usage(args, "--per-type needs --taxa 6 or more"))
+    if args.threads is not None and args.threads < 1:
+        raise SystemExit(_usage(args, "--threads must be at least 1"))
     cns = census(args.taxa)
     survey = solid_angles_mc(cns, args.samples, args.seed, threads=args.threads)
     if mode == "per-cone":

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import weakref
 from collections import Counter
@@ -7,9 +8,11 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from njcones.census import (
     AngleSurvey,
+    _cascade,
     census,
     classify_batch,
     load_census,
@@ -21,6 +24,8 @@ from njcones.cones import cone_from_trace, membership
 from njcones.distvec import DissimilarityVector, num_pairs
 from njcones.nj import canonical_trace, nj_run, permute_trace, trace_from_picks
 from test_trees import random_metric_tree
+
+census_module = importlib.import_module("njcones.census")  # njcones.census is the function
 
 
 def pick_radices(n: int) -> list[int]:
@@ -349,3 +354,137 @@ def test_survey_fields(census5):
     assert isinstance(survey, AngleSurvey)
     assert survey.n == 5 and survey.samples == 1_000 and survey.seed == 9
     assert survey.discarded >= 0
+
+
+def test_solid_angles_needs_a_thread(census5):
+    for threads in (0, -1):
+        with pytest.raises(ValueError):
+            solid_angles_mc(census5, 10, seed=0, threads=threads)
+
+
+def chunk_generator(seed, ci):
+    """The sampler's stream for chunk ci: Philox keyed by (seed, ci)."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
+    )
+
+
+def whole_chunk_survey(cns, samples, seed, tol, chunk):
+    """(counts, discarded) by classifying whole chunks and reading them in order.
+
+    The sampler's earlier loop, one chunk at a time.  Every tie of a chunk
+    read to its end counts, and in the last chunk those before the last
+    accepted row.
+    """
+    m = num_pairs(cns.n)
+    counts = np.zeros(len(cns.cones), dtype=np.int64)
+    accepted = discarded = ci = 0
+    while accepted < samples:
+        X = chunk_generator(seed, ci).standard_normal((chunk, m))
+        ids = classify_batch(cns.n, X, tol)
+        ci += 1
+        used = np.flatnonzero(ids >= 0)[: samples - accepted]
+        counts += np.bincount(ids[used], minlength=counts.size)
+        accepted += used.size
+        discarded += (used[-1] + 1 if accepted == samples else ids.size) - used.size
+    return tuple(int(c) for c in counts), int(discarded)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("tol", [1e-9, 0.05])  # 0.05 ties 11% of rows at 5 taxa, 19% at 6
+def test_sampler_matches_the_whole_chunk_oracle(monkeypatch, census5, census6, n, tol):
+    cns = census5 if n == 5 else census6
+    chunk = 1 << 10
+    rows = []
+
+    def counted(n, X, tol=1e-9):
+        rows.append(len(X))
+        return classify_batch(n, X, tol)
+
+    monkeypatch.setattr(census_module, "classify_batch", counted)
+    for samples in (1, 1023, 1024, 1025, 3 * 1024 + 17):
+        want = whole_chunk_survey(cns, samples, 10, tol, chunk)
+        for threads in (1, 2, 3):
+            rows.clear()
+            got = solid_angles_mc(cns, samples, 10, threads=threads, tol=tol, chunk=chunk)
+            assert (got.counts, got.discarded) == want
+            assert sum(got.counts) == samples
+            assert sum(rows) == samples + got.discarded  # nothing drawn past the last sample
+
+
+def test_a_split_fill_equals_one_fill():
+    # a chunk left short by ties draws its next rows from the same generator
+    for m in (10, 15, 21):
+        for r, s in ((0, 5), (1, 1), (7, 1017), (1000, 24), (1023, 1)):
+            gen = chunk_generator(3, 2)
+            two = np.vstack([gen.standard_normal((r, m)), gen.standard_normal((s, m))])
+            assert (two == chunk_generator(3, 2).standard_normal((r + s, m))).all()
+
+
+def partition_argmin_gap(scores, tol):
+    """The earlier rule on (rows, k) scores: argmin, and the gap by np.partition."""
+    part = np.partition(scores, 1, axis=1)
+    return np.argmin(scores, axis=1), (part[:, 1] - part[:, 0]) > tol
+
+
+def with_partition_rule(monkeypatch):
+    monkeypatch.setattr(
+        census_module, "_argmin_gap", lambda S, tol: partition_argmin_gap(S.T, tol)
+    )
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_classify_batch_matches_the_partition_rule(monkeypatch, n):
+    X = np.random.default_rng(n).standard_normal((20_000, num_pairs(n)))
+    want = {tol: classify_batch(n, X, tol) for tol in (1e-9, 0.05)}
+    with_partition_rule(monkeypatch)
+    for tol, ids in want.items():
+        assert (classify_batch(n, X, tol) == ids).all()
+
+
+def test_argmin_gap_on_repeated_scores():
+    # small integers: the minimum of a column is often repeated
+    S = np.random.default_rng(2).integers(0, 4, size=(6, 2_000)).astype(float)
+    low = S.min(axis=0)
+    repeated = (S == low).sum(axis=0) > 1
+    assert 100 < repeated.sum() < S.shape[1] - 100
+    want_pick, want_ok = partition_argmin_gap(S.T, 1e-9)
+    pick, ok = census_module._argmin_gap(S.copy(), 1e-9)
+    assert (pick == want_pick).all() and (ok == want_ok).all()
+    assert (ok == ~repeated).all()
+
+
+def test_duplicated_minimal_scores_give_minus_one(monkeypatch):
+    # integer entries give exact integer root scores, often with a repeated minimum
+    X = np.random.default_rng(1).integers(0, 3, size=(5_000, 15)).astype(float)
+    root = X @ _cascade(6)[()].T
+    repeated = (root == root.min(axis=1)[:, None]).sum(axis=1) > 1
+    assert repeated.sum() > 100
+    ids = classify_batch(6, X)
+    assert (ids[repeated] == -1).all()
+    assert (ids >= 0).any()
+    with_partition_rule(monkeypatch)
+    assert (classify_batch(6, X) == ids).all()
+
+
+def homogeneity_p(counts) -> float:
+    """Chi-square p-value that multinomial counts share one cell probability."""
+    counts = np.asarray(counts, dtype=float)
+    expected = counts.mean()
+    return chi2.sf(((counts - expected) ** 2 / expected).sum(), len(counts) - 1)
+
+
+def test_seven_taxa_orbits_and_shapes_get_equal_mass(census7):
+    survey = solid_angles_mc(census7, 2_000_000, seed=7, threads=2)
+    counts = np.array(survey.counts)
+    assert counts.sum() == 2_000_000
+    for t in dict.fromkeys(census7.types):
+        assert homogeneity_p(counts[list(census7.cones_of_type(t))]) > 1e-3
+    by_shape = {}
+    for top, ids in census7.topology_index.items():
+        by_shape.setdefault(len(top.cherries()), []).append(counts[list(ids)].sum())
+    assert sorted(map(len, by_shape.values())) == [315, 630]
+    for masses in by_shape.values():
+        assert homogeneity_p(masses) > 1e-3
+    # the test has power: the two shapes pooled are far from equal
+    assert homogeneity_p([m for masses in by_shape.values() for m in masses]) < 1e-12

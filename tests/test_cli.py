@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -11,6 +13,8 @@ import njcones.polytopes
 from njcones.cli import main
 from njcones.cones import NJCone, first_step_cone, read_cone_text, write_cone_text
 from njcones.simulate import build_model, tree_metric
+
+census_module = importlib.import_module("njcones.census")  # njcones.census is the function
 
 DEMO_CSV = "a,b,3\na,c,1.8\nb,c,2.8\na,d,2.5\nb,d,3.5\nc,d,1.3\n"
 DEMO_PHYLIP = "4\na 0 3 1.8 2.5\nb 3 0 2.8 3.5\nc 1.8 2.8 0 1.3\nd 2.5 3.5 1.3 0\n"
@@ -327,6 +331,37 @@ def test_angles_per_type_needs_six_taxa(capsys):
     )
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_angles_threads_below_one_is_a_usage_error(capsys, monkeypatch, threads):
+    pools = []
+    monkeypatch.setattr(census_module, "ThreadPoolExecutor", lambda **kw: pools.append(kw))
+    code, out, err = run_cli(
+        capsys, "angles", "--taxa", "5", "--samples", "100", "--seed", "0", "--threads", threads
+    )
+    assert code == 1
+    assert out == "" and "--threads must be at least 1" in err
+    assert pools == []
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--taxa", "6", "--samples", "300000", "--seed", "7", "--per-topology"],
+            "53dc49f99561359a7999d1582f7b91a5c6aa06bff3889706d9d95576ff4e5d38",
+        ),
+        (
+            ["--taxa", "7", "--samples", "50000", "--seed", "7", "--per-type"],
+            "e8444f27cebd38895f2280620b98409c843908efa3e3772de8ebb97dbd4daad4",
+        ),
+    ],
+)
+def test_angles_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "angles", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_angles_seven_taxa_per_type(capsys):
