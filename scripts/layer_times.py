@@ -31,7 +31,13 @@ directly, and prints one JSON object:
   warm-up), and the `feasible_point` calls each one makes;
 - sampler: seconds per `solid_angles_mc(census(6), samples)` call (median
   of three) at 1,000 and 2,000,000 samples and 1 and 2 threads, with the
-  rows it handed to `classify_batch`.
+  rows it handed to `classify_batch`;
+- tie_rule: microseconds per `nj_run` row on 500 Gaussian six-taxa rows
+  (median of three passes), and for `distances_to_wrong` on 300 copies of
+  the six-taxa caterpillar metric (sigma 0, the rows the float slacks
+  leave undecided) and on 300 noisy copies (sigma 0.02), the microseconds
+  per vector of its verdict step `_in_some_cone` and the rows it took to
+  exact arithmetic.
 
 Only the outermost call of a layer is timed, so a one-row wrapper around
 a block function is not counted twice.  Layer functions absent from the
@@ -57,6 +63,8 @@ import numpy as np
 
 from njcones import cli, cones, polytopes, projection, simulate, trees
 from njcones.census import _CHUNK, census, classify_batch
+from njcones.distvec import DissimilarityVector
+from njcones.nj import nj_run
 
 census_module = importlib.import_module("njcones.census")  # njcones.census is the function
 
@@ -78,6 +86,8 @@ IMPORTS = 5  # fresh interpreters timed importing the CLI
 PARSER_CALLS = 200
 SAMPLER_SAMPLES = (1_000, 2_000_000)
 SAMPLER_CALLS = 3
+NJ_RUN_ROWS = 500
+VERDICT_ROWS = 300
 # Run in a fresh interpreter: time `import njcones.cli`, then report it
 # with the process's peak RSS and whether scipy.optimize came along.
 IMPORT_PROBE = """\
@@ -242,9 +252,9 @@ def sampler_times() -> dict:
     rows = [0]
     real = census_module.classify_batch
 
-    def counted(n, X, tol=1e-9):
+    def counted(n, X, *args):
         rows[0] += len(X)
-        return real(n, X, tol)
+        return real(n, X, *args)
 
     out = {}
     census_module.classify_batch = counted
@@ -262,6 +272,47 @@ def sampler_times() -> dict:
                 }
     finally:
         census_module.classify_batch = real
+    return out
+
+
+def tie_rule_times() -> dict:
+    """nj_run per row, and the exact verdict step of distances_to_wrong per vector."""
+    rng = np.random.default_rng(SEED)
+    rows = rng.standard_normal((NJ_RUN_ROWS, 15)).tolist()
+    runs = [DissimilarityVector(6, tuple(x)) for x in rows]
+    per_row = median_time(lambda: [nj_run(d) for d in runs], 3) / NJ_RUN_ROWS
+    out = {"nj_run_us_per_row": round(per_row * 1e6, 1)}
+    verdict = getattr(projection, "_in_some_cone", None)
+    if verdict is None:
+        return out
+    real_primitive = projection.primitive
+    six = census(6)
+    top = trees.TreeTopology.from_newick(CATERPILLAR)
+    base = caterpillar_metric()
+    for sigma in (0.0, 0.02):
+        V = base + sigma * rng.standard_normal((VERDICT_ROWS, base.size))
+        spent, exact = [0.0], [0]
+
+        def timed(*args):
+            start = time.perf_counter()
+            try:
+                return verdict(*args)
+            finally:
+                spent[0] += time.perf_counter() - start
+
+        def counted(x):
+            exact[0] += 1  # one integer image per row taken to exact arithmetic
+            return real_primitive(x)
+
+        projection._in_some_cone, projection.primitive = timed, counted
+        try:
+            projection.distances_to_wrong(V, top, six.cones)
+        finally:
+            projection._in_some_cone, projection.primitive = verdict, real_primitive
+        out[f"sigma{sigma}"] = {
+            "verdict_us_per_vector": round(spent[0] / VERDICT_ROWS * 1e6, 1),
+            "exact_rows": exact[0],
+        }
     return out
 
 
@@ -292,6 +343,7 @@ def main() -> int:
     report["census"] = census_times()
     report["irredundant"] = irredundant_times()
     report["sampler"] = sampler_times()
+    report["tie_rule"] = tie_rule_times()
     print(json.dumps(report, indent=2))
     return 0
 

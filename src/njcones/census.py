@@ -37,6 +37,7 @@ from .nj import (
     join_operator,
     q_operator,
 )
+from .rational import gamma, primitive
 
 _CHUNK = 1 << 17
 _TYPE_NAMES = "I II III IV V VI VII VIII IX X XI".split()  # 11 orbits at 7 taxa
@@ -87,6 +88,17 @@ def _cascade(n: int) -> dict:
 
     walk((), n, np.eye(num_pairs(n), dtype=np.int64))
     return rows
+
+
+@lru_cache(maxsize=None)
+def _gap_bounds(n: int) -> dict:
+    """Per node, c = 2 gamma_m max_j |a_j|_1 over its score rows a_j / 2**len(prefix).
+
+    classify_batch scores x there as a_j.x, so a float gap of two scores
+    is within c max|x| of the exact one.
+    """
+    g = 2 * gamma(num_pairs(n))
+    return {p: g * np.abs(a).sum(axis=1).max() / 2 ** len(p) for p, a in _cascade(n).items()}
 
 
 def census(n: int) -> ConeCensus:
@@ -186,34 +198,42 @@ def stabilizer(cone: NJCone, n: int | None = None) -> list:
 # Monte Carlo solid angles
 
 
-def _argmin_gap(scores: np.ndarray, tol: float):
-    """(argmin per column, mask of columns whose two smallest scores are separated).
+def _argmin_gap(scores: np.ndarray, bound: float):
+    """(argmin per column, mask of columns whose two smallest scores differ by more than bound).
 
     scores is (k, rows), one column per row, so each pass runs along rows
     of the batch's length: the minimum, then the first index holding it (a
     descending sweep, the smaller index written last), then the minimum
     again with that one entry set to inf, which is the second-smallest
-    score.  scores is overwritten.
+    score.  scores is overwritten.  With bound the scores' rounding bound,
+    a column in the mask has the float argmin as its unique exact argmin.
     """
     low = scores.min(axis=0)
     pick = np.full(low.shape, len(scores) - 1)
     for j in range(len(scores) - 2, -1, -1):
         pick = np.where(scores[j] == low, j, pick)
     scores[pick, np.arange(scores.shape[1])] = np.inf
-    return pick, scores.min(axis=0) - low > tol
+    return pick, scores.min(axis=0) - low > bound
 
 
-def classify_batch(n: int, X: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def classify_batch(n: int, X: np.ndarray) -> np.ndarray:
     """Cone id per row of X (see the module docstring); -1 where a step tied.
 
-    A step ties when its two smallest scores are at most tol apart.  Each
-    node scores its rows as A @ rows.T, one column per row, so the gap
-    reductions run along the batch rather than across a node's few pairs.
-    A row's id does not depend on the other rows of the batch.
+    A step ties when its smallest score is not unique in exact arithmetic
+    on the rows' float values.  Each node scores its rows in floats as
+    A @ rows.T, one column per row, so the gap reductions run along the
+    batch rather than across a node's few pairs.  A row's float pick
+    stands when its gap exceeds the node's rounding bound (_gap_bounds)
+    times max|X|; any other row is scored exactly, on its integer image
+    (rational.primitive).  So every id is the exact one, whatever the
+    other rows of the batch.
     """
     scores = _cascade(n)  # raises below 4 taxa
     X = np.asarray(X, dtype=float)
     ids = np.full(X.shape[0], -1, dtype=np.int64)
+    xmax = max(X.max(), -X.min()) if X.size else 0.0
+    if not np.isfinite(xmax):
+        raise ValueError("rows to classify must be finite")
 
     # depth first, each node's rows gathered from its parent's only when
     # popped, so pending siblings hold indices rather than copies of rows
@@ -222,13 +242,18 @@ def classify_batch(n: int, X: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         prefix, parent_rows, take, sel, code = todo.pop()
         rows = parent_rows[take]
         A = scores[prefix] / 2.0 ** len(prefix)  # exact dyadics: the true scores
-        pick, ok = _argmin_gap(A @ rows.T, tol)
+        pick, ok = _argmin_gap(A @ rows.T, _gap_bounds(n)[prefix] * xmax)
+        if not ok.all():
+            for r in np.flatnonzero(~ok).tolist():
+                q = (scores[prefix] @ np.array(primitive(rows[r].tolist()), dtype=object)).tolist()
+                pick[r] = q.index(min(q)) if q.count(min(q)) == 1 else -1
+            ok = pick >= 0
         code *= len(A)
         if len(prefix) == n - 4:
             ids[sel[ok]] = code + pick[ok]
             continue
         for p in np.flatnonzero(np.bincount(pick[ok], minlength=len(A))).tolist():
-            take = np.flatnonzero(ok & (pick == p))
+            take = np.flatnonzero(pick == p)
             todo.append((prefix + (p,), rows, take, sel[take], code + p))
     return ids
 
@@ -285,7 +310,6 @@ def solid_angles_mc(
     samples: int,
     seed: int,
     threads: int | None = None,
-    tol: float = 1e-9,
     chunk: int = _CHUNK,
 ) -> AngleSurvey:
     """Tally spherically-symmetric draws per cone until `samples` accepted.
@@ -316,7 +340,7 @@ def solid_angles_mc(
     discarded = 0
 
     def draw(gen, rows: int) -> np.ndarray:
-        return classify_batch(cns.n, gen.standard_normal((rows, m)), tol)
+        return classify_batch(cns.n, gen.standard_normal((rows, m)))
 
     def run_chunk(ci: int, rows: int):
         gen = np.random.Generator(

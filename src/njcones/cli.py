@@ -121,7 +121,7 @@ def _read_vector_file(path: str, fmt: str):
 
 def _cmd_run(args) -> int:
     vec, names = _read_vector_file(args.input, args.format)
-    results = nj_run(vec, tie_tol=args.tie_tol)
+    results = nj_run(vec)
     if args.all_ties or args.trace:
         for tr, top in results:
             print(top.newick(names))
@@ -172,7 +172,7 @@ def _cmd_cones_member(args) -> int:
         )
     if not all(map(math.isfinite, vals)):
         raise ValueError("vector entries must be finite")
-    print(membership(cone, vals, tol=args.tol))
+    print(membership(cone, vals))
     return 0
 
 
@@ -237,7 +237,7 @@ def _cmd_distance(args) -> int:
         if not all(map(math.isfinite, v)):
             raise ValueError(f"{where}: distances must be finite")
     cns = census(n)
-    records = distances_to_wrong([v for _, v in rows], true_top, cns.cones, tol=args.tol)
+    records = distances_to_wrong([v for _, v in rows], true_top, cns.cones)
     out = csv.writer(sys.stdout, lineterminator="\n")
     out.writerow(["id", "verdict", "boundary_distance", "nearest_region"])
     for i, rec in enumerate(records):
@@ -352,7 +352,6 @@ def build_parser() -> _Parser:
     run.add_argument("--format", choices=("csv", "phylip"), default="csv")
     run.add_argument("--trace", action="store_true", help="also print traces as JSON")
     run.add_argument("--all-ties", action="store_true", help="one line per tied run")
-    run.add_argument("--tie-tol", type=float, default=1e-9)
     run.set_defaults(func=_cmd_run)
 
     cones = sub.add_parser("cones", help="cone files")
@@ -372,7 +371,6 @@ def build_parser() -> _Parser:
     member = csub.add_parser("member")
     member.add_argument("--in", dest="infile", required=True)
     member.add_argument("--vector", required=True, help="comma or space separated")
-    member.add_argument("--tol", type=float, default=1e-9)
     member.set_defaults(func=_cmd_cones_member)
 
     poly = sub.add_parser("polytope", help="vertex polytopes")
@@ -406,7 +404,6 @@ def build_parser() -> _Parser:
     dist.add_argument("--true-tree", required=True, help="Newick")
     dist.add_argument("--census", help=argparse.SUPPRESS)
     dist.add_argument("--format", choices=("csv", "phylip", "vecs"), default="csv")
-    dist.add_argument("--tol", type=float, default=1e-9)
     dist.set_defaults(func=_cmd_distance)
 
     sim = sub.add_parser("sim", help="sequence experiment")

@@ -19,7 +19,6 @@ is imported on first use, so the rest of the package runs without it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -59,7 +58,7 @@ class NJCone:
 
     @cached_property
     def unit_rows(self) -> np.ndarray:
-        """Read-only float normals scaled to unit length, for float tolerances."""
+        """Read-only float normals scaled to unit length, for the projection."""
         H = np.array(self.normals, dtype=float)
         if H.size:
             H /= np.linalg.norm(H, axis=1, keepdims=True)
@@ -133,31 +132,18 @@ def cone_from_trace(trace: CherryTrace, n: int | None = None) -> NJCone:
 
 def slacks(cone: NJCone, d):
     """Inner products (h, d) per stored normal; exact for exact inputs."""
-    if isinstance(d, DissimilarityVector):
-        if d.n != cone.n:
-            raise ValueError("taxon count mismatch")
-        vals = d.values
-    else:
-        vals = list(d)
-        if len(vals) != cone.m:
-            raise ValueError("vector length does not match the pair count")
+    vals = d.values if isinstance(d, DissimilarityVector) else list(d)
+    if len(vals) != cone.m:
+        raise ValueError("vector length does not match the pair count")
     return [sum(h[s] * vals[s] for s in range(cone.m)) for h in cone.normals]
 
 
-def membership(cone: NJCone, d, tol: float = 1e-9) -> str:
-    """'interior', 'boundary', or 'outside'; exact for rational inputs."""
-    exact = isinstance(d, DissimilarityVector) and d.is_exact
-    if not exact and not isinstance(d, DissimilarityVector):
-        exact = all(isinstance(v, (int, Fraction)) for v in d)
-    lo = 0 if exact else -tol
-    hi = 0 if exact else tol
-    on_boundary = False
-    for s in slacks(cone, d):
-        if s < lo:
-            return "outside"
-        if s <= hi:
-            on_boundary = True
-    return "boundary" if on_boundary else "interior"
+def membership(cone: NJCone, d) -> str:
+    """'interior', 'boundary', or 'outside', exactly: floats count at their binary values."""
+    slack = slacks(cone, primitive(d.values if isinstance(d, DissimilarityVector) else d))
+    if any(s < 0 for s in slack):
+        return "outside"
+    return "boundary" if 0 in slack else "interior"
 
 
 def interior_point(cone: NJCone):

@@ -76,10 +76,6 @@ class DissimilarityVector:
     def m(self) -> int:
         return len(self.values)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(v, (Fraction, int)) for v in self.values)
-
     def get(self, a: int, b: int):
         return self.values[pair_to_index(a, b, self.n)]
 
@@ -110,17 +106,8 @@ def pair_permutation(sigma: Sequence[int], n: int) -> list[int]:
     return [pair_to_index(sigma[a], sigma[b], n) for a, b in all_pairs(n)]
 
 
-def apply_permutation(sigma: Sequence[int], d: DissimilarityVector) -> DissimilarityVector:
-    """Relabel taxa: the output entry at {sigma a, sigma b} is the input at {a, b}."""
-    pi = pair_permutation(sigma, d.n)
-    vals = [None] * d.m
-    for i, v in enumerate(d.values):
-        vals[pi[i]] = v
-    return DissimilarityVector(d.n, tuple(vals))
-
-
 def permute_flat(sigma: Sequence[int], values: Sequence, n: int) -> list:
-    """apply_permutation on a bare flat sequence."""
+    """Relabel taxa: the output entry at {sigma a, sigma b} is the input at {a, b}."""
     pi = pair_permutation(sigma, n)
     out = [None] * len(values)
     for i, v in enumerate(values):

@@ -16,18 +16,16 @@ join_clusters the same step on the list of current leaf clusters, so a
 pick sequence (one flat pair index per step) names a run.  At four
 nodes complementary pairs score alike; the last join is recorded as the
 side of the final split that holds leaf 0 (_canonical_last_join), which
-makes equal cones carry equal traces.  nj_run branches on every tie, so
-its output is the set of every (trace, topology) the input can produce,
-not just one arbitrary tree.
+makes equal cones carry equal traces.  nj_run branches on every exact
+tie, so its output is the set of every (trace, topology) the input can
+produce, not just one arbitrary tree.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 import numpy as np
 
@@ -38,6 +36,7 @@ from .distvec import (
     num_pairs,
     pair_to_index,
 )
+from .rational import primitive
 from .trees import TreeTopology
 
 
@@ -89,9 +88,8 @@ def join_operator(p: int, nk: int) -> np.ndarray:
 def q_criterion(d, n: int | None = None):
     """Selection scores (n-2)*d_ab - sum_k d_ak - sum_k d_bk.
 
-    Accepts a DissimilarityVector or a bare flat sequence with explicit n.
-    Exact entries give a list of exact scores; float entries give a float
-    array.
+    Accepts a DissimilarityVector or a bare flat sequence with explicit n,
+    and returns a list, of exact scores for exact entries.
     """
     if isinstance(d, DissimilarityVector):
         vals, n = d.values, d.n
@@ -99,9 +97,7 @@ def q_criterion(d, n: int | None = None):
         if n is None:
             raise ValueError("n is required for bare sequences")
         vals = list(d)
-    if all(isinstance(v, (int, Fraction)) for v in vals):
-        return list(q_operator(n) @ np.array(vals, dtype=object))
-    return q_operator(n) @ np.array([float(v) for v in vals])
+    return list(q_operator(n) @ np.array(vals, dtype=object))
 
 
 def join_clusters(clusters: list, p: int):
@@ -195,53 +191,17 @@ def trace_from_picks(n: int, picks) -> CherryTrace:
     return CherryTrace(n, tuple(merges))
 
 
-def canonical_trace(n: int, merges) -> CherryTrace:
-    """CherryTrace with the last join rewritten to the side holding leaf 0."""
-    return trace_from_picks(n, CherryTrace(n, tuple(merges)).step_picks())
-
-
-def permute_trace(sigma, trace: CherryTrace) -> CherryTrace:
-    """Relabeled trace, re-canonicalized so it hits the census id map."""
-    return canonical_trace(
-        trace.n,
-        [
-            (frozenset(sigma[x] for x in a), frozenset(sigma[x] for x in b))
-            for a, b in trace.merges
-        ],
-    )
-
-
-def nj_run(
-    d: DissimilarityVector,
-    tie_tol: float = 1e-9,
-    branch_limit: int = 10_000,
-):
+def nj_run(d: DissimilarityVector, branch_limit: int = 10_000):
     """All (CherryTrace, TreeTopology) pairs reachable by optimal joins.
 
     Branches depth-first on every tie of the minimal selection score.
-    Exact inputs use exact comparisons; float inputs declare a tie within
-    tie_tol.  Results are deduplicated and sorted deterministically.
+    Every comparison is exact: the input, floats at their binary values,
+    is taken to integers at a positive scale (rational.primitive), and
+    each join doubles the integer distances.
+    Results are deduplicated and sorted deterministically.
     """
     n = d.n
-    exact = d.is_exact
-    if exact:
-        # exact ties do not move under positive scaling: clear the
-        # denominators and let each join double the integer distances
-        exact_vals = [Fraction(v) for v in d.values]
-        den = lcm(*(v.denominator for v in exact_vals))
-        vals = np.array([int(v * den) for v in exact_vals], dtype=object)
-        scale = 1
-    else:
-        # tie_tol is absolute, so float runs keep the true distances
-        vals = d.as_array()
-        scale = 0.5
-
-    def tied_minima(q):
-        lo = min(q)
-        if exact:
-            return [i for i, v in enumerate(q) if v == lo]
-        return [i for i, v in enumerate(q) if v - lo <= tie_tol]
-
+    vals = np.array(primitive(d.values), dtype=object)
     results = {}
     budget = [branch_limit]
 
@@ -252,11 +212,12 @@ def nj_run(
         # complementary pairs score alike at four nodes: branch over the
         # three splits via their representatives {1,0}, {2,0}, {2,1}
         q = q_operator(nk) @ vals if nk > 4 else q_operator(4)[:3] @ vals
-        for p in tied_minima(q):
+        lo = min(q)
+        for p in (i for i, v in enumerate(q) if v == lo):
             if nk == 4:
                 results.setdefault(trace_from_picks(n, picks + [p]), None)
             else:
-                recurse((join_operator(p, nk) @ vals) * scale, nk - 1, picks + [p])
+                recurse(join_operator(p, nk) @ vals, nk - 1, picks + [p])
 
     recurse(vals, n, [])
     out = [(tr, tr.topology()) for tr in results]

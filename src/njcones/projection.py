@@ -8,10 +8,11 @@ needs no fallback.
 
 Margins are computed a block of input vectors at a time
 (distances_to_wrong): the distinct normals of all cones, stacked once
-per cone sequence, screen the whole block, giving each row its verdict and
-a lower bound on its distance to each cone, and nearest_point runs only
-on the cones whose bound can still beat the best distance found.
-distance_to_wrong is the one-row case.
+per cone sequence, screen the whole block, giving each row its verdict
+(exact wherever the float slacks cannot settle it) and a lower bound on
+its distance to each cone, and nearest_point runs only on the cones
+whose bound can still beat the best distance found.  distance_to_wrong
+is the one-row case.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .rational import gamma, primitive
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,10 @@ class ClassificationRecord:
     nearest_region: str          # canonical Newick of the nearest other region
 
 
-def nearest_point(cone, v, tol: float = 1e-9) -> ProjectionResult:
+_TOL = 1e-9  # nearest_point's entry and tight-set thresholds, relative to |v|
+
+
+def nearest_point(cone, v) -> ProjectionResult:
     """The unique closest point of the cone, with its tight constraint set.
 
     Moreau's decomposition splits v into its projections onto the cone
@@ -52,14 +58,14 @@ def nearest_point(cone, v, tol: float = 1e-9) -> ProjectionResult:
     drops at every step, so no passive set repeats and the loop ends; it
     raises if Lawson and Hanson's bound of 3 * (constraint count) steps
     is reached.  A constraint enters only when violated by more than
-    tol * (1 + ||v||), which keeps the passive normals independent.
+    _TOL * ||v||, which keeps the passive normals independent.
     Redundant or dependent normals make mu* non-unique, never the point.
 
     scipy's nnls is not used: on inputs whose projection has tight
     constraints with zero multipliers it can return a non-optimal mu.
 
     The tight set lists the constraints whose slack at the point is
-    within 10 * tol of zero, relative to 1 + ||v||.
+    within 10 * _TOL * ||v|| of zero.
     """
     H = cone.unit_rows
     v = np.asarray(v, dtype=float)
@@ -68,14 +74,14 @@ def nearest_point(cone, v, tol: float = 1e-9) -> ProjectionResult:
     if H.shape[1] != v.shape[0]:
         raise ValueError("vector length does not match the cone's ambient dimension")
     k = H.shape[0]
-    scale = 1.0 + float(np.linalg.norm(v))
+    scale = _TOL * float(np.linalg.norm(v))
     mu = np.zeros(k)
     passive = np.zeros(k, dtype=bool)
     x = v.copy()
     for _ in range(3 * k):
         s = np.where(passive, np.inf, H @ x)
         j = int(np.argmin(s))
-        if s[j] >= -tol * scale:
+        if s[j] >= -scale:
             break
         passive[j] = True
         while True:
@@ -95,7 +101,7 @@ def nearest_point(cone, v, tol: float = 1e-9) -> ProjectionResult:
     else:
         raise RuntimeError("nonnegative least squares did not converge")
     s = H @ x
-    tight = tuple(int(i) for i in np.flatnonzero(np.abs(s) <= 10 * tol * scale))
+    tight = tuple(int(i) for i in np.flatnonzero(np.abs(s) <= 10 * scale))
     return ProjectionResult(x, float(np.linalg.norm(x - v)), tight, "nnls")
 
 
@@ -146,19 +152,39 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(sizes[:-1])))
 
 
-def distances_to_wrong(V, true_topology, cones, tol: float = 1e-9) -> list:
+def _in_some_cone(X, slack, rounding, normals, sizes) -> np.ndarray:
+    """Per row of X, whether some cone holds it, decided exactly.
+
+    Cone c owns the next sizes[c] columns of slack, the float slacks (h, x)
+    of the integer normals h in `normals`.  Each counts when it clears its
+    rounding bound, rounding = gamma_m |h|_1 times max|x| (rational.gamma);
+    those inside it are evaluated exactly for a row no cone surely holds.
+    """
+    starts = _starts(sizes)
+    err = np.abs(X).max(axis=1)[:, None] * rounding
+    holds = slack >= err
+    unsure = ~holds & (slack >= -err)
+    held = np.logical_and.reduceat(holds, starts, axis=1).any(axis=1)
+    for r in np.flatnonzero(~held & unsure.any(axis=1)).tolist():
+        cols = np.flatnonzero(unsure[r])
+        holds[r, cols] = normals[cols] @ np.array(primitive(X[r].tolist()), dtype=object) >= 0
+        held[r] = np.logical_and.reduceat(holds[r], starts).any()
+    return held
+
+
+def distances_to_wrong(V, true_topology, cones) -> list:
     """distance_to_wrong for every row of V: one ClassificationRecord per row.
 
     Rows go through in blocks.  Cones share most of their normals, so
     the distinct integer normals, stacked once per cone sequence, give
     every raw slack (h, v) of the block.  A row is correct when some
-    cone of the true topology has all its raw slacks >= -tol (the rule
-    of cones.membership).  Each (row, cone) pair also gets the violation
-    bound max(0, -min_h (h, v) / |h|), which never exceeds the distance
-    from v to the cone.  nearest_point then visits the candidate cones
-    in ascending bound order (census order on ties) while a bound is
-    below the best distance so far; a cone replaces the best only when
-    strictly nearer.
+    cone of the true topology contains it, decided exactly as by
+    cones.membership (_in_some_cone).  Each (row, cone) pair also gets
+    the violation bound max(0, -min_h (h, v) / |h|), which never exceeds
+    the distance from v to the cone.  nearest_point then visits the
+    candidate cones in ascending bound order (census order on ties) while
+    a bound is below the best distance so far; a cone replaces the best
+    only when strictly nearer.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2:
@@ -171,7 +197,9 @@ def distances_to_wrong(V, true_topology, cones, tol: float = 1e-9) -> list:
     H, inv_norms, cols, sizes = _normal_index(cones)
     starts = _starts(sizes)
     mine_cols = cols[np.repeat(mine, sizes)]
-    mine_starts = _starts(sizes[mine])
+    mine_H = H[mine_cols]
+    mine_normals = mine_H.astype(np.int64).astype(object)  # exact: small integers as floats
+    rounding = gamma(H.shape[1]) * np.abs(mine_H).sum(axis=1)
     names: dict = {}
     records = []
     step = max(1, BLOCK_BYTES // (8 * len(cols)))
@@ -180,8 +208,7 @@ def distances_to_wrong(V, true_topology, cones, tol: float = 1e-9) -> list:
         # a matvec per row rather than one matmul: a row's rounding, and with
         # it the order of tied bounds, must not depend on the rest of the block
         S = np.array([H @ x for x in X])
-        slack = np.minimum.reduceat(S[:, mine_cols], mine_starts, axis=1)
-        correct = (slack >= -tol).any(axis=1)
+        correct = _in_some_cone(X, S[:, mine_cols], rounding, mine_normals, sizes[mine])
         bounds = -np.minimum.reduceat((S * inv_norms)[:, cols], starts, axis=1)
         # correct rows look for other topologies, incorrect ones for their own
         bounds = np.where(mine != correct[:, None], np.maximum(bounds, 0.0), np.inf)
@@ -193,7 +220,7 @@ def distances_to_wrong(V, true_topology, cones, tol: float = 1e-9) -> list:
             for k, bound in zip(row, sorted_bounds):
                 if bound >= best:
                     break
-                dist = nearest_point(cones[k], x, tol=tol).distance
+                dist = nearest_point(cones[k], x).distance
                 if dist < best:
                     best, best_k = dist, k
             if best_k not in names:
@@ -207,7 +234,7 @@ def distances_to_wrong(V, true_topology, cones, tol: float = 1e-9) -> list:
     return records
 
 
-def distance_to_wrong(d, true_topology, cones, tol: float = 1e-9) -> ClassificationRecord:
+def distance_to_wrong(d, true_topology, cones) -> ClassificationRecord:
     """Classify d against a cone census and measure the safety margin.
 
     Correct inputs get their distance to the nearest cone of any other
@@ -215,4 +242,4 @@ def distance_to_wrong(d, true_topology, cones, tol: float = 1e-9) -> Classificat
     true topology.  This is the one-row case of distances_to_wrong.
     """
     v = np.asarray(d.as_array() if hasattr(d, "as_array") else d, dtype=float)
-    return distances_to_wrong(v[None, :], true_topology, cones, tol=tol)[0]
+    return distances_to_wrong(v[None, :], true_topology, cones)[0]

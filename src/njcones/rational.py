@@ -14,6 +14,10 @@ only for a normal whose NNLS certificate does not check out; `solve`
 re-solves such certificates exactly on their support.  Matrices stay
 small (tens of rows), so clarity wins over asymptotics.
 
+The package's one tie rule lives here too.  A verdict is the sign of an
+integer form on the input: a float value decides it beyond the rounding
+bound `gamma`, and `primitive` of the input exactly within it.
+
 scipy is used only by `feasible_point` here and by the NNLS certificates
 in `cones`, that is by `cones.irredundant`, `cones.interior_point` and
 `nj cones reduce`; scipy.optimize is imported on first use.
@@ -45,17 +49,30 @@ def _coprime(ints: list[int]) -> list[int]:
 
 
 def primitive(vec) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers, keeping orientation.
+    """Scale a rational or float vector to coprime integers, keeping orientation.
 
-    The sign is never flipped: for half-space normals the orientation is
-    part of the meaning.  The zero vector maps to itself.
+    Floats count at their exact binary values.  The sign is never
+    flipped: for half-space normals the orientation is part of the
+    meaning.  The zero vector maps to itself.
     """
     if all(isinstance(x, (int, np.integer)) for x in vec):
         return tuple(_coprime([int(x) for x in vec]))
-    fracs = [Fraction(x) for x in vec]
-    den = lcm(*(f.denominator for f in fracs))
+    exact = (float, Fraction)  # as_integer_ratio gives their exact values
+    fracs = [(x if isinstance(x, exact) else Fraction(x)).as_integer_ratio() for x in vec]
+    den = lcm(*(int(d) for _, d in fracs))
     # int(): the numerator of Fraction(numpy int) keeps the numpy type, which can wrap
-    return tuple(_coprime([int(f.numerator) * (den // f.denominator) for f in fracs]))
+    return tuple(_coprime([int(p) * (den // int(d)) for p, d in fracs]))
+
+
+def gamma(k: int) -> float:
+    """gamma_{k+1}, above gamma_k = k u / (1 - k u) with u = 2**-53 by the roundings of a bound.
+
+    A float dot product a.x of k terms, in any order, is within gamma_k |a|.|x| of the
+    exact one away from underflow (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.1).
+    """
+    ku = (k + 1) * 2.0**-53
+    return ku / (1 - ku)
 
 
 def _eliminate(rows) -> tuple[list[list[int]], list[int]]:

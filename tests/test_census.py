@@ -22,10 +22,26 @@ from njcones.census import (
 )
 from njcones.cones import cone_from_trace, membership
 from njcones.distvec import DissimilarityVector, num_pairs
-from njcones.nj import canonical_trace, nj_run, permute_trace, trace_from_picks
+from njcones.nj import CherryTrace, nj_run, trace_from_picks
 from test_trees import random_metric_tree
 
 census_module = importlib.import_module("njcones.census")  # njcones.census is the function
+
+
+def canonical_trace(n: int, merges) -> CherryTrace:
+    """CherryTrace with the last join rewritten to the side holding leaf 0."""
+    return trace_from_picks(n, CherryTrace(n, tuple(merges)).step_picks())
+
+
+def permute_trace(sigma, trace: CherryTrace) -> CherryTrace:
+    """Relabeled trace, re-canonicalized so it hits the census id map."""
+    return canonical_trace(
+        trace.n,
+        [
+            (frozenset(sigma[x] for x in a), frozenset(sigma[x] for x in b))
+            for a, b in trace.merges
+        ],
+    )
 
 
 def pick_radices(n: int) -> list[int]:
@@ -369,7 +385,24 @@ def chunk_generator(seed, ci):
     )
 
 
-def whole_chunk_survey(cns, samples, seed, tol, chunk):
+def with_forced_ties(band: float):
+    """classify_batch, with -1 also for rows whose two smallest root scores are within band.
+
+    A row's id still depends on that row alone, so the sampler's
+    tallies must not change with the chunking; a band of 0.05 ties 4% of
+    Gaussian rows at 5 taxa and 3% at 6, and one of 1e-9 none.
+    """
+
+    def classify(n, X):
+        ids = classify_batch(n, X)
+        root = np.sort(X @ _cascade(n)[()].T, axis=1)
+        ids[root[:, 1] - root[:, 0] <= band] = -1
+        return ids
+
+    return classify
+
+
+def whole_chunk_survey(cns, samples, seed, classify, chunk):
     """(counts, discarded) by classifying whole chunks and reading them in order.
 
     The sampler's earlier loop, one chunk at a time.  Every tie of a chunk
@@ -381,7 +414,7 @@ def whole_chunk_survey(cns, samples, seed, tol, chunk):
     accepted = discarded = ci = 0
     while accepted < samples:
         X = chunk_generator(seed, ci).standard_normal((chunk, m))
-        ids = classify_batch(cns.n, X, tol)
+        ids = classify(cns.n, X)
         ci += 1
         used = np.flatnonzero(ids >= 0)[: samples - accepted]
         counts += np.bincount(ids[used], minlength=counts.size)
@@ -391,22 +424,23 @@ def whole_chunk_survey(cns, samples, seed, tol, chunk):
 
 
 @pytest.mark.parametrize("n", [5, 6])
-@pytest.mark.parametrize("tol", [1e-9, 0.05])  # 0.05 ties 11% of rows at 5 taxa, 19% at 6
-def test_sampler_matches_the_whole_chunk_oracle(monkeypatch, census5, census6, n, tol):
+@pytest.mark.parametrize("band", [1e-9, 0.05])
+def test_sampler_matches_the_whole_chunk_oracle(monkeypatch, census5, census6, n, band):
     cns = census5 if n == 5 else census6
     chunk = 1 << 10
     rows = []
+    classify = with_forced_ties(band)
 
-    def counted(n, X, tol=1e-9):
+    def counted(n, X):
         rows.append(len(X))
-        return classify_batch(n, X, tol)
+        return classify(n, X)
 
     monkeypatch.setattr(census_module, "classify_batch", counted)
     for samples in (1, 1023, 1024, 1025, 3 * 1024 + 17):
-        want = whole_chunk_survey(cns, samples, 10, tol, chunk)
+        want = whole_chunk_survey(cns, samples, 10, classify, chunk)
         for threads in (1, 2, 3):
             rows.clear()
-            got = solid_angles_mc(cns, samples, 10, threads=threads, tol=tol, chunk=chunk)
+            got = solid_angles_mc(cns, samples, 10, threads=threads, chunk=chunk)
             assert (got.counts, got.discarded) == want
             assert sum(got.counts) == samples
             assert sum(rows) == samples + got.discarded  # nothing drawn past the last sample
@@ -421,25 +455,30 @@ def test_a_split_fill_equals_one_fill():
             assert (two == chunk_generator(3, 2).standard_normal((r + s, m))).all()
 
 
-def partition_argmin_gap(scores, tol):
+def partition_argmin_gap(scores, bound):
     """The earlier rule on (rows, k) scores: argmin, and the gap by np.partition."""
     part = np.partition(scores, 1, axis=1)
-    return np.argmin(scores, axis=1), (part[:, 1] - part[:, 0]) > tol
+    return np.argmin(scores, axis=1), (part[:, 1] - part[:, 0]) > bound
 
 
 def with_partition_rule(monkeypatch):
     monkeypatch.setattr(
-        census_module, "_argmin_gap", lambda S, tol: partition_argmin_gap(S.T, tol)
+        census_module, "_argmin_gap", lambda S, bound: partition_argmin_gap(S.T, bound)
     )
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_classify_batch_matches_the_partition_rule(monkeypatch, n):
     X = np.random.default_rng(n).standard_normal((20_000, num_pairs(n)))
-    want = {tol: classify_batch(n, X, tol) for tol in (1e-9, 0.05)}
+    ids = classify_batch(n, X)
+    # the rules agree on the root picks and gap masks at any bound
+    S = _cascade(n)[()] @ X.T
+    for bound in (0.0, 0.05):
+        want_pick, want_ok = partition_argmin_gap(S.T, bound)
+        pick, ok = census_module._argmin_gap(S.copy(), bound)
+        assert (pick == want_pick).all() and (ok == want_ok).all()
     with_partition_rule(monkeypatch)
-    for tol, ids in want.items():
-        assert (classify_batch(n, X, tol) == ids).all()
+    assert (classify_batch(n, X) == ids).all()
 
 
 def test_argmin_gap_on_repeated_scores():
@@ -465,6 +504,21 @@ def test_duplicated_minimal_scores_give_minus_one(monkeypatch):
     assert (ids >= 0).any()
     with_partition_rule(monkeypatch)
     assert (classify_batch(6, X) == ids).all()
+
+
+def test_gaps_inside_the_rounding_bound_are_decided_exactly(census6):
+    # small integers tie often; moving entries by 2**-50 breaks most ties
+    # by less than the rounding bound, so those steps are scored exactly
+    rng = np.random.default_rng(3)
+    X = rng.integers(0, 3, size=(400, 15)) + 2.0**-50 * rng.integers(-1, 2, size=(400, 15))
+    root = np.sort(X @ _cascade(6)[()].T, axis=1)
+    assert ((0 < root[:, 1] - root[:, 0]) & (root[:, 1] - root[:, 0] < 1e-12)).sum() > 50
+    want = []
+    for x in X:
+        runs = nj_run(DissimilarityVector(6, tuple(x.tolist())))
+        want.append(census6.trace_ids[runs[0][0]] if len(runs) == 1 else -1)
+    assert (classify_batch(6, X) == want).all()
+    assert 0 < want.count(-1) < 100
 
 
 def homogeneity_p(counts) -> float:

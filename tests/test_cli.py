@@ -44,6 +44,25 @@ def test_no_subcommand_and_unknown(capsys):
     capsys.readouterr()
 
 
+def test_tolerance_options_are_gone(tmp_path, capsys):
+    # ties and memberships are decided exactly, so there is no tolerance to set
+    demo = tmp_path / "fig1.csv"
+    demo.write_text(DEMO_CSV)
+    vecs = tmp_path / "one.vecs"
+    vecs.write_text(" ".join(["1"] * 10) + "\n")
+    cone = tmp_path / "cone.txt"
+    cone.write_text(write_cone_text(first_step_cone(9, 5)))
+    for argv in (
+        ["run", "--input", demo, "--tie-tol", "1e-9"],
+        ["distance", "--input", vecs, "--true-tree", "((0,1),2,(3,4));",
+         "--format", "vecs", "--tol", "1e-9"],
+        ["cones", "member", "--in", cone, "--vector", ",".join(["1"] * 10), "--tol", "1e-9"],
+    ):
+        code, out, err = run_cli(capsys, *map(str, argv))
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments" in err
+
+
 def test_run_demo(tmp_path, capsys):
     f = tmp_path / "fig1.csv"
     f.write_text(DEMO_CSV)

@@ -23,15 +23,15 @@ from njcones.cones import (
 )
 from njcones.distvec import (
     DissimilarityVector,
-    apply_permutation,
     index_to_pair,
     num_pairs,
     pair_to_index,
     permute_flat,
 )
-from njcones.nj import CherryTrace, nj_run, permute_trace, q_operator
+from njcones.nj import CherryTrace, nj_run, q_operator
 from njcones.rational import feasible_point, primitive
 from njcones.trees import path_metric
+from test_census import permute_trace
 from test_trees import random_metric_tree
 
 
@@ -381,13 +381,18 @@ def test_facet_witness_touches_one_facet():
 
 
 def test_membership_tolerance():
+    # floats are judged at their binary values, at every scale: a facet
+    # witness stays on the boundary, and a nudge of 1e-12 against the
+    # facet's normal (entry -2 at pair 0) puts it outside
     cone = first_step_cone(0, 5)
     w = facet_witness(0, 3, 5)
-    vals = [float(x) for x in w.values]
-    assert membership(cone, vals) == "boundary"
-    nudged = list(vals)
-    nudged[0] += 1e-12
-    assert membership(cone, nudged, tol=1e-9) == "boundary"
+    assert cone.normals[3][0] < 0
+    for scale in (1e-9, 1.0, 1e9):
+        vals = [float(x) * scale for x in w.values]
+        assert membership(cone, vals) == "boundary"
+        nudged = list(vals)
+        nudged[0] += 1e-12 * scale
+        assert membership(cone, nudged) == "outside"
 
 
 def test_interior_point():
@@ -411,7 +416,7 @@ def test_permute_cone_equivariance(rng):
     for x in rng.normal(size=(25, 10)):
         d = DissimilarityVector(5, tuple(float(v) for v in x))
         assert membership(cone, d.values) == membership(
-            moved, apply_permutation(sigma, d).values
+            moved, permute_flat(sigma, d.values, 5)
         )
 
 

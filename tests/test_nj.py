@@ -3,7 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from njcones.distvec import DissimilarityVector, index_to_pair, num_pairs, permute_flat
+from njcones.distvec import (
+    DissimilarityVector,
+    index_to_pair,
+    num_pairs,
+    pair_permutation,
+    pair_to_index,
+    permute_flat,
+)
 from njcones.nj import (
     BranchLimitExceeded,
     CherryTrace,
@@ -13,6 +20,7 @@ from njcones.nj import (
     q_operator,
     unique_topologies,
 )
+from njcones.rational import nullspace
 from njcones.trees import TreeTopology, path_metric, random_topology
 
 # distances in column-within-row pair order: (1,0), (2,0), (2,1), (3,0), (3,1), (3,2)
@@ -31,20 +39,18 @@ def classic_q(d: DissimilarityVector):
     return out
 
 
-def textbook_nj(d: DissimilarityVector, tie_tol: float = 1e-9) -> set:
-    """Saitou-Nei neighbor joining with every tie branched, as an oracle.
+def textbook_nj(d: DissimilarityVector) -> set:
+    """Saitou-Nei neighbor joining with every exact tie branched, as an oracle.
 
-    Works on an explicit matrix keyed by node (the leaf set below it),
-    scores pairs with classic_q, and records the join at four nodes as
-    the side of the final split that holds leaf 0.  Returns the traces.
+    Works on an explicit matrix keyed by node (the leaf set below it), in
+    Fractions (a float entry at its binary value), scores pairs with
+    classic_q, and records the join at four nodes as the side of the
+    final split that holds leaf 0.  Returns the traces.
     """
-    exact = d.is_exact
-
-    def entry(a, b):
-        return Fraction(d.get(a, b)) if exact else d.get(a, b)
-
     leaves = [frozenset([a]) for a in range(d.n)]
-    start = {u: {v: entry(min(u), min(v)) for v in leaves if v != u} for u in leaves}
+    start = {
+        u: {v: Fraction(d.get(min(u), min(v))) for v in leaves if v != u} for u in leaves
+    }
     traces = set()
 
     def step(dist, merges):
@@ -53,7 +59,7 @@ def textbook_nj(d: DissimilarityVector, tie_tol: float = 1e-9) -> set:
         q = classic_q(DissimilarityVector.from_matrix(rows))
         lo = min(q)
         for idx, score in enumerate(q):
-            if (score != lo) if exact else (score - lo > tie_tol):
+            if score != lo:
                 continue
             a, b = index_to_pair(idx, len(nodes))
             u, v = nodes[a], nodes[b]
@@ -90,6 +96,66 @@ def test_nj_run_matches_textbook_nj(rng):
         for _ in range(30):
             d = DissimilarityVector(n, tuple(rng.normal(size=num_pairs(n)).tolist()))
             assert {tr for tr, _ in nj_run(d)} == textbook_nj(d)
+
+
+def bryant_rule(n: int) -> np.ndarray:
+    """The linear, S_n-equivariant, consistent selection rule, solved from those axioms.
+
+    Bryant (J. Classif. 22, 2005) shows that such a rule picks as the
+    Q-criterion does.  Equivariance makes the score of pair p the score w
+    of pair {1,0} read after a relabeling that takes p to {1,0}, and w
+    invariant under the relabelings that fix {1,0}: (0 1), (2 3) and the
+    cycle (2 3 ... n-1).  Consistency makes a pendant edge move no pick,
+    since a long enough one would otherwise pick a non-cherry; with
+    equivariance, w reads the same length for every leaf's pendant split
+    metric.  Adding one functional to every score moves no pick either;
+    the weight w gives to the disjoint pair {3,2} is set to 0 to fix it.
+    The null space of these conditions is one line; the rule is returned
+    with the orientation that scores a cherry of a tree metric lowest.
+    """
+    m = num_pairs(n)
+    rows = []
+    for cycle in ([0, 1], [2, 3], list(range(2, n))):
+        sigma = list(range(n))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            sigma[a] = b
+        for j, pj in enumerate(pair_permutation(sigma, n)):
+            if pj != j:
+                rows.append([(k == pj) - (k == j) for k in range(m)])
+    pendant = [[int(i in index_to_pair(k, n)) for k in range(m)] for i in range(n)]
+    rows += [[a - b for a, b in zip(pendant[i], pendant[0])] for i in range(1, n)]
+    rows.append([int(k == pair_to_index(3, 2, n)) for k in range(m)])
+    (w,) = nullspace(rows)
+    Q = np.zeros((m, m), dtype=np.int64)
+    for p in range(m):
+        a, b = index_to_pair(p, n)
+        tau = [b, a] + [u for u in range(n) if u not in (a, b)]  # {1,0} -> {a,b}
+        Q[p, pair_permutation(tau, n)] = w
+    if np.argmin(Q @ np.array(caterpillar_metric(n))) not in caterpillar_cherries(n):
+        Q = -Q
+    return Q
+
+
+def caterpillar_metric(n: int) -> list:
+    """Unit-length caterpillar ((0,1),2,...,(n-2,n-1)), inner nodes n..2n-3 in a path."""
+    edges = [(0, n), (1, n), (n - 2, 2 * n - 3), (n - 1, 2 * n - 3)]
+    edges += [(j, n + j - 1) for j in range(2, n - 2)]
+    edges += [(n + k, n + k + 1) for k in range(n - 3)]
+    return path_metric(n, edges, {(min(e), max(e)): 1 for e in edges})
+
+
+def caterpillar_cherries(n: int) -> tuple:
+    """Flat indices of the caterpillar's two cherries."""
+    return 0, pair_to_index(n - 1, n - 2, n)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_bryant_rule_is_the_q_operator(n):
+    Q = bryant_rule(n)
+    q = q_operator(n)
+    scale = Q[0, 1] // q[0, 1]  # pairs {1,0} and {2,0} share a taxon
+    assert scale > 0
+    assert (Q == scale * q).all()
 
 
 def test_q_operator_structure():
@@ -199,14 +265,15 @@ def test_full_tie_on_symmetric_input():
 
 
 def test_tie_tolerance_on_floats():
-    # equal distances tie all three quartet score classes
-    ones = DissimilarityVector(4, (1.0,) * 6)
-    assert len(nj_run(ones)) == 3
-    # moving one entry drops the score of the four pairs that touch it;
-    # the remaining gap of 1e-12 is a tie only at the looser tolerance
-    bumped = DissimilarityVector(4, (1.0 + 1e-12, 1.0, 1.0, 1.0, 1.0, 1.0))
-    assert len(nj_run(bumped, tie_tol=1e-9)) == 3
-    assert len(nj_run(bumped, tie_tol=1e-15)) == 2
+    # float ties are exact ties of the binary values, at every scale: equal
+    # distances tie all three quartet score classes, and moving one entry
+    # by 1e-12 drops the score of the four pairs that touch it, which
+    # leaves two classes tied
+    for scale in (1e-9, 1.0, 1e9):
+        ones = DissimilarityVector(4, (scale,) * 6)
+        assert len(nj_run(ones)) == 3
+        bumped = DissimilarityVector(4, (scale * (1.0 + 1e-12),) + (scale,) * 5)
+        assert len(nj_run(bumped)) == 2
 
 
 def test_branch_limit():

@@ -174,7 +174,7 @@ def normal_cone_check(P, i, samples=10_000, seed=0, tol=1e-9):
         if rest.size and top - rest.max() < gap:
             skipped += 1
             continue
-        geometric = membership(cone, x, tol=tol) != "outside"
+        geometric = membership(cone, x) != "outside"
         if bool(in_max[i]) != geometric:
             return NormalConeReport(i, False, len(through), checked, skipped, tuple(x))
         checked += 1

@@ -14,10 +14,11 @@ from njcones.distvec import (
     pair_permutation,
     pair_to_index,
 )
-from njcones.nj import nj_run, permute_trace, q_criterion
-from njcones.projection import distance_to_wrong, nearest_point
+from njcones.nj import nj_run, q_criterion
+from njcones.projection import distance_to_wrong, distances_to_wrong, nearest_point
 from njcones.trees import TreeTopology, path_metric, random_topology
 
+from test_census import permute_trace
 from test_distvec import shift_basis
 
 exact_vectors = st.integers(4, 6).flatmap(
@@ -86,7 +87,7 @@ def test_projection_idempotent_and_feasible(vals):
     cone = first_step_cone(7, 5)
     v = np.array(vals, dtype=float)
     res = nearest_point(cone, v)
-    assert membership(cone, res.point, tol=1e-6) != "outside"
+    assert (cone.unit_rows @ res.point >= -1e-6 * np.linalg.norm(v)).all()
     assert nearest_point(cone, res.point).distance <= 1e-7 * (1 + np.linalg.norm(v))
 
 
@@ -114,7 +115,7 @@ def test_membership_classifier_agreement(census5, seed):
     for x, cid in zip(X, ids):
         if cid < 0:
             continue
-        assert membership(census5.cones[cid], x, tol=1e-9) != "outside"
+        assert membership(census5.cones[cid], x) != "outside"
 
 
 @given(
@@ -150,3 +151,54 @@ def test_pair_indexing_round_trip(n):
     for i in range(num_pairs(n)):
         a, b = index_to_pair(i, n)
         assert pair_to_index(a, b, n) == i
+
+
+def five_cycle_ray() -> list:
+    """Criterion 6's ray at 5 taxa: its first-step scores tie on the pairs of a five-cycle."""
+    lex_pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    vals = [0] * 10
+    for (a, b), v in zip(lex_pairs, (-1, 1, 1, -1, -1, 1, 1, -1, 1, -1)):
+        vals[pair_to_index(b, a, 5)] = v
+    return vals
+
+
+def test_verdicts_do_not_depend_on_scale(census5, census6):
+    # every verdict is the sign of an integer form on the input, and each
+    # path decides it exactly where floats cannot, so the four classifiers
+    # agree at every scale and the margins scale with the input.  The
+    # margins take ~1 ms a Gaussian row, so they run on the first 400 rows
+    ray = np.array(five_cycle_ray(), dtype=float)
+    X = np.random.default_rng(16).standard_normal((2_000, 15))
+    ids1 = classify_batch(6, X)
+    true_top = census6.cones[ids1[0]].topology
+    margins1 = None
+    for scale in (1.0, 1e-9, 1e-6, 1e6, 1e9):
+        v = ray * scale
+        runs = nj_run(DissimilarityVector(5, tuple(v.tolist())))
+        assert len(runs) > 1
+        assert classify_batch(5, v[None, :])[0] == -1
+        held = {i for i, c in enumerate(census5.cones) if membership(c, v) != "outside"}
+        assert held == {census5.trace_ids[tr] for tr, _ in runs}
+        tops = {top for _, top in runs}
+        for top in {c.topology for c in census5.cones[::3]}:
+            rec = distance_to_wrong(v, top, census5.cones)
+            assert rec.verdict == ("correct" if top in tops else "incorrect")
+            assert rec.boundary_distance == 0.0 or top not in tops
+
+        V = X * scale
+        ids = classify_batch(6, V)
+        assert (ids == ids1).all()
+        for x, cid in zip(V, ids):
+            ((trace, _),) = nj_run(DissimilarityVector(6, tuple(x.tolist())))
+            assert census6.trace_ids[trace] == cid
+            assert membership(census6.cones[cid], x) == "interior"
+        records = distances_to_wrong(V[:400], true_top, census6.cones)
+        want = [
+            "correct" if census6.cones[i].topology == true_top else "incorrect"
+            for i in ids[:400]
+        ]
+        assert [r.verdict for r in records] == want
+        margins = np.array([r.boundary_distance for r in records]) / scale
+        if margins1 is None:
+            margins1 = margins
+        assert (np.abs(margins - margins1) <= 1e-12 * margins1).all()
