@@ -306,73 +306,50 @@ def topology_angle(cns: ConeCensus, survey: AngleSurvey, topology) -> AngleEstim
 
 
 def solid_angles_mc(
-    cns: ConeCensus,
-    samples: int,
-    seed: int,
-    threads: int | None = None,
-    chunk: int = _CHUNK,
+    cns: ConeCensus, samples: int, seed: int, threads: int | None = None
 ) -> AngleSurvey:
     """Tally spherically-symmetric draws per cone until `samples` accepted.
 
-    Draws come in chunks keyed by (seed, chunk index) through SeedSequence
-    spawn keys on a counter-based generator and are tallied in chunk order,
-    so the tallies do not depend on the worker count.  Tied draws are
-    discarded (and counted) rather than assigned.
+    The draws are one stream of Gaussian rows: row r is row r - ci * _CHUNK
+    of chunk ci, a counter-based generator keyed by (seed, ci) through
+    SeedSequence spawn keys.  So a span of rows lo..hi of a chunk is drawn
+    from its key alone, as the last hi - lo rows of a fill of hi rows, and
+    no generator outlives its span.  Tied draws are discarded (and
+    counted) rather than assigned.
 
-    Exactly samples + discarded rows are drawn and classified, discarded
-    being every tied row among them.  Chunk ci draws at most `chunk` rows,
-    and only as many as could still be needed when it is submitted,
-    samples + (ties counted so far) - ci * chunk; no chunk is submitted
-    while that is not positive.  When ties leave a
-    tallied chunk short, its next rows come from the same generator, since
-    a fill of r rows followed by one of s rows equals one fill of r + s
-    rows.  So the tallies are those of classifying whole chunks and reading
-    their rows in order until `samples` are accepted.  threads (default: all
-    cores) is the number of chunks classified at once.
+    Sampling runs in rounds.  Each classifies the next samples - accepted
+    rows of the stream, cut at chunk ends into spans, threads of them
+    (default: all cores) at once.  Only ties leave a round short, and the
+    next round starts where it ended, redrawing fewer rows than a chunk
+    holds to reach its first one.  So exactly samples + discarded rows are
+    classified, discarded being every tied row among them, and the
+    tallies are those of reading the stream in order until `samples` are
+    accepted, whatever the thread count.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if threads is not None and threads < 1:
         raise ValueError("need at least one thread")
     m = num_pairs(cns.n)
+    chunk = _CHUNK
     counts = np.zeros(len(cns.cones), dtype=np.int64)
-    accepted = 0
-    discarded = 0
+    accepted = drawn = 0
 
-    def draw(gen, rows: int) -> np.ndarray:
-        return classify_batch(cns.n, gen.standard_normal((rows, m)))
-
-    def run_chunk(ci: int, rows: int):
+    def classify_span(span) -> np.ndarray:
+        ci, lo, hi = span
         gen = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
         )
-        return gen, draw(gen, rows)
+        return classify_batch(cns.n, gen.standard_normal((hi, m))[lo:])
 
-    workers = threads or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = {}
-        next_submit = 0
-        next_consume = 0
+    with ThreadPoolExecutor(max_workers=threads or os.cpu_count() or 1) as pool:
         while accepted < samples:
-            # every chunk before next_consume was drawn whole and tallied, so
-            # the next one to tally always wants a positive number of rows
-            while next_submit < next_consume + 2 * workers:
-                rows = min(chunk, samples + discarded - next_submit * chunk)
-                if rows <= 0:
-                    break
-                pending[next_submit] = pool.submit(run_chunk, next_submit, rows)
-                next_submit += 1
-            gen, ids = pending.pop(next_consume).result()
-            next_consume += 1
-            drawn = ids.size
-            while True:
+            end = drawn + samples - accepted
+            cuts = [drawn, *range((drawn // chunk + 1) * chunk, end, chunk), end]
+            spans = [(a // chunk, a % chunk, a % chunk + b - a) for a, b in zip(cuts, cuts[1:])]
+            for ids in pool.map(classify_span, spans):
                 good = ids[ids >= 0]
                 counts += np.bincount(good, minlength=counts.size)
                 accepted += good.size
-                discarded += ids.size - good.size
-                more = min(chunk - drawn, samples - accepted)
-                if more <= 0:
-                    break
-                drawn += more
-                ids = draw(gen, more)
-    return AngleSurvey(cns.n, samples, seed, tuple(int(c) for c in counts), discarded)
+            drawn = end
+    return AngleSurvey(cns.n, samples, seed, tuple(int(c) for c in counts), drawn - samples)

@@ -282,20 +282,22 @@ def _cmd_sim(args) -> int:
 
 
 def _parse_grid(text: str):
+    """start, start + step, ... up to stop, each rounded to 12 significant digits.
+
+    Neither the rounding nor the stop test depends on the grid's scale."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("sigma grid must look like start:step:stop")
     start, step, stop = (float(x) for x in parts)
+    if not all(map(math.isfinite, (start, step, stop))):
+        raise ValueError("sigma grid values must be finite")
     if step <= 0 or stop < start:
         raise ValueError("sigma grid needs step > 0 and stop >= start")
     grid = []
-    k = 0
-    while True:
-        x = start + k * step
-        if x > stop + 1e-12:
-            break
-        grid.append(round(x, 12))
-        k += 1
+    while (x := float(f"{start + len(grid) * step:.12g}")) <= stop:
+        if grid and x <= grid[-1]:
+            raise ValueError("sigma grid step is below 12 significant digits of its points")
+        grid.append(x)
     return grid
 
 

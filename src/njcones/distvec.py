@@ -118,7 +118,7 @@ def permute_flat(sigma: Sequence[int], values: Sequence, n: int) -> list:
 # ---------------------------------------------------------------------------
 # Input parsing.
 
-_SYM_RTOL = 1e-12
+_SYM_RTOL = 1e-12  # float inputs: entries that must agree may differ by this, relatively
 
 
 def _parse_value(text: str, exact: bool):
@@ -134,8 +134,8 @@ def _parse_value(text: str, exact: bool):
 def parse_pair_csv(text: str, exact: bool = False):
     """Parse 'label,label,value' rows into a vector plus the sorted label list.
 
-    Each unordered pair must appear exactly once; rows with equal labels
-    must carry the value zero.
+    Each unordered pair must appear, and again only with an equal value
+    (see parse_phylip); rows with equal labels must carry the value zero.
     """
     entries = {}
     labels = set()
@@ -160,7 +160,7 @@ def parse_pair_csv(text: str, exact: bool = False):
             if exact:
                 ok = prev == value
             else:
-                ok = abs(prev - value) <= _SYM_RTOL * max(abs(prev), abs(value), 1.0)
+                ok = abs(prev - value) <= _SYM_RTOL * max(abs(prev), abs(value))
             if not ok:
                 raise InputFormatError(f"conflicting entries for pair ({a}, {b})")
         else:
@@ -182,7 +182,11 @@ def parse_pair_csv(text: str, exact: bool = False):
 
 
 def parse_phylip(text: str, exact: bool = False):
-    """Parse a square symmetric PHYLIP distance matrix; returns (vector, names)."""
+    """Parse a square symmetric PHYLIP distance matrix; returns (vector, names).
+
+    Float mirror entries must agree to within _SYM_RTOL relatively, and
+    diagonal entries be within _SYM_RTOL of the largest |entry|.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InputFormatError("empty input")
@@ -200,18 +204,19 @@ def parse_phylip(text: str, exact: bool = False):
             raise InputFormatError(f"row {parts[:1]} must list a name and {n} values")
         names.append(parts[0])
         rows.append([_parse_value(p, exact) for p in parts[1:]])
+    scale = max((abs(v) for row in rows for v in row), default=0)
     for i in range(n):
         if exact:
             if rows[i][i] != 0:
                 raise InputFormatError(f"nonzero diagonal at {names[i]}")
-        elif abs(rows[i][i]) > _SYM_RTOL:
+        elif abs(rows[i][i]) > _SYM_RTOL * scale:
             raise InputFormatError(f"nonzero diagonal at {names[i]}")
         for j in range(i):
             a, b = rows[i][j], rows[j][i]
             if exact:
                 ok = a == b
             else:
-                ok = abs(a - b) <= _SYM_RTOL * max(abs(a), abs(b), 1.0)
+                ok = abs(a - b) <= _SYM_RTOL * max(abs(a), abs(b))
             if not ok:
                 raise InputFormatError(f"asymmetric entries for ({names[i]}, {names[j]})")
     vec = DissimilarityVector.from_matrix(rows)

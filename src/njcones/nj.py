@@ -39,9 +39,11 @@ from .distvec import (
 from .rational import primitive
 from .trees import TreeTopology
 
+_BRANCH_LIMIT = 10_000  # decision nodes nj_run visits before giving up
+
 
 class BranchLimitExceeded(RuntimeError):
-    """Tie branching exceeded the configured limit."""
+    """Tie branching exceeded _BRANCH_LIMIT decision nodes."""
 
 
 @lru_cache(maxsize=None)
@@ -191,7 +193,7 @@ def trace_from_picks(n: int, picks) -> CherryTrace:
     return CherryTrace(n, tuple(merges))
 
 
-def nj_run(d: DissimilarityVector, branch_limit: int = 10_000):
+def nj_run(d: DissimilarityVector):
     """All (CherryTrace, TreeTopology) pairs reachable by optimal joins.
 
     Branches depth-first on every tie of the minimal selection score.
@@ -203,12 +205,12 @@ def nj_run(d: DissimilarityVector, branch_limit: int = 10_000):
     n = d.n
     vals = np.array(primitive(d.values), dtype=object)
     results = {}
-    budget = [branch_limit]
+    budget = [_BRANCH_LIMIT]
 
     def recurse(vals, nk, picks):
         budget[0] -= 1
         if budget[0] < 0:
-            raise BranchLimitExceeded(f"more than {branch_limit} tie branches")
+            raise BranchLimitExceeded(f"more than {_BRANCH_LIMIT} tie branches")
         # complementary pairs score alike at four nodes: branch over the
         # three splits via their representatives {1,0}, {2,0}, {2,1}
         q = q_operator(nk) @ vals if nk > 4 else q_operator(4)[:3] @ vals

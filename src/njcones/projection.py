@@ -7,8 +7,8 @@ the polar cone (Moreau's decomposition), which always terminates and
 needs no fallback.
 
 Margins are computed a block of input vectors at a time
-(distances_to_wrong): the distinct normals of all cones, stacked once
-per cone sequence, screen the whole block, giving each row its verdict
+(distances_to_wrong): the distinct normals of all cones, stacked on
+each call, screen the whole block, giving each row its verdict
 (exact wherever the float slacks cannot settle it) and a lower bound on
 its distance to each cone, and nearest_point runs only on the cones
 whose bound can still beat the best distance found.  distance_to_wrong
@@ -17,7 +17,6 @@ is the one-row case.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,7 +29,6 @@ from .rational import gamma, primitive
 class ProjectionResult:
     point: np.ndarray
     distance: float
-    active_set: tuple
     method: str
 
 
@@ -41,11 +39,11 @@ class ClassificationRecord:
     nearest_region: str          # canonical Newick of the nearest other region
 
 
-_TOL = 1e-9  # nearest_point's entry and tight-set thresholds, relative to |v|
+_TOL = 1e-9  # nearest_point's entry threshold, relative to |v|
 
 
 def nearest_point(cone, v) -> ProjectionResult:
-    """The unique closest point of the cone, with its tight constraint set.
+    """The unique closest point of the cone, and its distance from v.
 
     Moreau's decomposition splits v into its projections onto the cone
     K = {x : Hx >= 0} and onto the polar cone K° = {-H^T mu : mu >= 0}, so
@@ -63,14 +61,11 @@ def nearest_point(cone, v) -> ProjectionResult:
 
     scipy's nnls is not used: on inputs whose projection has tight
     constraints with zero multipliers it can return a non-optimal mu.
-
-    The tight set lists the constraints whose slack at the point is
-    within 10 * _TOL * ||v|| of zero.
     """
     H = cone.unit_rows
     v = np.asarray(v, dtype=float)
     if H.size == 0:
-        return ProjectionResult(v.copy(), 0.0, (), "trivial")
+        return ProjectionResult(v.copy(), 0.0, "trivial")
     if H.shape[1] != v.shape[0]:
         raise ValueError("vector length does not match the cone's ambient dimension")
     k = H.shape[0]
@@ -100,9 +95,7 @@ def nearest_point(cone, v) -> ProjectionResult:
         x = v + H.T @ mu
     else:
         raise RuntimeError("nonnegative least squares did not converge")
-    s = H @ x
-    tight = tuple(int(i) for i in np.flatnonzero(np.abs(s) <= 10 * scale))
-    return ProjectionResult(x, float(np.linalg.norm(x - v)), tight, "nnls")
+    return ProjectionResult(x, float(np.linalg.norm(x - v)), "nnls")
 
 
 # Budget of a block in the noise experiments: distances_to_wrong takes as many
@@ -119,33 +112,21 @@ class _NormalIndex(NamedTuple):
     sizes: np.ndarray      # normals per cone
 
 
-# (weak references to the cones of the last call, their _NormalIndex); one
-# tuple, swapped whole.  Weak, so that a census is not kept alive by it.
-_last_index: tuple = ((), None)
-
-
 def _normal_index(cones) -> _NormalIndex:
-    """The stacked normals of a cone sequence, built once per sequence.
+    """The stacked normals of a cone sequence.
 
-    A census of 6 taxa has 11,250 normals but 1,200 distinct ones, and
-    collecting them costs ten times more than screening one row, so the
-    index of the last sequence is kept while it holds the same cone
-    objects; cones and their normals are immutable.
+    A census of 6 taxa has 11,250 normals but 1,200 distinct ones, so
+    every slack of a row is one product with the distinct normals.
     """
-    global _last_index
-    refs, index = _last_index
-    if len(refs) != len(cones) or any(r() is not c for r, c in zip(refs, cones)):
-        distinct: dict = {}
-        cols = [distinct.setdefault(h, len(distinct)) for c in cones for h in c.normals]
-        H = np.array(list(distinct), dtype=float)
-        index = _NormalIndex(
-            H,
-            1.0 / np.linalg.norm(H, axis=1),
-            np.array(cols),
-            np.array([len(c.normals) for c in cones]),
-        )
-        _last_index = (tuple(weakref.ref(c) for c in cones), index)
-    return index
+    distinct: dict = {}
+    cols = [distinct.setdefault(h, len(distinct)) for c in cones for h in c.normals]
+    H = np.array(list(distinct), dtype=float)
+    return _NormalIndex(
+        H,
+        1.0 / np.linalg.norm(H, axis=1),
+        np.array(cols),
+        np.array([len(c.normals) for c in cones]),
+    )
 
 
 def _starts(sizes: np.ndarray) -> np.ndarray:
@@ -176,7 +157,7 @@ def distances_to_wrong(V, true_topology, cones) -> list:
     """distance_to_wrong for every row of V: one ClassificationRecord per row.
 
     Rows go through in blocks.  Cones share most of their normals, so
-    the distinct integer normals, stacked once per cone sequence, give
+    the distinct integer normals, stacked once per call, give
     every raw slack (h, v) of the block.  A row is correct when some
     cone of the true topology contains it, decided exactly as by
     cones.membership (_in_some_cone).  Each (row, cone) pair also gets

@@ -107,9 +107,6 @@ class TreeTopology:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, vs in self._adj.items() for v in vs if u < v]
 
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self._adj[u]
-
     def cherries(self) -> list[tuple[int, int]]:
         """Leaf pairs adjacent to a common internal node, sorted."""
         out = []
@@ -122,13 +119,6 @@ class TreeTopology:
                     for j in range(i + 1, len(leaves))
                 )
         return sorted(out)
-
-    def relabel(self, sigma: Sequence[int]) -> "TreeTopology":
-        """Rename leaf i to sigma[i]; internal ids are kept."""
-        if sorted(sigma) != list(range(self.n)):
-            raise TreeError("sigma must be a permutation of range(n)")
-        ren = lambda u: sigma[u] if u < self.n else u
-        return TreeTopology(self.n, [(ren(u), ren(v)) for u, v in self.edges()])
 
     # -- canonical Newick ----------------------------------------------------
 

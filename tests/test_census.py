@@ -311,9 +311,10 @@ def test_classify_batch_reports_ties(census5):
     assert ids[0] == -1
 
 
-def test_solid_angles_reproducible_across_threads(census5):
-    one = solid_angles_mc(census5, 50_000, seed=11, threads=1, chunk=1 << 14)
-    four = solid_angles_mc(census5, 50_000, seed=11, threads=4, chunk=1 << 14)
+def test_solid_angles_reproducible_across_threads(monkeypatch, census5):
+    monkeypatch.setattr(census_module, "_CHUNK", 1 << 14)
+    one = solid_angles_mc(census5, 50_000, seed=11, threads=1)
+    four = solid_angles_mc(census5, 50_000, seed=11, threads=4)
     assert one.counts == four.counts
     assert one.discarded == four.discarded
     assert sum(one.counts) == 50_000
@@ -405,7 +406,7 @@ def with_forced_ties(band: float):
 def whole_chunk_survey(cns, samples, seed, classify, chunk):
     """(counts, discarded) by classifying whole chunks and reading them in order.
 
-    The sampler's earlier loop, one chunk at a time.  Every tie of a chunk
+    The sampler's loop before rounds, one chunk at a time.  Every tie of a chunk
     read to its end counts, and in the last chunk those before the last
     accepted row.
     """
@@ -423,31 +424,77 @@ def whole_chunk_survey(cns, samples, seed, classify, chunk):
     return tuple(int(c) for c in counts), int(discarded)
 
 
-@pytest.mark.parametrize("n", [5, 6])
-@pytest.mark.parametrize("band", [1e-9, 0.05])
-def test_sampler_matches_the_whole_chunk_oracle(monkeypatch, census5, census6, n, band):
-    cns = census5 if n == 5 else census6
-    chunk = 1 << 10
+def counting(monkeypatch, classify) -> list:
+    """Give the sampler classify for classify_batch; the list gets each call's row count."""
     rows = []
-    classify = with_forced_ties(band)
 
     def counted(n, X):
         rows.append(len(X))
         return classify(n, X)
 
     monkeypatch.setattr(census_module, "classify_batch", counted)
+    return rows
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("band", [1e-9, 0.05])
+def test_sampler_matches_the_whole_chunk_oracle(monkeypatch, census5, census6, n, band):
+    cns = census5 if n == 5 else census6
+    chunk = 1 << 10
+    monkeypatch.setattr(census_module, "_CHUNK", chunk)
+    classify = with_forced_ties(band)
+    rows = counting(monkeypatch, classify)
     for samples in (1, 1023, 1024, 1025, 3 * 1024 + 17):
         want = whole_chunk_survey(cns, samples, 10, classify, chunk)
         for threads in (1, 2, 3):
             rows.clear()
-            got = solid_angles_mc(cns, samples, 10, threads=threads, chunk=chunk)
+            got = solid_angles_mc(cns, samples, 10, threads=threads)
             assert (got.counts, got.discarded) == want
             assert sum(got.counts) == samples
             assert sum(rows) == samples + got.discarded  # nothing drawn past the last sample
 
 
+def test_sampler_with_one_row_chunks(monkeypatch, census5):
+    monkeypatch.setattr(census_module, "_CHUNK", 1)
+    classify = with_forced_ties(0.05)
+    rows = counting(monkeypatch, classify)
+    for samples in (1, 2, 200):
+        want = whole_chunk_survey(census5, samples, 10, classify, 1)
+        for threads in (1, 2):
+            rows.clear()
+            got = solid_angles_mc(census5, samples, 10, threads=threads)
+            assert (got.counts, got.discarded) == want
+            assert rows == [1] * (samples + got.discarded)
+    assert want[1] > 0  # ties among the 200 made later rounds
+
+
+def test_a_tie_round_resumes_mid_chunk_across_a_chunk_end(monkeypatch, census5):
+    chunk = 64
+    monkeypatch.setattr(census_module, "_CHUNK", chunk)
+    classify = with_forced_ties(0.05)
+    rows = counting(monkeypatch, classify)
+    samples = 2 * chunk - 1
+    # the first round reads chunk 0 and chunk 1 up to its last row; the
+    # second reads as many rows as the first had ties: that last row, then
+    # the first ties - 1 rows of chunk 2
+    ties = sum(
+        int((classify(5, chunk_generator(10, ci).standard_normal((r, 10))) < 0).sum())
+        for ci, r in ((0, chunk), (1, chunk - 1))
+    )
+    assert 2 <= ties <= chunk
+    want = whole_chunk_survey(census5, samples, 10, classify, chunk)
+    for threads in (1, 2, 3):
+        rows.clear()
+        got = solid_angles_mc(census5, samples, 10, threads=threads)
+        assert (got.counts, got.discarded) == want
+        assert sum(rows) == samples + got.discarded
+        if threads == 1:
+            assert rows[:4] == [chunk, chunk - 1, 1, ties - 1]
+
+
 def test_a_split_fill_equals_one_fill():
-    # a chunk left short by ties draws its next rows from the same generator
+    # a fill of r rows is the first r rows of any longer fill, so rows
+    # lo..hi of a chunk are the last hi - lo rows of a fill of hi rows
     for m in (10, 15, 21):
         for r, s in ((0, 5), (1, 1), (7, 1017), (1000, 24), (1023, 1)):
             gen = chunk_generator(3, 2)

@@ -538,6 +538,23 @@ def test_sim_gauss_rejects_bad_grid(tmp_path, capsys):
     assert "nj: error:" in err
 
 
+def test_sigma_grid_does_not_depend_on_scale():
+    unit = njcones.cli._parse_grid("0:1:5")
+    assert unit == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    for scale in (1e-13, 1e-3, 1e13):
+        got = njcones.cli._parse_grid(f"0:{scale!r}:{5 * scale!r}")
+        assert got == [float(f"{k * scale:.12g}") for k in range(6)]
+    # the grids of the pinned curves
+    assert njcones.cli._parse_grid("0:0.05:0.3") == [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
+    assert njcones.cli._parse_grid("1:0.7:9")[-1] == 8.7
+    assert len(njcones.cli._parse_grid("0:0.01:1")) == 101
+    with pytest.raises(ValueError, match="12 significant digits"):
+        njcones.cli._parse_grid("1:1e-15:2")
+    for bad in ("0:1:inf", "0:1:nan", "nan:1:2", "0:inf:1"):
+        with pytest.raises(ValueError, match="finite"):
+            njcones.cli._parse_grid(bad)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

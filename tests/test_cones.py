@@ -32,7 +32,7 @@ from njcones.nj import CherryTrace, nj_run, q_operator
 from njcones.rational import feasible_point, primitive
 from njcones.trees import path_metric
 from test_census import permute_trace
-from test_trees import random_metric_tree
+from test_trees import random_metric_tree, relabel
 
 
 def halfspace_normal(i: int, j: int, n: int) -> tuple:
@@ -137,7 +137,7 @@ def permute_cone(sigma, cone: NJCone) -> NJCone:
         trace = permute_trace(sigma, cone.trace)
         label = trace.label()
     if cone.topology is not None:
-        topology = cone.topology.relabel(sigma)
+        topology = relabel(cone.topology, sigma)
     return NJCone(
         cone.n,
         normals,

