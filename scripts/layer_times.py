@@ -16,6 +16,10 @@ directly, and prints one JSON object:
 - screen: `distance_to_wrong` / `distances_to_wrong` minus the time
   spent inside `nearest_point`;
 - nearest_point: the projections themselves;
+- rng (`nj sim` only): `_replicate_rng`, each replicate's generator;
+- report (`nj sim` only): `run_experiment`'s own time, outside the
+  layers above, which joins the blocks' estimates into the report;
+- csv (`nj sim` only): `records_csv` and `summary_csv`;
 - polytope_ms: milliseconds per call of `facet_enumeration(build_p(n))`,
   `f_vector`, `polytope_vertices` and `table_row` at n = 5 and 6, median
   of three calls each after one warm-up enumeration;
@@ -73,6 +77,9 @@ LAYERS = {
     "estimate": ((simulate, "estimate_distances"), (simulate, "_estimates")),
     "margin": ((projection, "distance_to_wrong"), (projection, "distances_to_wrong")),
     "nearest_point": ((projection, "nearest_point"),),
+    "rng": ((simulate, "_replicate_rng"),),
+    "run": ((simulate, "run_experiment"),),
+    "csv": ((simulate, "records_csv"), (simulate, "summary_csv")),
 }
 CATERPILLAR = "((((0,1),2),3),4,5);"
 REPS = 2000  # replicates of each of T1 and T2
@@ -138,6 +145,10 @@ def caterpillar_metric() -> np.ndarray:
 def per_unit(totals: dict, units: int) -> dict:
     out = {k: v / units * 1e6 for k, v in totals.items()}
     out["screen"] = out.pop("margin") - out["nearest_point"]
+    run = out.pop("run")
+    if run:  # nj sim: run_experiment's time outside its inner layers
+        inner = ("simulate", "rng", "estimate", "screen", "nearest_point")
+        out["report"] = run - sum(out[k] for k in inner)
     return {k: round(v, 1) for k, v in out.items() if v}
 
 

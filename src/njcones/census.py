@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import permutations
 from math import sqrt
 
@@ -57,11 +57,6 @@ class ConeCensus:
     cones: tuple                  # NJCone, position = cone id
     types: tuple                  # orbit name per cone: "" for n=5, else I, II, ...
     topology_index: dict          # TreeTopology -> tuple of cone ids
-
-    @cached_property
-    def trace_ids(self) -> dict:
-        """CherryTrace -> cone id."""
-        return {c.trace: i for i, c in enumerate(self.cones)}
 
     def cones_of_type(self, t: str) -> tuple:
         return tuple(i for i, x in enumerate(self.types) if x == t)
@@ -183,9 +178,9 @@ def load_census(n: int, cache_dir=None) -> ConeCensus:
     return census(n)
 
 
-def stabilizer(cone: NJCone, n: int | None = None) -> list:
+def stabilizer(cone: NJCone) -> list:
     """All taxon permutations fixing the cone's halfspace set."""
-    n = cone.n if n is None else n
+    n = cone.n
     base = frozenset(cone.normals)
     return [
         sigma

@@ -117,10 +117,8 @@ def first_step_cone(i: int, n: int) -> NJCone:
     return NJCone(n, _pick_normals(n, [i]), label=f"first-pick {b}{a}")
 
 
-def cone_from_trace(trace: CherryTrace, n: int | None = None) -> NJCone:
+def cone_from_trace(trace: CherryTrace) -> NJCone:
     """Exact H-representation of all inputs that can follow this trace."""
-    if n is not None and n != trace.n:
-        raise ValueError("taxon count does not match the trace")
     return NJCone(
         trace.n,
         _pick_normals(trace.n, trace.step_picks()),

@@ -14,7 +14,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -118,20 +117,18 @@ def permute_flat(sigma: Sequence[int], values: Sequence, n: int) -> list:
 # ---------------------------------------------------------------------------
 # Input parsing.
 
-_SYM_RTOL = 1e-12  # float inputs: entries that must agree may differ by this, relatively
+_SYM_RTOL = 1e-12  # entries that must agree may differ by this, relatively
 
 
-def _parse_value(text: str, exact: bool):
+def _parse_value(text: str):
     text = text.strip()
-    if exact:
-        return Fraction(text)
     value = float(text)
     if not math.isfinite(value):
         raise InputFormatError(f"distance {text!r} is not finite")
     return value
 
 
-def parse_pair_csv(text: str, exact: bool = False):
+def parse_pair_csv(text: str):
     """Parse 'label,label,value' rows into a vector plus the sorted label list.
 
     Each unordered pair must appear, and again only with an equal value
@@ -147,7 +144,7 @@ def parse_pair_csv(text: str, exact: bool = False):
         if len(row) != 3:
             raise InputFormatError(f"expected 'a,b,value', got {row!r}")
         a, b, raw = row[0].strip(), row[1].strip(), row[2]
-        value = _parse_value(raw, exact)
+        value = _parse_value(raw)
         if a == b:
             if value != 0:
                 raise InputFormatError(f"diagonal entry for {a!r} must be zero")
@@ -157,11 +154,7 @@ def parse_pair_csv(text: str, exact: bool = False):
         key = frozenset((a, b))
         if key in entries:
             prev = entries[key]
-            if exact:
-                ok = prev == value
-            else:
-                ok = abs(prev - value) <= _SYM_RTOL * max(abs(prev), abs(value))
-            if not ok:
+            if abs(prev - value) > _SYM_RTOL * max(abs(prev), abs(value)):
                 raise InputFormatError(f"conflicting entries for pair ({a}, {b})")
         else:
             entries[key] = value
@@ -181,10 +174,10 @@ def parse_pair_csv(text: str, exact: bool = False):
     return vec, names
 
 
-def parse_phylip(text: str, exact: bool = False):
+def parse_phylip(text: str):
     """Parse a square symmetric PHYLIP distance matrix; returns (vector, names).
 
-    Float mirror entries must agree to within _SYM_RTOL relatively, and
+    Mirror entries must agree to within _SYM_RTOL relatively, and
     diagonal entries be within _SYM_RTOL of the largest |entry|.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -203,21 +196,14 @@ def parse_phylip(text: str, exact: bool = False):
         if len(parts) != n + 1:
             raise InputFormatError(f"row {parts[:1]} must list a name and {n} values")
         names.append(parts[0])
-        rows.append([_parse_value(p, exact) for p in parts[1:]])
+        rows.append([_parse_value(p) for p in parts[1:]])
     scale = max((abs(v) for row in rows for v in row), default=0)
     for i in range(n):
-        if exact:
-            if rows[i][i] != 0:
-                raise InputFormatError(f"nonzero diagonal at {names[i]}")
-        elif abs(rows[i][i]) > _SYM_RTOL * scale:
+        if abs(rows[i][i]) > _SYM_RTOL * scale:
             raise InputFormatError(f"nonzero diagonal at {names[i]}")
         for j in range(i):
             a, b = rows[i][j], rows[j][i]
-            if exact:
-                ok = a == b
-            else:
-                ok = abs(a - b) <= _SYM_RTOL * max(abs(a), abs(b))
-            if not ok:
+            if abs(a - b) > _SYM_RTOL * max(abs(a), abs(b)):
                 raise InputFormatError(f"asymmetric entries for ({names[i]}, {names[j]})")
     vec = DissimilarityVector.from_matrix(rows)
     return vec, names

@@ -16,7 +16,7 @@ lookup table.  Distances are estimated a pair at a time for all
 replicates of the block.  The estimates of all blocks are then
 classified by projection.distances_to_wrong, which takes its own blocks
 of rows.  simulate_alignment and estimate_distances are the
-one-alignment cases.
+one-alignment cases, and the package's public one-alignment API.
 
 A block holds as many replicates as keep one edge's draws (8 bytes a
 site) and the sequences of all vertices (1 byte a site each) within
@@ -41,6 +41,7 @@ from .projection import BLOCK_BYTES, distances_to_wrong
 from .trees import TreeTopology, path_metric
 
 _EDGES = ((0, 5), (1, 5), (5, 6), (2, 6), (6, 7), (3, 7), (4, 7))
+D_MAX = 5.0  # the estimate of a pair whose correction has no defined logarithm
 
 
 @dataclass(frozen=True)
@@ -168,12 +169,12 @@ def _log(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _estimates(alignments: np.ndarray, submodel: str, d_max: float):
+def _estimates(alignments: np.ndarray, submodel: str):
     """Closed-form corrections for (..., n, sites) alignments.
 
     Returns (values, capped), both (..., pairs) in flat pair order;
     capped marks the pairs whose correction had no defined logarithm
-    and got clamped at d_max.  Pairs are counted one at a time over all
+    and got clamped at D_MAX.  Pairs are counted one at a time over all
     leading axes, so the only temporaries are (..., sites) bytes.
     """
     if submodel not in ("jc", "k2p"):
@@ -200,19 +201,17 @@ def _estimates(alignments: np.ndarray, submodel: str, d_max: float):
         values = -0.75 * logs[0]
     else:
         values = -0.5 * logs[0] - 0.25 * logs[1]
-    values[capped] = d_max
+    values[capped] = D_MAX
     return values, capped
 
 
-def estimate_distances(
-    alignment: np.ndarray, submodel: str = "jc", d_max: float = 5.0
-):
+def estimate_distances(alignment: np.ndarray, submodel: str = "jc"):
     """Closed-form pairwise distance corrections.
 
     Returns (vector, capped) where capped lists the flat pair indices
-    whose correction had no defined logarithm and got clamped at d_max.
+    whose correction had no defined logarithm and got clamped at D_MAX.
     """
-    values, capped = _estimates(alignment, submodel, d_max)
+    values, capped = _estimates(alignment, submodel)
     return (
         DissimilarityVector(alignment.shape[0], tuple(values.tolist())),
         tuple(np.flatnonzero(capped).tolist()),
@@ -227,7 +226,6 @@ class ExperimentConfig:
     replicates: int = 10_000
     seed: int = 0
     kappa: float = 2.0
-    d_max: float = 5.0
 
     def __post_init__(self):
         if self.sites < 1 or self.replicates < 1:
@@ -236,48 +234,48 @@ class ExperimentConfig:
             raise ValueError("substitution model must be 'jc' or 'k2p'")
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
-    replicate: int
-    distances: DissimilarityVector
-    verdict: str
-    boundary_distance: float
-    nearest_region: str
-    capped: tuple
+def _by_verdict(records) -> dict:
+    """verdict -> (mask over records, their boundary distances, the mean or 0.0)."""
+    verdicts = np.array([r.verdict for r in records])
+    dists = np.array([r.boundary_distance for r in records])
+    groups = {}
+    for verdict in ("correct", "incorrect"):
+        mask = verdicts == verdict
+        d = dists[mask]
+        groups[verdict] = mask, d, float(np.mean(d)) if d.size else 0.0
+    return groups
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentReport:
+    """One run: row r of each array, and records[r], is replicate r."""
+
     config: ExperimentConfig
-    records: tuple
+    estimates: np.ndarray  # (replicates, pairs) distance estimates
+    capped: np.ndarray     # (replicates, pairs) True where clamped at D_MAX
+    records: list          # distances_to_wrong's ClassificationRecord per replicate
 
     def summary(self) -> list:
         """Per-verdict aggregate rows shaped like the robustness tables."""
-        rows = []
-        for verdict in ("correct", "incorrect"):
-            dists = [r.boundary_distance for r in self.records if r.verdict == verdict]
-            rows.append(
-                {
-                    "model": self.config.model.name,
-                    "submodel": self.config.submodel,
-                    "sites": self.config.sites,
-                    "replicates": self.config.replicates,
-                    "verdict": verdict,
-                    "count": len(dists),
-                    "mean_boundary_distance": float(np.mean(dists)) if dists else 0.0,
-                    "var_boundary_distance": (
-                        float(np.var(dists, ddof=1)) if len(dists) > 1 else 0.0
-                    ),
-                    "capped_replicates": sum(
-                        1 for r in self.records if r.verdict == verdict and r.capped
-                    ),
-                }
-            )
-        return rows
+        return [
+            {
+                "model": self.config.model.name,
+                "submodel": self.config.submodel,
+                "sites": self.config.sites,
+                "replicates": self.config.replicates,
+                "verdict": verdict,
+                "count": len(dists),
+                "mean_boundary_distance": mean,
+                "var_boundary_distance": (
+                    float(np.var(dists, ddof=1)) if len(dists) > 1 else 0.0
+                ),
+                "capped_replicates": int(self.capped[mask].any(axis=1).sum()),
+            }
+            for verdict, (mask, dists, mean) in _by_verdict(self.records).items()
+        ]
 
     def correct_rate(self) -> float:
-        good = sum(1 for r in self.records if r.verdict == "correct")
-        return good / len(self.records)
+        return sum(r.verdict == "correct" for r in self.records) / len(self.records)
 
 
 def _replicate_rng(seed: int, key: tuple) -> np.random.Generator:
@@ -302,23 +300,11 @@ def run_experiment(config: ExperimentConfig, cns: ConeCensus) -> ExperimentRepor
         alignments = _simulate_block(
             plan, [_replicate_rng(config.seed, (r,)) for r in reps], config.sites
         )
-        estimates.append(_estimates(alignments, config.submodel, config.d_max))
+        estimates.append(_estimates(alignments, config.submodel))
     values = np.concatenate([v for v, _ in estimates])
     capped = np.concatenate([c for _, c in estimates])
-    margins = distances_to_wrong(values, config.model.topology, cns.cones)
-    n = plan.leaves
-    records = tuple(
-        ExperimentRecord(
-            r,
-            DissimilarityVector(n, tuple(vals)),
-            rec.verdict,
-            rec.boundary_distance,
-            rec.nearest_region,
-            tuple(np.flatnonzero(caps).tolist()),
-        )
-        for r, (vals, caps, rec) in enumerate(zip(values.tolist(), capped, margins))
-    )
-    return ExperimentReport(config, records)
+    records = distances_to_wrong(values, config.model.topology, cns.cones)
+    return ExperimentReport(config, values, capped, records)
 
 
 @dataclass(frozen=True)
@@ -354,17 +340,13 @@ def gaussian_experiment(
                 for r in range(replicates)
             ]
         )
-        verdicts = distances_to_wrong(base + sigma * noise, model.topology, cns.cones)
-        good = [v.boundary_distance for v in verdicts if v.verdict == "correct"]
-        bad = [v.boundary_distance for v in verdicts if v.verdict == "incorrect"]
+        groups = _by_verdict(
+            distances_to_wrong(base + sigma * noise, model.topology, cns.cones)
+        )
+        _, good, mean_good = groups["correct"]
+        mean_bad = groups["incorrect"][2]
         points.append(
-            GaussPoint(
-                float(sigma),
-                replicates,
-                len(good) / replicates,
-                float(np.mean(good)) if good else 0.0,
-                float(np.mean(bad)) if bad else 0.0,
-            )
+            GaussPoint(float(sigma), replicates, len(good) / replicates, mean_good, mean_bad)
         )
     return points
 
@@ -387,16 +369,17 @@ def records_csv(report: ExperimentReport) -> str:
             ["replicate", "verdict", "boundary_distance", "capped_pairs"] + pair_names
         )
     ]
-    for r in report.records:
+    rows = zip(report.records, report.capped.tolist(), report.estimates.tolist())
+    for r, (rec, caps, values) in enumerate(rows):
         lines.append(
             ",".join(
                 [
-                    str(r.replicate),
-                    r.verdict,
-                    _g(r.boundary_distance),
-                    ";".join(str(i) for i in r.capped),
+                    str(r),
+                    rec.verdict,
+                    _g(rec.boundary_distance),
+                    ";".join(str(i) for i, c in enumerate(caps) if c),
                 ]
-                + [_g(v) for v in r.distances.values]
+                + [_g(v) for v in values]
             )
         )
     return "\n".join(lines) + "\n"

@@ -44,6 +44,11 @@ def permute_trace(sigma, trace: CherryTrace) -> CherryTrace:
     )
 
 
+def trace_ids(cns) -> dict:
+    """CherryTrace -> cone id."""
+    return {c.trace: i for i, c in enumerate(cns.cones)}
+
+
 def pick_radices(n: int) -> list[int]:
     """Digits of the mixed-radix cone id: pair counts for nk = n..5, then 3."""
     return [num_pairs(nk) for nk in range(n, 4, -1)] + [3]
@@ -52,7 +57,7 @@ def pick_radices(n: int) -> list[int]:
 def orbit_ids(cns, cone_id: int) -> set:
     """Census ids of the full symmetric-group orbit of one cone, by brute force."""
     trace = cns.cones[cone_id].trace
-    ids = cns.trace_ids
+    ids = trace_ids(cns)
     return {ids[permute_trace(sigma, trace)] for sigma in permutations(range(cns.n))}
 
 
@@ -163,9 +168,10 @@ def test_canonical_trace_fixes_census_traces(census5, census6):
 
 def test_permute_trace_acts_on_census(census5):
     ids = set()
+    index = trace_ids(census5)
     for sigma in permutations(range(5)):
         moved = permute_trace(sigma, census5.cones[27].trace)
-        ids.add(census5.trace_ids[moved])
+        ids.add(index[moved])
     assert ids == set(range(30))
 
 
@@ -179,7 +185,7 @@ def test_stabilizers_and_orbits(census5, census6, type_reps):
     for rep, t in zip(type_reps, ("I", "II", "III")):
         stab = stabilizer(rep)
         assert len(stab) == expected[t]
-        rep_id = census6.trace_ids[rep.trace]
+        rep_id = trace_ids(census6)[rep.trace]
         orbit = orbit_ids(census6, rep_id)
         assert len(orbit) * len(stab) == 720
         assert {census6.types[i] for i in orbit} == {t}
@@ -238,8 +244,7 @@ def census_json(cns):
 
 
 def test_trace_ids_index_the_cones(census6):
-    ids = census6.trace_ids
-    assert census6.trace_ids is ids  # computed once per census
+    ids = trace_ids(census6)
     assert [ids[c.trace] for c in census6.cones] == list(range(450))
 
 
@@ -561,9 +566,10 @@ def test_gaps_inside_the_rounding_bound_are_decided_exactly(census6):
     root = np.sort(X @ _cascade(6)[()].T, axis=1)
     assert ((0 < root[:, 1] - root[:, 0]) & (root[:, 1] - root[:, 0] < 1e-12)).sum() > 50
     want = []
+    ids = trace_ids(census6)
     for x in X:
         runs = nj_run(DissimilarityVector(6, tuple(x.tolist())))
-        want.append(census6.trace_ids[runs[0][0]] if len(runs) == 1 else -1)
+        want.append(ids[runs[0][0]] if len(runs) == 1 else -1)
     assert (classify_batch(6, X) == want).all()
     assert 0 < want.count(-1) < 100
 

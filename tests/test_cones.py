@@ -31,7 +31,7 @@ from njcones.distvec import (
 from njcones.nj import CherryTrace, nj_run, q_operator
 from njcones.rational import feasible_point, primitive
 from njcones.trees import path_metric
-from test_census import permute_trace
+from test_census import permute_trace, trace_ids
 from test_trees import random_metric_tree, relabel
 
 
@@ -423,7 +423,7 @@ def test_permute_cone_equivariance(rng):
 def test_permute_cone_keeps_census_traces(census5, rng):
     # the moved cone carries the census trace of the moved normals
     perms = list(permutations(range(5)))
-    ids = census5.trace_ids
+    ids = trace_ids(census5)
     for cone in census5.cones:
         for k in rng.choice(len(perms), size=18, replace=False):
             moved = permute_cone(perms[k], cone)

@@ -18,7 +18,7 @@ from njcones.nj import nj_run, q_criterion
 from njcones.projection import distance_to_wrong, distances_to_wrong, nearest_point
 from njcones.trees import TreeTopology, path_metric, random_topology
 
-from test_census import permute_trace
+from test_census import permute_trace, trace_ids
 from test_distvec import shift_basis
 
 exact_vectors = st.integers(4, 6).flatmap(
@@ -170,6 +170,7 @@ def test_verdicts_do_not_depend_on_scale(census5, census6):
     ray = np.array(five_cycle_ray(), dtype=float)
     X = np.random.default_rng(16).standard_normal((2_000, 15))
     ids1 = classify_batch(6, X)
+    ids5, ids6 = trace_ids(census5), trace_ids(census6)
     true_top = census6.cones[ids1[0]].topology
     margins1 = None
     for scale in (1.0, 1e-9, 1e-6, 1e6, 1e9):
@@ -178,7 +179,7 @@ def test_verdicts_do_not_depend_on_scale(census5, census6):
         assert len(runs) > 1
         assert classify_batch(5, v[None, :])[0] == -1
         held = {i for i, c in enumerate(census5.cones) if membership(c, v) != "outside"}
-        assert held == {census5.trace_ids[tr] for tr, _ in runs}
+        assert held == {ids5[tr] for tr, _ in runs}
         tops = {top for _, top in runs}
         for top in {c.topology for c in census5.cones[::3]}:
             rec = distance_to_wrong(v, top, census5.cones)
@@ -190,7 +191,7 @@ def test_verdicts_do_not_depend_on_scale(census5, census6):
         assert (ids == ids1).all()
         for x, cid in zip(V, ids):
             ((trace, _),) = nj_run(DissimilarityVector(6, tuple(x.tolist())))
-            assert census6.trace_ids[trace] == cid
+            assert ids6[trace] == cid
             assert membership(census6.cones[cid], x) == "interior"
         records = distances_to_wrong(V[:400], true_top, census6.cones)
         want = [

@@ -7,12 +7,14 @@ import pytest
 
 from njcones.cli import main
 from njcones.distvec import DissimilarityVector, index_to_pair, num_pairs
+from njcones.projection import distance_to_wrong
 from njcones.simulate import (
     ExperimentConfig,
     TreeModel,
     _EDGES,
     _edge_plan,
     _estimates,
+    _g,
     _replicate_rng,
     _simulate_block,
     build_model,
@@ -198,7 +200,7 @@ def test_estimate_distances_caps_saturated_pairs():
     sites = 90
     aln = np.zeros((4, sites), dtype=np.int8)
     aln[1] = np.arange(sites) % 3 + 1  # every site differs
-    vec, capped = estimate_distances(aln, submodel="jc", d_max=5.0)
+    vec, capped = estimate_distances(aln, submodel="jc")
     assert 0 in capped
     assert vec.get(0, 1) == 5.0
 
@@ -219,6 +221,7 @@ def test_run_experiment_small(census5):
     )
     report = run_experiment(cfg, census5)
     assert len(report.records) == 40
+    assert report.estimates.shape == report.capped.shape == (40, 10)
     rows = report.summary()
     assert sum(r["count"] for r in rows) == 40
     assert {r["verdict"] for r in rows} <= {"correct", "incorrect"}
@@ -306,11 +309,37 @@ def test_block_passes_match_one_replicate_at_a_time():
         for k, aln in zip(keys, block):
             want = three_mask_alignment(model, sites, _replicate_rng(4, k), submodel, 3.0)
             assert np.array_equal(aln, want)
-        values, capped = _estimates(block, submodel, 5.0)
+        values, capped = _estimates(block, submodel)
         for aln, vals, caps in zip(block, values, capped):
             ref, ref_capped = pairwise_estimate(aln, submodel)
             assert list(map(repr, vals.tolist())) == list(map(repr, ref.values))
             assert tuple(np.flatnonzero(caps).tolist()) == ref_capped
+
+
+@pytest.mark.parametrize("submodel", ["jc", "k2p"])
+def test_records_rows_match_the_one_alignment_api(tmp_path, census5, submodel):
+    # row r of `nj sim`'s records.csv is replicate r simulated, estimated and
+    # classified alone by the public one-alignment functions; eight sites
+    # leave some pairs saturated, so the capped column is checked too
+    model, sites, reps, seed, kappa = build_model("T1"), 8, 30, 5, 3.0
+    out = tmp_path / submodel
+    argv = ["sim", "--tree", "T1", "--model", submodel, "--kappa", str(kappa),
+            "--sites", str(sites), "--reps", str(reps), "--seed", str(seed),
+            "--out", str(out)]
+    assert main(argv) == 0
+    rows = (out / "records.csv").read_text().splitlines()[1:]
+    assert len(rows) == reps
+    saw_capped = False
+    for r, row in enumerate(rows):
+        rng = _replicate_rng(seed, (r,))
+        vec, capped = estimate_distances(
+            simulate_alignment(model, sites, rng, submodel, kappa), submodel
+        )
+        rec = distance_to_wrong(vec, model.topology, census5.cones)
+        want = [str(r), rec.verdict, _g(rec.boundary_distance), ";".join(map(str, capped))]
+        assert row == ",".join(want + [_g(v) for v in vec.values])
+        saw_capped |= bool(capped)
+    assert saw_capped
 
 
 def test_estimates_match_the_reference_at_every_count():
@@ -324,7 +353,7 @@ def test_estimates_match_the_reference_at_every_count():
         block[k, 3, : k // 2] = 1
         block[k, 3, k // 2 : k] = 3
     for submodel in ("jc", "k2p"):
-        values, capped = _estimates(block, submodel, 5.0)
+        values, capped = _estimates(block, submodel)
         assert capped.any() and not capped.all()
         for aln, vals, caps in zip(block, values, capped):
             ref, ref_capped = pairwise_estimate(aln, submodel)
