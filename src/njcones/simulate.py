@@ -352,7 +352,10 @@ def gaussian_experiment(
 
 
 # ---------------------------------------------------------------------------
-# CSV emission (plot-ready; %.12g keeps round-trips exact at double precision)
+# CSV emission (plot-ready).  %.12g keeps 12 significant digits, not every
+# bit: a value read back can differ from the one classified by ~5e-13
+# relatively, so a replicate on a cone boundary (boundary_distance 0) can
+# read back on the other side of it.
 
 
 def _g(x) -> str:
