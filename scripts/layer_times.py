@@ -14,8 +14,9 @@ directly, and prints one JSON object:
 - simulate: `simulate_alignment`, or its block form `_simulate_block`;
 - estimate: `estimate_distances`, or its block form `_estimates`;
 - screen: `distance_to_wrong` / `distances_to_wrong` minus the time
-  spent inside `nearest_point`;
-- nearest_point: the projections themselves;
+  spent in the projections;
+- nnls: the projections themselves, the stacked NNLS kernel
+  `projection._nnls`, or `nearest_point` in packages without it;
 - rng (`nj sim` only): `_replicate_rng`, each replicate's generator;
 - report (`nj sim` only): `run_experiment`'s own time, outside the
   layers above, which joins the blocks' estimates into the report;
@@ -76,7 +77,7 @@ LAYERS = {
     "simulate": ((simulate, "simulate_alignment"), (simulate, "_simulate_block")),
     "estimate": ((simulate, "estimate_distances"), (simulate, "_estimates")),
     "margin": ((projection, "distance_to_wrong"), (projection, "distances_to_wrong")),
-    "nearest_point": ((projection, "nearest_point"),),
+    "nnls": ((projection, "nearest_point"), (projection, "_nnls")),
     "rng": ((simulate, "_replicate_rng"),),
     "run": ((simulate, "run_experiment"),),
     "csv": ((simulate, "records_csv"), (simulate, "summary_csv")),
@@ -144,10 +145,10 @@ def caterpillar_metric() -> np.ndarray:
 
 def per_unit(totals: dict, units: int) -> dict:
     out = {k: v / units * 1e6 for k, v in totals.items()}
-    out["screen"] = out.pop("margin") - out["nearest_point"]
+    out["screen"] = out.pop("margin") - out["nnls"]
     run = out.pop("run")
     if run:  # nj sim: run_experiment's time outside its inner layers
-        inner = ("simulate", "rng", "estimate", "screen", "nearest_point")
+        inner = ("simulate", "rng", "estimate", "screen", "nnls")
         out["report"] = run - sum(out[k] for k in inner)
     return {k: round(v, 1) for k, v in out.items() if v}
 

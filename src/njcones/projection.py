@@ -2,21 +2,25 @@
 
 The projection of v onto K = {x : Hx >= 0} is unique and satisfies
 x - v = H_A^T mu with mu >= 0 supported on the tight constraints A.
-nearest_point finds it with a single nonnegative least-squares solve on
-the polar cone (Moreau's decomposition), which always terminates and
-needs no fallback.
+One kernel finds it, _nnls: Lawson and Hanson's nonnegative least
+squares on the polar cone (Moreau's decomposition), run on a stack of
+problems at once, which always terminates and needs no fallback.  Each
+passive set is refit from its normal equations, in groups of one
+passive-set size, so no problem's result depends on the rest of its
+stack.  nearest_point is the one-problem case.
 
 Margins are computed a block of input vectors at a time
 (distances_to_wrong): the distinct normals of all cones, stacked on
 each call, screen the whole block, giving each row its verdict
 (exact wherever the float slacks cannot settle it) and a lower bound on
-its distance to each cone, and nearest_point runs only on the cones
-whose bound can still beat the best distance found.  distance_to_wrong
-is the one-row case.
+its distance to each cone.  The cones whose bound can still beat a
+row's best distance are then projected in rounds, the t-th candidate
+of every row in round t.  distance_to_wrong is the one-row case.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,25 +43,114 @@ class ClassificationRecord:
     nearest_region: str          # canonical Newick of the nearest other region
 
 
-_TOL = 1e-9  # nearest_point's entry threshold, relative to |v|
+_TOL = 1e-9  # the NNLS entry threshold, relative to |v|
+
+
+def _refit(U, normals, V, passive):
+    """Least-squares multipliers of each problem's passive normals.
+
+    For each problem, z_P solves the normal equations
+    (H_P H_P^T) z_P = -H_P v of min |v + H_P^T z_P|, formed from its
+    gathered passive rows H_P = U[normals[P]]; z is zero off P.  Returns
+    z and the steps H_P^T z_P.  Problems are solved in groups of one
+    passive-set size, so a problem's bits do not depend on the others
+    in the stack.
+    """
+    counts = passive.sum(axis=1)
+    sizes = np.flatnonzero(np.bincount(counts)).tolist()
+    if len(sizes) == 1:
+        return _solve(U[normals[passive]].reshape(len(V), sizes[0], -1), V, passive)
+    z = np.zeros(passive.shape)
+    w = np.empty(V.shape)
+    for p in sizes:
+        g = np.flatnonzero(counts == p)
+        A = U[normals[g][passive[g]]].reshape(len(g), p, -1)
+        z[g], w[g] = _solve(A, V[g], passive[g])
+    return z, w
+
+
+def _solve(A, V, passive):
+    """_refit for a stack A of passive rows, all of one count."""
+    zp = np.linalg.solve(A @ A.transpose(0, 2, 1), -(A @ V[:, :, None]))
+    z = np.zeros(passive.shape)
+    z[passive] = zp.ravel()
+    return z, (zp.transpose(0, 2, 1) @ A)[:, 0]
+
+
+def _nnls(U, normals, V, sizes) -> np.ndarray:
+    """The step P_K v - v of every problem of a stack.
+
+    Problem b projects V[b] onto K = {x : Hx >= 0} for the unit rows
+    H = U[normals[b, :sizes[b]]]; the rest of normals[b] points at zero
+    rows of U, which are never violated and so never enter.  Moreau's
+    decomposition splits v into its projections onto K and onto the
+    polar cone {-H^T mu : mu >= 0}, so P_K v = v + H^T mu* with
+    mu* = argmin |v + H^T mu| over mu >= 0.  Each problem runs Lawson
+    and Hanson's NNLS (1974, ch. 23) on its own passive set P, all of
+    them a step at a time: bring in the most violated normal if it is
+    violated by more than _TOL * |v| (which keeps the passive normals
+    independent), refit z_P (_refit), and when a multiplier would turn
+    nonpositive, step back along the segment to the last positive fit
+    and release the constraint that hit zero.  The residual drops at
+    every step, so no passive set repeats and each problem ends; it
+    raises if Lawson and Hanson's bound of 3 * sizes[b] steps is
+    reached.  Redundant or dependent normals make mu* non-unique, never
+    the point.  Problems that end leave the stack.
+    """
+    out = np.zeros(V.shape)
+    ids = np.arange(len(V))
+    limit = 3 * sizes
+    passive = np.zeros(normals.shape, dtype=bool)
+    mu = np.zeros(normals.shape)
+    W = np.zeros(V.shape)
+    floor = -_TOL * np.sqrt((V * V).sum(axis=1))
+    for step in itertools.count():
+        s = U[normals]
+        s *= (V + W)[:, None, :]
+        s = s.sum(axis=2)
+        s[passive] = np.inf
+        j = s.argmin(axis=1)
+        enter = s.min(axis=1) < floor
+        if not enter.all():
+            out[ids[~enter]] = W[~enter]
+            ids, normals, V, W, floor, limit, passive, mu, j = (
+                a[enter] for a in (ids, normals, V, W, floor, limit, passive, mu, j)
+            )
+            if not ids.size:
+                return out
+        if limit.min() <= step + 1:
+            raise RuntimeError("nonnegative least squares did not converge")
+        rows = np.arange(len(ids))
+        passive[rows, j] = True
+        z, w = _refit(U, normals, V, passive)
+        fit = np.where(passive, z, np.inf).min(axis=1) > 0
+        if fit.all():
+            mu, W = z, w
+            continue
+        mu[fit], W[fit] = z[fit], w[fit]
+        todo = rows[~fit]
+        while todo.size:
+            z, P, m = z[~fit], passive[todo], mu[todo]
+            back = P & (z <= 0)
+            ratios = np.divide(m, m - z, out=np.full(z.shape, np.inf), where=back)
+            hit = ratios.argmin(axis=1)
+            m += ratios[rows[:len(todo)], hit][:, None] * (z - m)
+            m[rows[:len(todo)], hit] = 0.0
+            P &= m > 0
+            m[~P] = 0.0
+            mu[todo], passive[todo] = m, P
+            z, w = _refit(U, normals[todo], V[todo], P)
+            fit = np.where(P, z, np.inf).min(axis=1) > 0
+            mu[todo[fit]], W[todo[fit]] = z[fit], w[fit]
+            todo = todo[~fit]
 
 
 def nearest_point(cone, v) -> ProjectionResult:
     """The unique closest point of the cone, and its distance from v.
 
-    Moreau's decomposition splits v into its projections onto the cone
-    K = {x : Hx >= 0} and onto the polar cone K° = {-H^T mu : mu >= 0}, so
-    P_K v = v + H^T mu* with mu* = argmin ||v + H^T mu|| over mu >= 0.
-    That nonnegative least-squares problem is solved by Lawson and
-    Hanson's method (1974, ch. 23): bring in the most violated
-    constraint, refit the passive multipliers by least squares, and when
-    one would turn nonpositive, step back along the segment to the last
-    positive fit and release the constraint that hit zero.  The residual
-    drops at every step, so no passive set repeats and the loop ends; it
-    raises if Lawson and Hanson's bound of 3 * (constraint count) steps
-    is reached.  A constraint enters only when violated by more than
-    _TOL * ||v||, which keeps the passive normals independent.
-    Redundant or dependent normals make mu* non-unique, never the point.
+    The one-problem case of _nnls, the kernel distances_to_wrong runs
+    on stacks of problems: Lawson and Hanson's NNLS on the polar cone,
+    which always terminates and needs no fallback.
 
     scipy's nnls is not used: on inputs whose projection has tight
     constraints with zero multipliers it can return a non-optimal mu.
@@ -68,46 +161,22 @@ def nearest_point(cone, v) -> ProjectionResult:
         return ProjectionResult(v.copy(), 0.0, "trivial")
     if H.shape[1] != v.shape[0]:
         raise ValueError("vector length does not match the cone's ambient dimension")
-    k = H.shape[0]
-    scale = _TOL * float(np.linalg.norm(v))
-    mu = np.zeros(k)
-    passive = np.zeros(k, dtype=bool)
-    x = v.copy()
-    for _ in range(3 * k):
-        s = np.where(passive, np.inf, H @ x)
-        j = int(np.argmin(s))
-        if s[j] >= -scale:
-            break
-        passive[j] = True
-        while True:
-            z = np.zeros(k)
-            z[passive] = -np.linalg.lstsq(H[passive].T, v, rcond=None)[0]
-            if z[passive].min() > 0:
-                break
-            back = np.flatnonzero(passive & (z <= 0))
-            ratios = mu[back] / (mu[back] - z[back])
-            hit = int(np.argmin(ratios))
-            mu += ratios[hit] * (z - mu)
-            mu[back[hit]] = 0.0
-            passive &= mu > 0
-            mu[~passive] = 0.0
-        mu = z
-        x = v + H.T @ mu
-    else:
-        raise RuntimeError("nonnegative least squares did not converge")
-    return ProjectionResult(x, float(np.linalg.norm(x - v)), "nnls")
+    w = _nnls(H, np.arange(len(H))[None], v[None], np.array([len(H)]))
+    return ProjectionResult(v + w[0], float(np.sqrt((w * w).sum(axis=1))[0]), "nnls")
 
 
-# Budget of a block in the noise experiments: distances_to_wrong takes as many
-# rows as keep the (rows x cone normals) slack matrix this small, and
-# simulate.run_experiment as many replicates as keep one edge's draws plus the
-# vertex sequences this small, so peak memory does not grow with the rows.
+# Budget of a block in the noise experiments: distances_to_wrong screens as
+# many rows as keep the (rows x cone normals) slack matrix this small, keeps
+# the candidate orders of as many rows, and projects stacks of as many problems
+# as keep their normals this small; simulate.run_experiment takes as many
+# replicates as keep one edge's draws plus the vertex sequences this small.  So
+# peak memory does not grow with the rows.
 BLOCK_BYTES = 1 << 20
 
 
 class _NormalIndex(NamedTuple):
     H: np.ndarray          # the distinct normals of all cones, as floats
-    inv_norms: np.ndarray  # 1 / |h| per row of H
+    norms: np.ndarray      # |h| per row of H
     cols: np.ndarray       # row of H of every normal of every cone, cone by cone
     sizes: np.ndarray      # normals per cone
 
@@ -123,7 +192,7 @@ def _normal_index(cones) -> _NormalIndex:
     H = np.array(list(distinct), dtype=float)
     return _NormalIndex(
         H,
-        1.0 / np.linalg.norm(H, axis=1),
+        np.linalg.norm(H, axis=1),
         np.array(cols),
         np.array([len(c.normals) for c in cones]),
     )
@@ -153,19 +222,69 @@ def _in_some_cone(X, slack, rounding, normals, sizes) -> np.ndarray:
     return held
 
 
+def _margins(V, U, pad, sizes, order, sorted_bounds, best, best_k) -> np.ndarray:
+    """Visit each row's candidate cones in order, a round at a time.
+
+    Round t projects, as stacks of problems, the t-th candidate
+    order[r, t] of every row r whose t-th sorted bound is below its best
+    distance so far; a cone replaces the best only when strictly nearer.
+    U[pad[c]] are the unit normals of cone c (_unit_stack).  best and
+    best_k are updated in place.  Returns the rows visited in the last
+    round, which may have further candidates past the columns of order.
+    """
+    # a stack's normals take half of BLOCK_BYTES, the rest of a call's arrays
+    # live beside them, and so no stack outgrows the screen's slack matrix
+    problems = max(1, BLOCK_BYTES // (2 * U.itemsize * U.shape[1] * pad.shape[1]))
+    live = np.arange(len(V))
+    for t in range(order.shape[1]):
+        live = live[sorted_bounds[live, t] < best[live]]
+        if not live.size:
+            break
+        for lo in range(0, len(live), problems):
+            rows = live[lo:lo + problems]
+            k = order[rows, t]
+            W = _nnls(U, pad[k], V[rows], sizes[k])
+            dist = np.sqrt((W * W).sum(axis=1))
+            nearer = dist < best[rows]
+            best[rows[nearer]] = dist[nearer]
+            best_k[rows[nearer]] = k[nearer]
+    return live
+
+
+def _unit_stack(H, norms, cols, sizes):
+    """(U, pad): U[pad[c]] are the unit rows of cone c, padded with a zero row.
+
+    U holds the distinct normals H scaled to unit length (bit for bit the
+    rows of each cone's unit_rows) and then one zero row, which pads
+    each cone's rows of pad to the largest cone's count.
+    """
+    U = np.vstack([H / norms[:, None], np.zeros(H.shape[1])])
+    slots = np.arange(sizes.max()) < sizes[:, None]
+    pad = np.full(slots.shape, len(H))
+    pad[slots] = cols
+    return U, pad
+
+
+# Candidates kept per row from its screen.  Rows visit one to three cones and
+# rarely more than five; a row that could visit more is screened again.
+_KEPT = 8
+
+
 def distances_to_wrong(V, true_topology, cones) -> list:
     """distance_to_wrong for every row of V: one ClassificationRecord per row.
 
-    Rows go through in blocks.  Cones share most of their normals, so
+    Rows are screened in blocks.  Cones share most of their normals, so
     the distinct integer normals, stacked once per call, give
     every raw slack (h, v) of the block.  A row is correct when some
     cone of the true topology contains it, decided exactly as by
     cones.membership (_in_some_cone).  Each (row, cone) pair also gets
     the violation bound max(0, -min_h (h, v) / |h|), which never exceeds
-    the distance from v to the cone.  nearest_point then visits the
-    candidate cones in ascending bound order (census order on ties) while
-    a bound is below the best distance so far; a cone replaces the best
-    only when strictly nearer.
+    the distance from v to the cone.  The candidate cones of a row are
+    visited in ascending bound order (census order on ties) while a
+    bound is below the best distance so far (_margins).  Each row keeps
+    its first _KEPT candidates, and the rows of many screen blocks are
+    visited together, so that a round projects many rows at once; a row
+    still looking past its kept candidates is screened again.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2:
@@ -175,44 +294,63 @@ def distances_to_wrong(V, true_topology, cones) -> list:
     mine = np.array([c.topology == true_topology for c in cones])
     if not mine.any():
         raise ValueError("census contains no cone for the given topology")
-    H, inv_norms, cols, sizes = _normal_index(cones)
+    H, norms, cols, sizes = _normal_index(cones)
+    inv_norms = 1.0 / norms
     starts = _starts(sizes)
     mine_cols = cols[np.repeat(mine, sizes)]
     mine_H = H[mine_cols]
     mine_normals = mine_H.astype(np.int64).astype(object)  # exact: small integers as floats
     rounding = gamma(H.shape[1]) * np.abs(mine_H).sum(axis=1)
-    names: dict = {}
-    records = []
-    step = max(1, BLOCK_BYTES // (8 * len(cols)))
-    for lo in range(0, len(V), step):
-        X = V[lo:lo + step]
+
+    def screen(X):
+        """The verdict of every row of X, and its bound on every cone."""
         # a matvec per row rather than one matmul: a row's rounding, and with
         # it the order of tied bounds, must not depend on the rest of the block
         S = np.array([H @ x for x in X])
-        correct = _in_some_cone(X, S[:, mine_cols], rounding, mine_normals, sizes[mine])
+        ok = _in_some_cone(X, S[:, mine_cols], rounding, mine_normals, sizes[mine])
         bounds = -np.minimum.reduceat((S * inv_norms)[:, cols], starts, axis=1)
         # correct rows look for other topologies, incorrect ones for their own
-        bounds = np.where(mine != correct[:, None], np.maximum(bounds, 0.0), np.inf)
-        order = np.argsort(bounds, axis=1, kind="stable")
-        for x, ok, row, sorted_bounds in zip(
-            X, correct, order, np.take_along_axis(bounds, order, axis=1)
-        ):
-            best, best_k = np.inf, None
-            for k, bound in zip(row, sorted_bounds):
-                if bound >= best:
-                    break
-                dist = nearest_point(cones[k], x).distance
-                if dist < best:
-                    best, best_k = dist, k
-            if best_k not in names:
-                top = cones[best_k].topology
-                names[best_k] = top.newick() if top is not None else ""
-            records.append(
-                ClassificationRecord(
-                    "correct" if ok else "incorrect", float(best), names[best_k]
-                )
-            )
-    return records
+        return ok, np.where(mine != ok[:, None], np.maximum(bounds, 0.0), np.inf)
+
+    step = max(1, BLOCK_BYTES // (8 * len(cols)))
+    kept = min(_KEPT, len(cones))
+    batch = max(1, BLOCK_BYTES // (16 * kept))
+    correct = np.empty(len(V), dtype=bool)
+    best = np.full(len(V), np.inf)
+    best_k = np.zeros(len(V), dtype=np.intp)
+    for first in range(0, len(V), batch):
+        last = min(first + batch, len(V))
+        order = np.empty((last - first, kept), dtype=np.intp)
+        sorted_bounds = np.empty(order.shape)
+        for lo in range(first, last, step):
+            hi = min(lo + step, last)
+            correct[lo:hi], bounds = screen(V[lo:hi])
+            rank = np.argsort(bounds, axis=1, kind="stable")[:, :kept]
+            order[lo - first:hi - first] = rank
+            sorted_bounds[lo - first:hi - first] = np.take_along_axis(bounds, rank, axis=1)
+        if not first:
+            # after the first screen, whose slack matrix is gone by then
+            U, pad = _unit_stack(H, norms, cols, sizes)
+        left = first + _margins(V[first:last], U, pad, sizes, order, sorted_bounds,
+                                best[first:last], best_k[first:last])
+        if kept == len(cones):
+            continue
+        for lo in range(0, len(left), step):
+            rows = left[lo:lo + step]
+            bounds = screen(V[rows])[1]
+            rank = np.argsort(bounds, axis=1, kind="stable")[:, kept:]
+            b, bk = best[rows], best_k[rows]
+            _margins(V[rows], U, pad, sizes, rank, np.take_along_axis(bounds, rank, axis=1),
+                     b, bk)
+            best[rows], best_k[rows] = b, bk
+    names = {}
+    for k in set(best_k.tolist()):
+        top = cones[k].topology
+        names[k] = top.newick() if top is not None else ""
+    return [
+        ClassificationRecord("correct" if ok else "incorrect", d, names[k])
+        for ok, d, k in zip(correct.tolist(), best.tolist(), best_k.tolist())
+    ]
 
 
 def distance_to_wrong(d, true_topology, cones) -> ClassificationRecord:

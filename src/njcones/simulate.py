@@ -352,10 +352,11 @@ def gaussian_experiment(
 
 
 # ---------------------------------------------------------------------------
-# CSV emission (plot-ready).  %.12g keeps 12 significant digits, not every
-# bit: a value read back can differ from the one classified by ~5e-13
-# relatively, so a replicate on a cone boundary (boundary_distance 0) can
-# read back on the other side of it.
+# CSV emission (plot-ready).  The estimates in records.csv are written with
+# repr, which reads back as the very float that was classified, so a
+# replicate on a cone boundary (boundary_distance 0) reads back on the side
+# it was classified on.  Everything else gets %.12g: 12 significant digits,
+# which can differ from the value computed by ~5e-13 relatively.
 
 
 def _g(x) -> str:
@@ -382,7 +383,7 @@ def records_csv(report: ExperimentReport) -> str:
                     _g(rec.boundary_distance),
                     ";".join(str(i) for i, c in enumerate(caps) if c),
                 ]
-                + [_g(v) for v in values]
+                + [repr(v) for v in values]
             )
         )
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from njcones.cones import (
 )
 from njcones.nj import CherryTrace
 from njcones.projection import distance_to_wrong, distances_to_wrong, nearest_point
-from njcones.rational import _eliminate, extreme_rays
-from njcones.trees import TreeTopology
+from njcones.rational import _eliminate, extreme_rays, solve
+from njcones.simulate import build_model
+from njcones.trees import TreeTopology, path_metric
 from test_polytopes import intersection_closure
 from test_trees import random_metric_tree
 
@@ -176,6 +178,69 @@ def test_matches_exhaustive_oracle(rng):
             assert np.allclose(literal_x, points[k], rtol=0, atol=1e-12)
 
 
+def exact_squared_distance(cone, v, x):
+    """|P_K v - v|^2 in exact arithmetic, certified from a float projection x.
+
+    Each float of v is a dyadic rational.  The normals whose unit slack at
+    x is at most 1e-9 |v| form a candidate active set A, and
+    (H_A H_A^T) z = -H_A v is solved exactly on A's integer normals.  Then
+    H_A (v + H_A^T z) = 0.  When z >= 0 and every exact slack of
+    v + H_A^T z is >= 0, that point lies in the cone and v minus it is a
+    nonnegative combination of normals tight at it, so it is the
+    projection (KKT), and |H_A^T z|^2 is the squared distance.  Returns
+    None when A does not certify itself so, e.g. when A is dependent and
+    the multipliers the solve picks are not all nonnegative.
+    """
+    vq = [Fraction(t) for t in np.asarray(v).tolist()]
+    tight = np.flatnonzero(cone.unit_rows @ x <= 1e-9 * np.linalg.norm(v))
+    HA = [cone.normals[i] for i in tight]
+    z = solve(
+        [[sum(a * b for a, b in zip(hi, hj)) for hj in HA] for hi in HA],
+        [-sum(a * b for a, b in zip(hi, vq)) for hi in HA],
+    )
+    if any(t < 0 for t in z):
+        return None
+    w = [sum((zi * hi[c] for zi, hi in zip(z, HA)), Fraction(0)) for c in range(len(vq))]
+    xq = [a + b for a, b in zip(vq, w)]
+    if any(sum(a * b for a, b in zip(h, xq)) < 0 for h in cone.normals):
+        return None
+    return sum(t * t for t in w)
+
+
+# The kernel's squared distances lie within this relative error of the exact
+# ones: a few hundred units in the last place.  The worst seen on 900 certified
+# pairs was 3.3e-15 (9.4e-15 for the per-call lstsq refit it replaced).
+SQUARED_DISTANCE_RTOL = 1e-13
+
+
+def test_kernel_distance_matches_the_exact_projection(census5, census6, rng):
+    tried = certified = 0
+    for cns in (census5, census6):
+        for scale in (0.1, 1.0, 10.0):
+            for _ in range(40):
+                cone = cns.cones[rng.integers(len(cns.cones))]
+                v = scale * rng.standard_normal(cone.m)
+                res = nearest_point(cone, v)
+                exact = exact_squared_distance(cone, v, res.point)
+                tried += 1
+                if exact is None:
+                    continue
+                certified += 1
+                assert abs(Fraction(res.distance) ** 2 - exact) <= SQUARED_DISTANCE_RTOL * exact
+    assert certified >= 0.75 * tried
+
+
+def test_the_exact_oracle_rejects_wrong_active_sets(census6):
+    # p inside the cone.  With no normal tight (x = p), -p would be its own
+    # projection and fails the slack check; with the normals tight at the
+    # projection of -p, the multipliers of p come out negative.
+    cone = census6.cones[0]
+    p = np.array([float(t) for t in interior_point(cone)])
+    assert exact_squared_distance(cone, p, p) == 0
+    assert exact_squared_distance(cone, -p, p) is None
+    assert exact_squared_distance(cone, p, nearest_point(cone, -p).point) is None
+
+
 def test_rays_and_faces_of_the_criterion_9_cones_are_pinned(census5, type_reps):
     cones = (census5.cones[27], *(irredundant(rep) for rep in type_reps))
     counts = [tuple(map(len, cone_faces(cone))) for cone in cones]
@@ -275,6 +340,68 @@ def test_one_row_is_the_batched_case(census6, rng):
     assert distances_to_wrong(V, top, census6.cones) == [
         distance_to_wrong(v, top, census6.cones) for v in V
     ]
+
+
+def equal_pendant_metric(newick):
+    """The tree metric of `newick` with pendant edges 0.42 and interior 0.03."""
+    top = TreeTopology.from_newick(newick)
+    lengths = {(u, v): 0.42 if u < top.n else 0.03 for u, v in top.edges()}
+    return top, np.array(path_metric(top.n, top.edges(), lengths))
+
+
+def test_margins_do_not_depend_on_the_batch_split(census5, census6, rng, monkeypatch):
+    # one row per screen block, per gathered batch and per problem stack
+    # against the default blocks, bit for bit.  Exact tree metrics (sigma 0)
+    # sit at equal distance from several regions, so a rounding that
+    # depended on the rest of a stack could name another region.
+    cases = []
+    for cns, newick, count in (
+        (census5, build_model("T1").topology.newick(), 60),
+        (census6, "((((0,1),2),3),4,5);", 30),
+        (census6, "((0,1),(2,3),(4,5));", 30),
+    ):
+        top, base = equal_pendant_metric(newick)
+        sigma = np.resize([0.0, 0.0, 0.02, 0.1, 0.5], count)[:, None]
+        cases.append((cns, top, base + sigma * rng.standard_normal((count, base.size))))
+    default = [distances_to_wrong(V, top, cns.cones) for cns, top, V in cases]
+    monkeypatch.setattr(projection, "BLOCK_BYTES", 1)
+    assert [distances_to_wrong(V, top, cns.cones) for cns, top, V in cases] == default
+
+
+def test_cones_of_different_sizes_share_a_stack(census5, rng, monkeypatch):
+    # every other cone reduced to its 9 facets: a stack pads the smaller
+    # cones' normals with zero rows, which never enter, and gives the same
+    # margins as the full descriptions, alone or together
+    mixed = [irredundant(c) if k % 2 else c for k, c in enumerate(census5.cones)]
+    assert {len(c.normals) for c in mixed} == {9, 11}
+    top, V = noisy_tree_rows(5, rng, 40, (0.0, 0.1, 0.5))
+    records = distances_to_wrong(V, top, mixed)
+    for rec, full in zip(records, distances_to_wrong(V, top, census5.cones)):
+        assert rec.verdict == full.verdict
+        assert abs(rec.boundary_distance - full.boundary_distance) <= 1e-12
+    monkeypatch.setattr(projection, "BLOCK_BYTES", 1)
+    assert distances_to_wrong(V, top, mixed) == records
+
+
+def test_rows_past_their_kept_candidates_are_screened_again(census5, census6, rng, monkeypatch):
+    # with one kept candidate per row, every row that visits a second cone
+    # is screened again and visits the rest from its full order
+    screened = []
+    real = projection._in_some_cone
+
+    def counting(X, *args):
+        screened.append(len(X))
+        return real(X, *args)
+
+    monkeypatch.setattr(projection, "_in_some_cone", counting)
+    for cns, count in ((census5, 60), (census6, 30)):
+        top, V = noisy_tree_rows(cns.n, rng, count, (0.0, 0.1, 0.5))
+        default = distances_to_wrong(V, top, cns.cones)
+        screened.clear()
+        with monkeypatch.context() as m:
+            m.setattr(projection, "_KEPT", 1)
+            assert distances_to_wrong(V, top, cns.cones) == default
+        assert sum(screened) > count
 
 
 def test_normals_are_stacked_once_per_cone_sequence(census5, census6, rng):
