@@ -18,6 +18,8 @@ directly, and prints one JSON object:
 - nnls: the projections themselves, the stacked NNLS kernel
   `projection._nnls`, or `nearest_point` in packages without it;
 - rng (`nj sim` only): `_replicate_rng`, each replicate's generator;
+- census: the command's one `census(n)` call (n = 5 for `nj sim`, 6 for
+  `nj distance`), spread over its replicates or vectors;
 - report (`nj sim` only): `run_experiment`'s own time, outside the
   layers above, which joins the blocks' estimates into the report;
 - csv (`nj sim` only): `records_csv` and `summary_csv`;
@@ -79,6 +81,7 @@ LAYERS = {
     "margin": ((projection, "distance_to_wrong"), (projection, "distances_to_wrong")),
     "nnls": ((projection, "nearest_point"), (projection, "_nnls")),
     "rng": ((simulate, "_replicate_rng"),),
+    "census": ((census_module, "census"),),
     "run": ((simulate, "run_experiment"),),
     "csv": ((simulate, "records_csv"), (simulate, "summary_csv")),
 }
@@ -133,6 +136,12 @@ def instrument(totals: dict) -> None:
             for mod in (cli, projection, simulate):
                 if getattr(mod, name, None) is fn:
                     setattr(mod, name, timed)
+
+
+def margin_census(cns):
+    """What distances_to_wrong takes: the census, or its cones in packages
+    that stack the normals on each call."""
+    return cns.cones if hasattr(projection, "_normal_index") else cns
 
 
 def caterpillar_metric() -> np.ndarray:
@@ -318,7 +327,7 @@ def tie_rule_times() -> dict:
 
         projection._in_some_cone, projection.primitive = timed, counted
         try:
-            projection.distances_to_wrong(V, top, six.cones)
+            projection.distances_to_wrong(V, top, margin_census(six))
         finally:
             projection._in_some_cone, projection.primitive = verdict, real_primitive
         out[f"sigma{sigma}"] = {

@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import sqrt
 
@@ -38,6 +38,7 @@ from .nj import (
     q_operator,
 )
 from .rational import gamma, primitive
+from .trees import TreeTopology
 
 _CHUNK = 1 << 17
 _TYPE_NAMES = "I II III IV V VI VII VIII IX X XI".split()  # 11 orbits at 7 taxa
@@ -51,15 +52,62 @@ class AngleEstimate:
     stderr: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeCensus:
+    """The census cones as one stack of normals; cone objects on request.
+
+    normals holds the distinct primitive integer normals of all cones,
+    numbered in order of first appearance cone by cone.  Cone c's normals,
+    in its order, are the rows of normals that the next sizes[c] entries
+    of cols name.  Every cone of a census has the same count: 11, 25 and
+    45 at 5, 6 and 7 taxa.  topology_index, with one TreeTopology per
+    split set, and cones, which share those topologies, are built from
+    these the first time they are read.
+    """
+
     n: int
-    cones: tuple                  # NJCone, position = cone id
+    normals: np.ndarray           # distinct integer normals, one per row
+    cols: np.ndarray              # row of normals of each normal of each cone, cone by cone
+    sizes: np.ndarray             # normals per cone
+    splits: tuple                 # per cone, the split set of its topology (TreeTopology.splits)
+    merges: tuple                 # per cone, its joins (CherryTrace.merges)
     types: tuple                  # orbit name per cone: "" for n=5, else I, II, ...
-    topology_index: dict          # TreeTopology -> tuple of cone ids
 
     def cones_of_type(self, t: str) -> tuple:
         return tuple(i for i, x in enumerate(self.types) if x == t)
+
+    @cached_property
+    def topology_index(self) -> dict:
+        """TreeTopology -> tuple of its cone ids, in the order of their first cones."""
+        ids: dict = {}
+        for k, split in enumerate(self.splits):
+            ids.setdefault(split, []).append(k)
+        return {TreeTopology.from_trace(self.n, self.merges[v[0]]): tuple(v) for v in ids.values()}
+
+    @cached_property
+    def cones(self) -> tuple:
+        """NJCone per cone id, with its trace, topology and label."""
+        rows = [tuple(h) for h in self.normals.tolist()]
+        cols = self.cols.tolist()
+        topologies = {top.splits: top for top in self.topology_index}
+        every = frozenset(range(self.n))
+        out = []
+        start = 0
+        for merges, split, t, size in zip(self.merges, self.splits, self.types,
+                                          self.sizes.tolist()):
+            trace = CherryTrace(self.n, merges)
+            topology = topologies[split]
+            if self.n == 5:
+                # the first cherry and the middle leaf, which is in no cherry
+                (b,), (a,) = trace.merges[0]
+                (mid,) = every.difference(*topology.cherries())
+                label = f"C_{{{b}{a},{mid}}}"
+            else:
+                label = f"{t}:{trace.label()}"
+            normals = tuple(rows[i] for i in cols[start:start + size])
+            out.append(NJCone(self.n, normals, trace=trace, topology=topology, label=label))
+            start += size
+        return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -97,25 +145,33 @@ def _gap_bounds(n: int) -> dict:
 
 
 def census(n: int) -> ConeCensus:
-    """All completed-trace cones in canonical id order, typed and indexed.
+    """All completed-trace cones in canonical id order, as one stack, typed.
 
     One depth-first walk of the pick tree in id order, over the score
-    rows of _cascade.  Each prefix hands its normals so far and its
-    cluster list to every child, so the shared steps of the traces below
-    it are done once.  A trace's topology is looked up by its splits,
-    the merged clusters taken on the side without leaf 0, and built only
-    the first time they appear.  At 8 taxa it would hold 264,600 cones.
+    rows of _cascade.  Each prefix hands the ids of its normals so far and
+    its cluster list to every child, so the shared steps of the traces
+    below it are done once.  The walk is the one place the stack is made:
+    each node's gap rows (cones._gap_rows) are looked up by their bytes
+    among the normals seen so far, so a normal gets its row of the stack
+    the first time a cone in id order has it.  A cone keeps its joins and
+    its split set, the merged clusters taken on the side without leaf 0;
+    its trace, topology and label wait for ConeCensus.cones.  At 8 taxa
+    it would hold 264,600 cones.
     """
     if not 5 <= n <= 7:
         raise ValueError("census is implemented for 5 to 7 taxa")
     every = frozenset(range(n))
     scores = _cascade(n)
-    cones = []
+    row_bytes = np.dtype((np.void, 8 * num_pairs(n)))
+    ids: dict = {}         # a normal's int64 bytes -> its row of the stack
+    cols = []
+    sizes = []
+    splits = []
+    cone_merges = []
     types = []
     names: dict = {}       # orbit key -> type number
     by_form: dict = {}     # a four-node's merges and clusters in parts -> types
-    index: dict = {}       # TreeTopology -> cone ids
-    topologies: dict = {}  # split set -> TreeTopology
+    split_sets: dict = {}  # one shared frozenset per split set
 
     def last_types(clusters, merges) -> tuple:
         """Type names of the three cones below a four-node, by split class.
@@ -139,37 +195,32 @@ def census(n: int) -> ConeCensus:
 
     def add_cone(clusters, p, merges, normals, t):
         merges += (_canonical_last_join(clusters, p),)
-        trace = CherryTrace(n, merges)
-        splits = frozenset(
-            c if 0 not in c else every - c for c in (a | b for a, b in merges)
-        )
-        topology = topologies.get(splits)
-        if topology is None:
-            topology = topologies[splits] = trace.topology()
-        if n == 5:
-            # the first cherry and the middle leaf, which is in no cherry
-            (b,), (a,) = trace.merges[0]
-            (mid,) = every.difference(*topology.cherries())
-            t, label = "", f"C_{{{b}{a},{mid}}}"
-        else:
-            label = f"{t}:{trace.label()}"
-        index.setdefault(topology, []).append(len(cones))
-        cones.append(NJCone(n, tuple(normals), trace=trace, topology=topology, label=label))
-        types.append(t)
+        split = frozenset(c if 0 not in c else every - c for c in (a | b for a, b in merges))
+        splits.append(split_sets.setdefault(split, split))
+        cone_merges.append(merges)
+        cols.extend(normals)
+        sizes.append(len(normals))
+        types.append("" if n == 5 else t)
 
-    def walk(prefix, rows, clusters, merges):
+    def walk(prefix, normals, clusters, merges):
         kinds = last_types(clusters, merges) if len(clusters) == 4 else None
-        for p, gaps in enumerate(_gap_rows(scores[prefix], range(len(scores[prefix])))):
-            normals = rows | dict.fromkeys(gaps)
+        G, keep = _gap_rows(scores[prefix], range(len(scores[prefix])))
+        gaps = G.view(row_bytes)[..., 0].tolist()  # each normal as its int64 bytes
+        for p, (keys, ks) in enumerate(zip(gaps, keep.tolist())):
+            mine = normals | dict.fromkeys(
+                ids.setdefault(g, len(ids)) for g, k in zip(keys, ks) if k
+            )
             if kinds:
-                add_cone(clusters, p, merges, normals, kinds[p])
+                add_cone(clusters, p, merges, mine, kinds[p])
             else:
                 nxt, join = join_clusters(clusters, p)
-                walk(prefix + (p,), normals, nxt, merges + (join,))
+                walk(prefix + (p,), mine, nxt, merges + (join,))
 
     walk((), {}, _leaves(n), ())
+    stack = np.frombuffer(b"".join(ids), dtype=np.int64).reshape(len(ids), num_pairs(n))
     return ConeCensus(
-        n, tuple(cones), tuple(types), {k: tuple(v) for k, v in index.items()}
+        n, stack, np.array(cols, dtype=np.intp), np.array(sizes, dtype=np.intp),
+        tuple(splits), tuple(cone_merges), tuple(types),
     )
 
 
@@ -327,7 +378,7 @@ def solid_angles_mc(
         raise ValueError("need at least one thread")
     m = num_pairs(cns.n)
     chunk = _CHUNK
-    counts = np.zeros(len(cns.cones), dtype=np.int64)
+    counts = np.zeros(len(cns.types), dtype=np.int64)
     accepted = drawn = 0
 
     def classify_span(span) -> np.ndarray:

@@ -237,7 +237,7 @@ def _cmd_distance(args) -> int:
         if not all(map(math.isfinite, v)):
             raise ValueError(f"{where}: distances must be finite")
     cns = census(n)
-    records = distances_to_wrong([v for _, v in rows], true_top, cns.cones)
+    records = distances_to_wrong([v for _, v in rows], true_top, cns)
     out = csv.writer(sys.stdout, lineterminator="\n")
     out.writerow(["id", "verdict", "boundary_distance", "nearest_region"])
     for i, rec in enumerate(records):

@@ -71,23 +71,21 @@ class NJCone:
             raise ValueError("normal length does not match the pair count")
 
 
-def _gap_rows(scores: np.ndarray, picks) -> list:
-    """Per pick p, the normals forcing it among integer score rows.
+def _gap_rows(scores: np.ndarray, picks) -> tuple:
+    """(G, keep): G[i, j] is the normal forcing pick picks[i] over score row j.
 
     The normals are the gaps score_j - score_p, each divided by the gcd
-    of its entries, which keeps its orientation; zero rows (row p itself,
-    and coinciding scores) drop out.  One array pass serves all the picks
-    of a node.  This is the one place normals are made, for a single
-    trace here and for the whole census in census.census.
+    of its entries, which keeps its orientation; keep is False on the zero
+    rows (row p itself, and coinciding scores), which force nothing.  One
+    array pass serves all the picks of a node.  This is the one place
+    normals are made: for a single trace by _pick_normals, and for the
+    whole census, with the stack of its distinct normals, by census.census.
     """
     G = scores[None, :, :] - scores[list(picks), None, :]
     g = np.gcd.reduce(G, axis=2)
     keep = g != 0
     G //= np.where(keep, g, 1)[:, :, None]
-    return [
-        [tuple(row) for row, k in zip(rows, ks) if k]
-        for rows, ks in zip(G.tolist(), keep.tolist())
-    ]
+    return G, keep
 
 
 def _pick_normals(n: int, picks) -> tuple:
@@ -101,8 +99,8 @@ def _pick_normals(n: int, picks) -> tuple:
     L = np.eye(num_pairs(n), dtype=np.int64)
     rows: dict = {}
     for nk, p in zip(range(n, 3, -1), picks):
-        (gaps,) = _gap_rows(q_operator(nk) @ L, [p])
-        rows |= dict.fromkeys(gaps)
+        (G,), (keep,) = _gap_rows(q_operator(nk) @ L, [p])
+        rows |= dict.fromkeys(map(tuple, G[keep].tolist()))
         L = join_operator(p, nk) @ L
     return tuple(rows)
 

@@ -10,8 +10,9 @@ passive-set size, so no problem's result depends on the rest of its
 stack.  nearest_point is the one-problem case.
 
 Margins are computed a block of input vectors at a time
-(distances_to_wrong): the distinct normals of all cones, stacked on
-each call, screen the whole block, giving each row its verdict
+(distances_to_wrong): the distinct normals of all cones, which the
+census walk stacks (census.ConeCensus), screen the whole block, giving
+each row its verdict
 (exact wherever the float slacks cannot settle it) and a lower bound on
 its distance to each cone.  The cones whose bound can still beat a
 row's best distance are then projected in rounds, the t-th candidate
@@ -22,11 +23,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .rational import gamma, primitive
+from .trees import TreeTopology
 
 
 @dataclass(frozen=True)
@@ -77,12 +78,11 @@ def _solve(A, V, passive):
     return z, (zp.transpose(0, 2, 1) @ A)[:, 0]
 
 
-def _nnls(U, normals, V, sizes) -> np.ndarray:
+def _nnls(U, normals, V) -> np.ndarray:
     """The step P_K v - v of every problem of a stack.
 
     Problem b projects V[b] onto K = {x : Hx >= 0} for the unit rows
-    H = U[normals[b, :sizes[b]]]; the rest of normals[b] points at zero
-    rows of U, which are never violated and so never enter.  Moreau's
+    H = U[normals[b]], k = normals.shape[1] of them.  Moreau's
     decomposition splits v into its projections onto K and onto the
     polar cone {-H^T mu : mu >= 0}, so P_K v = v + H^T mu* with
     mu* = argmin |v + H^T mu| over mu >= 0.  Each problem runs Lawson
@@ -93,13 +93,13 @@ def _nnls(U, normals, V, sizes) -> np.ndarray:
     nonpositive, step back along the segment to the last positive fit
     and release the constraint that hit zero.  The residual drops at
     every step, so no passive set repeats and each problem ends; it
-    raises if Lawson and Hanson's bound of 3 * sizes[b] steps is
-    reached.  Redundant or dependent normals make mu* non-unique, never
-    the point.  Problems that end leave the stack.
+    raises if Lawson and Hanson's bound of 3k steps is reached.
+    Redundant or dependent normals make mu* non-unique, never the point.
+    Problems that end leave the stack.
     """
     out = np.zeros(V.shape)
     ids = np.arange(len(V))
-    limit = 3 * sizes
+    limit = 3 * normals.shape[1]
     passive = np.zeros(normals.shape, dtype=bool)
     mu = np.zeros(normals.shape)
     W = np.zeros(V.shape)
@@ -113,12 +113,12 @@ def _nnls(U, normals, V, sizes) -> np.ndarray:
         enter = s.min(axis=1) < floor
         if not enter.all():
             out[ids[~enter]] = W[~enter]
-            ids, normals, V, W, floor, limit, passive, mu, j = (
-                a[enter] for a in (ids, normals, V, W, floor, limit, passive, mu, j)
+            ids, normals, V, W, floor, passive, mu, j = (
+                a[enter] for a in (ids, normals, V, W, floor, passive, mu, j)
             )
             if not ids.size:
                 return out
-        if limit.min() <= step + 1:
+        if limit <= step + 1:
             raise RuntimeError("nonnegative least squares did not converge")
         rows = np.arange(len(ids))
         passive[rows, j] = True
@@ -161,7 +161,7 @@ def nearest_point(cone, v) -> ProjectionResult:
         return ProjectionResult(v.copy(), 0.0, "trivial")
     if H.shape[1] != v.shape[0]:
         raise ValueError("vector length does not match the cone's ambient dimension")
-    w = _nnls(H, np.arange(len(H))[None], v[None], np.array([len(H)]))
+    w = _nnls(H, np.arange(len(H))[None], v[None])
     return ProjectionResult(v + w[0], float(np.sqrt((w * w).sum(axis=1))[0]), "nnls")
 
 
@@ -172,30 +172,6 @@ def nearest_point(cone, v) -> ProjectionResult:
 # replicates as keep one edge's draws plus the vertex sequences this small.  So
 # peak memory does not grow with the rows.
 BLOCK_BYTES = 1 << 20
-
-
-class _NormalIndex(NamedTuple):
-    H: np.ndarray          # the distinct normals of all cones, as floats
-    norms: np.ndarray      # |h| per row of H
-    cols: np.ndarray       # row of H of every normal of every cone, cone by cone
-    sizes: np.ndarray      # normals per cone
-
-
-def _normal_index(cones) -> _NormalIndex:
-    """The stacked normals of a cone sequence.
-
-    A census of 6 taxa has 11,250 normals but 1,200 distinct ones, so
-    every slack of a row is one product with the distinct normals.
-    """
-    distinct: dict = {}
-    cols = [distinct.setdefault(h, len(distinct)) for c in cones for h in c.normals]
-    H = np.array(list(distinct), dtype=float)
-    return _NormalIndex(
-        H,
-        np.linalg.norm(H, axis=1),
-        np.array(cols),
-        np.array([len(c.normals) for c in cones]),
-    )
 
 
 def _starts(sizes: np.ndarray) -> np.ndarray:
@@ -222,19 +198,19 @@ def _in_some_cone(X, slack, rounding, normals, sizes) -> np.ndarray:
     return held
 
 
-def _margins(V, U, pad, sizes, order, sorted_bounds, best, best_k) -> np.ndarray:
+def _margins(V, U, rows_of, order, sorted_bounds, best, best_k) -> np.ndarray:
     """Visit each row's candidate cones in order, a round at a time.
 
     Round t projects, as stacks of problems, the t-th candidate
     order[r, t] of every row r whose t-th sorted bound is below its best
     distance so far; a cone replaces the best only when strictly nearer.
-    U[pad[c]] are the unit normals of cone c (_unit_stack).  best and
+    U[rows_of[c]] are the unit normals of cone c.  best and
     best_k are updated in place.  Returns the rows visited in the last
     round, which may have further candidates past the columns of order.
     """
     # a stack's normals take half of BLOCK_BYTES, the rest of a call's arrays
     # live beside them, and so no stack outgrows the screen's slack matrix
-    problems = max(1, BLOCK_BYTES // (2 * U.itemsize * U.shape[1] * pad.shape[1]))
+    problems = max(1, BLOCK_BYTES // (2 * U.itemsize * U.shape[1] * rows_of.shape[1]))
     live = np.arange(len(V))
     for t in range(order.shape[1]):
         live = live[sorted_bounds[live, t] < best[live]]
@@ -243,7 +219,7 @@ def _margins(V, U, pad, sizes, order, sorted_bounds, best, best_k) -> np.ndarray
         for lo in range(0, len(live), problems):
             rows = live[lo:lo + problems]
             k = order[rows, t]
-            W = _nnls(U, pad[k], V[rows], sizes[k])
+            W = _nnls(U, rows_of[k], V[rows])
             dist = np.sqrt((W * W).sum(axis=1))
             nearer = dist < best[rows]
             best[rows[nearer]] = dist[nearer]
@@ -251,31 +227,17 @@ def _margins(V, U, pad, sizes, order, sorted_bounds, best, best_k) -> np.ndarray
     return live
 
 
-def _unit_stack(H, norms, cols, sizes):
-    """(U, pad): U[pad[c]] are the unit rows of cone c, padded with a zero row.
-
-    U holds the distinct normals H scaled to unit length (bit for bit the
-    rows of each cone's unit_rows) and then one zero row, which pads
-    each cone's rows of pad to the largest cone's count.
-    """
-    U = np.vstack([H / norms[:, None], np.zeros(H.shape[1])])
-    slots = np.arange(sizes.max()) < sizes[:, None]
-    pad = np.full(slots.shape, len(H))
-    pad[slots] = cols
-    return U, pad
-
-
 # Candidates kept per row from its screen.  Rows visit one to three cones and
 # rarely more than five; a row that could visit more is screened again.
 _KEPT = 8
 
 
-def distances_to_wrong(V, true_topology, cones) -> list:
+def distances_to_wrong(V, true_topology, census) -> list:
     """distance_to_wrong for every row of V: one ClassificationRecord per row.
 
-    Rows are screened in blocks.  Cones share most of their normals, so
-    the distinct integer normals, stacked once per call, give
-    every raw slack (h, v) of the block.  A row is correct when some
+    Rows are screened in blocks against the census's stack of distinct
+    integer normals (census.ConeCensus), which gives every raw slack
+    (h, v) of the block.  A row is correct when some
     cone of the true topology contains it, decided exactly as by
     cones.membership (_in_some_cone).  Each (row, cone) pair also gets
     the violation bound max(0, -min_h (h, v) / |h|), which never exceeds
@@ -284,23 +246,28 @@ def distances_to_wrong(V, true_topology, cones) -> list:
     bound is below the best distance so far (_margins).  Each row keeps
     its first _KEPT candidates, and the rows of many screen blocks are
     visited together, so that a round projects many rows at once; a row
-    still looking past its kept candidates is screened again.
+    still looking past its kept candidates is screened again.  A cone is
+    of the true topology when its split set is; a TreeTopology is built
+    only for the regions the records name.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2:
         raise ValueError("expected a matrix with one distance vector per row")
     if not np.isfinite(V).all():
         raise ValueError("distance vectors must be finite")
-    mine = np.array([c.topology == true_topology for c in cones])
+    mine = np.array([split == true_topology.splits for split in census.splits])
     if not mine.any():
         raise ValueError("census contains no cone for the given topology")
-    H, norms, cols, sizes = _normal_index(cones)
+    cols, sizes = census.cols, census.sizes
+    if (sizes != sizes[0]).any():
+        raise ValueError("census cones must all have the same number of normals")
+    H = census.normals.astype(float)
+    norms = np.linalg.norm(H, axis=1)
     inv_norms = 1.0 / norms
     starts = _starts(sizes)
     mine_cols = cols[np.repeat(mine, sizes)]
-    mine_H = H[mine_cols]
-    mine_normals = mine_H.astype(np.int64).astype(object)  # exact: small integers as floats
-    rounding = gamma(H.shape[1]) * np.abs(mine_H).sum(axis=1)
+    mine_normals = census.normals[mine_cols].astype(object)
+    rounding = gamma(H.shape[1]) * np.abs(H[mine_cols]).sum(axis=1)
 
     def screen(X):
         """The verdict of every row of X, and its bound on every cone."""
@@ -313,7 +280,7 @@ def distances_to_wrong(V, true_topology, cones) -> list:
         return ok, np.where(mine != ok[:, None], np.maximum(bounds, 0.0), np.inf)
 
     step = max(1, BLOCK_BYTES // (8 * len(cols)))
-    kept = min(_KEPT, len(cones))
+    kept = min(_KEPT, len(sizes))
     batch = max(1, BLOCK_BYTES // (16 * kept))
     correct = np.empty(len(V), dtype=bool)
     best = np.full(len(V), np.inf)
@@ -329,31 +296,32 @@ def distances_to_wrong(V, true_topology, cones) -> list:
             order[lo - first:hi - first] = rank
             sorted_bounds[lo - first:hi - first] = np.take_along_axis(bounds, rank, axis=1)
         if not first:
-            # after the first screen, whose slack matrix is gone by then
-            U, pad = _unit_stack(H, norms, cols, sizes)
-        left = first + _margins(V[first:last], U, pad, sizes, order, sorted_bounds,
+            # after the first screen, whose slack matrix is gone by then:
+            # U[rows_of[c]] are the unit rows of cone c, bit for bit its unit_rows
+            U, rows_of = H / norms[:, None], cols.reshape(len(sizes), -1)
+        left = first + _margins(V[first:last], U, rows_of, order, sorted_bounds,
                                 best[first:last], best_k[first:last])
-        if kept == len(cones):
+        if kept == len(sizes):
             continue
         for lo in range(0, len(left), step):
             rows = left[lo:lo + step]
             bounds = screen(V[rows])[1]
             rank = np.argsort(bounds, axis=1, kind="stable")[:, kept:]
             b, bk = best[rows], best_k[rows]
-            _margins(V[rows], U, pad, sizes, rank, np.take_along_axis(bounds, rank, axis=1),
-                     b, bk)
+            _margins(V[rows], U, rows_of, rank, np.take_along_axis(bounds, rank, axis=1), b, bk)
             best[rows], best_k[rows] = b, bk
-    names = {}
-    for k in set(best_k.tolist()):
-        top = cones[k].topology
-        names[k] = top.newick() if top is not None else ""
+    named = {census.splits[k]: k for k in set(best_k.tolist())}
+    names = {
+        split: TreeTopology.from_trace(census.n, census.merges[k]).newick()
+        for split, k in named.items()
+    }
     return [
-        ClassificationRecord("correct" if ok else "incorrect", d, names[k])
+        ClassificationRecord("correct" if ok else "incorrect", d, names[census.splits[k]])
         for ok, d, k in zip(correct.tolist(), best.tolist(), best_k.tolist())
     ]
 
 
-def distance_to_wrong(d, true_topology, cones) -> ClassificationRecord:
+def distance_to_wrong(d, true_topology, census) -> ClassificationRecord:
     """Classify d against a cone census and measure the safety margin.
 
     Correct inputs get their distance to the nearest cone of any other
@@ -361,4 +329,4 @@ def distance_to_wrong(d, true_topology, cones) -> ClassificationRecord:
     true topology.  This is the one-row case of distances_to_wrong.
     """
     v = np.asarray(d.as_array() if hasattr(d, "as_array") else d, dtype=float)
-    return distances_to_wrong(v[None, :], true_topology, cones)[0]
+    return distances_to_wrong(v[None, :], true_topology, census)[0]

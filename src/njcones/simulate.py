@@ -303,7 +303,7 @@ def run_experiment(config: ExperimentConfig, cns: ConeCensus) -> ExperimentRepor
         estimates.append(_estimates(alignments, config.submodel))
     values = np.concatenate([v for v, _ in estimates])
     capped = np.concatenate([c for _, c in estimates])
-    records = distances_to_wrong(values, config.model.topology, cns.cones)
+    records = distances_to_wrong(values, config.model.topology, cns)
     return ExperimentReport(config, values, capped, records)
 
 
@@ -341,7 +341,7 @@ def gaussian_experiment(
             ]
         )
         groups = _by_verdict(
-            distances_to_wrong(base + sigma * noise, model.topology, cns.cones)
+            distances_to_wrong(base + sigma * noise, model.topology, cns)
         )
         _, good, mean_good = groups["correct"]
         mean_bad = groups["incorrect"][2]

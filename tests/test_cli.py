@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import njcones.cli
@@ -13,6 +14,7 @@ import njcones.polytopes
 from njcones.cli import main
 from njcones.cones import NJCone, first_step_cone, read_cone_text, write_cone_text
 from njcones.simulate import build_model, tree_metric
+from test_projection import equal_pendant_metric
 
 census_module = importlib.import_module("njcones.census")  # njcones.census is the function
 
@@ -419,6 +421,61 @@ def test_distance_vecs(tmp_path, capsys):
     assert lines[0] == "id,verdict,boundary_distance,nearest_region"
     assert len(lines) == 3
     assert lines[1].split(",")[1] == "correct"
+
+
+# sha256 of `nj distance --format vecs` on 30 noisy copies of each six-taxa
+# tree metric (pendant edges 0.42, interior 0.03), sigma 0, 0.02 and 0.05 in
+# turn.  The three-cherry sigma = 0 rows are equidistant from two regions, and
+# rounding decides which one they name: a change that flips them re-pins this.
+PINNED_DISTANCE = {
+    "((((0,1),2),3),4,5);": "313f4cb0aa6957acbcf4be1f7544f0020b7136aa92bb0c64b2a7e2da39463552",
+    "((0,1),(2,3),(4,5));": "391604334f5305c9d237b108382b44ff7623350267b31bee240f76d93ae0e962",
+}
+
+
+@pytest.mark.parametrize("newick", sorted(PINNED_DISTANCE))
+def test_distance_output_is_pinned(tmp_path, capsys, newick):
+    _, base = equal_pendant_metric(newick)
+    sigma = np.resize([0.0, 0.02, 0.05], 30)[:, None]
+    V = base + sigma * np.random.default_rng(23).standard_normal((30, base.size))
+    f = tmp_path / "six.vecs"
+    f.write_text("".join(" ".join(map(repr, v)) + "\n" for v in V.tolist()))
+    code, out, _ = run_cli(
+        capsys, "distance", "--input", str(f), "--true-tree", newick, "--format", "vecs"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DISTANCE[newick]
+
+
+def test_cone_objects_are_built_only_on_request(tmp_path, capsys, monkeypatch):
+    # the margin, sim and per-topology angle paths read the census's stack,
+    # split sets and types; NJCone objects wait until cones is read
+    built = []
+    real = NJCone.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(NJCone, "__post_init__", counted)
+    for n in (5, 6, 7):
+        census_module.census(n)
+    top, base = equal_pendant_metric("((0,1),(2,3),(4,5));")
+    vecs = tmp_path / "six.vecs"
+    vecs.write_text(" ".join(map(repr, base.tolist())) + "\n")
+    for argv in (
+        ["distance", "--input", vecs, "--true-tree", top.newick(), "--format", "vecs"],
+        ["sim", "--tree", "T1", "--sites", "50", "--reps", "4", "--seed", "0",
+         "--out", tmp_path / "sim"],
+        ["sim-gauss", "--tree", "T1", "--sigma-grid", "0:0.1:0.1", "--reps", "2",
+         "--seed", "0", "--out", tmp_path / "gauss"],
+        ["angles", "--taxa", "6", "--samples", "1000", "--seed", "0", "--per-topology"],
+    ):
+        assert run_cli(capsys, *map(str, argv))[0] == 0
+    assert built == []
+    cns = census_module.census(6)
+    assert len(cns.cones) == len(built) == len(cns.sizes) == 450
+    assert cns.cones is cns.cones and len(built) == 450
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])

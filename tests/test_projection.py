@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import orth
 
 from njcones import projection
-from njcones.census import census
+from njcones.census import ConeCensus, census
 from njcones.cones import (
     NJCone,
     cone_from_trace,
@@ -250,7 +250,7 @@ def test_rays_and_faces_of_the_criterion_9_cones_are_pinned(census5, type_reps):
 def test_distance_to_wrong_classifies_tree_metrics(census5, rng):
     for _ in range(5):
         top, d = random_metric_tree(5, rng)
-        rec = distance_to_wrong(d.as_array(), top, census5.cones)
+        rec = distance_to_wrong(d.as_array(), top, census5)
         assert rec.verdict == "correct"
         assert rec.boundary_distance > 0
         assert rec.nearest_region.endswith(";")
@@ -262,7 +262,7 @@ def test_distance_to_wrong_flags_wrong_topology(census5, rng):
     wrong = next(
         t for t in (c.topology for c in census5.cones) if t is not None and t != top
     )
-    rec = distance_to_wrong(d.as_array(), wrong, census5.cones)
+    rec = distance_to_wrong(d.as_array(), wrong, census5)
     assert rec.verdict == "incorrect"
     assert rec.boundary_distance > 0
     assert rec.nearest_region == wrong.newick()
@@ -271,7 +271,7 @@ def test_distance_to_wrong_flags_wrong_topology(census5, rng):
 def test_distance_to_wrong_unknown_topology(census5):
     alien = TreeTopology(6, [(0, 6), (1, 6), (6, 7), (2, 7), (7, 8), (3, 8), (8, 9), (4, 9), (5, 9)])
     with pytest.raises(ValueError):
-        distance_to_wrong(np.zeros(10), alien, census5.cones)
+        distance_to_wrong(np.zeros(10), alien, census5)
 
 
 def unpruned_margins(v, top, cones):
@@ -299,8 +299,9 @@ def noisy_tree_rows(n, rng, count, sigmas):
     return top, base + scale * noise
 
 
-def assert_margins_match_unpruned(V, top, cones):
-    records = distances_to_wrong(V, top, cones)
+def assert_margins_match_unpruned(V, top, cns):
+    records = distances_to_wrong(V, top, cns)
+    cones = cns.cones
     assert len(records) == len(V)
     for v, rec in zip(V, records):
         verdict, dists = unpruned_margins(v, top, cones)
@@ -315,7 +316,7 @@ def test_batched_margins_equal_unpruned_minimum(census5, census6, rng):
     for cns, trees, count in ((census5, 4, 30), (census6, 2, 12)):
         for _ in range(trees):
             top, V = noisy_tree_rows(cns.n, rng, count, (0.05, 0.2, 0.5))
-            assert_margins_match_unpruned(V, top, cns.cones)
+            assert_margins_match_unpruned(V, top, cns)
 
 
 def test_exact_tree_metrics_name_a_region_at_the_margin(census6):
@@ -329,16 +330,16 @@ def test_exact_tree_metrics_name_a_region_at_the_margin(census6):
     ):
         top = TreeTopology.from_newick(newick)
         d = np.array([path(a, b) for a in range(1, 6) for b in range(a)])
-        assert distance_to_wrong(d, top, census6.cones).verdict == "correct"
-        assert_margins_match_unpruned(np.array([d, d, d]), top, census6.cones)
+        assert distance_to_wrong(d, top, census6).verdict == "correct"
+        assert_margins_match_unpruned(np.array([d, d, d]), top, census6)
 
 
 def test_one_row_is_the_batched_case(census6, rng):
     # 60 six-taxa rows take several blocks; exact tree metrics, whose
     # margins tie between regions, get the same region in a block and alone
     top, V = noisy_tree_rows(6, rng, 60, (0.0, 0.0, 0.1, 0.3))
-    assert distances_to_wrong(V, top, census6.cones) == [
-        distance_to_wrong(v, top, census6.cones) for v in V
+    assert distances_to_wrong(V, top, census6) == [
+        distance_to_wrong(v, top, census6) for v in V
     ]
 
 
@@ -363,24 +364,23 @@ def test_margins_do_not_depend_on_the_batch_split(census5, census6, rng, monkeyp
         top, base = equal_pendant_metric(newick)
         sigma = np.resize([0.0, 0.0, 0.02, 0.1, 0.5], count)[:, None]
         cases.append((cns, top, base + sigma * rng.standard_normal((count, base.size))))
-    default = [distances_to_wrong(V, top, cns.cones) for cns, top, V in cases]
+    default = [distances_to_wrong(V, top, cns) for cns, top, V in cases]
     monkeypatch.setattr(projection, "BLOCK_BYTES", 1)
-    assert [distances_to_wrong(V, top, cns.cones) for cns, top, V in cases] == default
+    assert [distances_to_wrong(V, top, cns) for cns, top, V in cases] == default
 
 
-def test_cones_of_different_sizes_share_a_stack(census5, rng, monkeypatch):
-    # every other cone reduced to its 9 facets: a stack pads the smaller
-    # cones' normals with zero rows, which never enter, and gives the same
-    # margins as the full descriptions, alone or together
-    mixed = [irredundant(c) if k % 2 else c for k, c in enumerate(census5.cones)]
-    assert {len(c.normals) for c in mixed} == {9, 11}
+def test_a_census_of_facets_gives_the_full_margins(census5, rng, monkeypatch):
+    # every cone reduced to its 9 facets: the redundant normals change no
+    # verdict and no distance beyond rounding, alone or in any block split
+    facets = census_of(census5, range(30), irredundant)
+    assert set(facets.sizes.tolist()) == {9}
     top, V = noisy_tree_rows(5, rng, 40, (0.0, 0.1, 0.5))
-    records = distances_to_wrong(V, top, mixed)
-    for rec, full in zip(records, distances_to_wrong(V, top, census5.cones)):
+    records = distances_to_wrong(V, top, facets)
+    for rec, full in zip(records, distances_to_wrong(V, top, census5)):
         assert rec.verdict == full.verdict
         assert abs(rec.boundary_distance - full.boundary_distance) <= 1e-12
     monkeypatch.setattr(projection, "BLOCK_BYTES", 1)
-    assert distances_to_wrong(V, top, mixed) == records
+    assert distances_to_wrong(V, top, facets) == records
 
 
 def test_rows_past_their_kept_candidates_are_screened_again(census5, census6, rng, monkeypatch):
@@ -396,30 +396,64 @@ def test_rows_past_their_kept_candidates_are_screened_again(census5, census6, rn
     monkeypatch.setattr(projection, "_in_some_cone", counting)
     for cns, count in ((census5, 60), (census6, 30)):
         top, V = noisy_tree_rows(cns.n, rng, count, (0.0, 0.1, 0.5))
-        default = distances_to_wrong(V, top, cns.cones)
+        default = distances_to_wrong(V, top, cns)
         screened.clear()
         with monkeypatch.context() as m:
             m.setattr(projection, "_KEPT", 1)
-            assert distances_to_wrong(V, top, cns.cones) == default
+            assert distances_to_wrong(V, top, cns) == default
         assert sum(screened) > count
 
 
 def test_normals_are_stacked_once_per_cone_sequence(census5, census6, rng):
-    index = projection._normal_index(census6.cones)
-    assert len(index.H) == 1200 and index.sizes.sum() == 11250
+    assert len(census6.normals) == 1200 and census6.sizes.sum() == 11250
     # results do not depend on the order of the cones
     top, V = noisy_tree_rows(5, rng, 6, (0.1,))
-    records = distances_to_wrong(V, top, census5.cones)
-    assert distances_to_wrong(V, top, census5.cones[::-1]) == records
+    records = distances_to_wrong(V, top, census5)
+    assert distances_to_wrong(V, top, census_of(census5, range(29, -1, -1))) == records
 
 
-def test_the_kept_normals_do_not_keep_a_census_alive():
-    cones = census(5).cones
-    projection._normal_index(cones)
-    ref = weakref.ref(cones[0])
-    del cones
+def test_the_margins_do_not_keep_a_census_alive(rng):
+    cns = census(5)
+    top, V = noisy_tree_rows(5, rng, 4, (0.1,))
+    distances_to_wrong(V, top, cns)
+    ref = weakref.ref(cns)
+    del cns
     gc.collect()
     assert ref() is None
+
+
+def normal_index(cones):
+    """(H, cols, sizes): the stacked normals of a cone sequence, from its cones.
+
+    H holds the distinct normals as floats in order of first appearance,
+    cone by cone; cols is the row of H of every normal of every cone.
+    """
+    distinct: dict = {}
+    cols = [distinct.setdefault(h, len(distinct)) for c in cones for h in c.normals]
+    return (
+        np.array(list(distinct), dtype=float),
+        np.array(cols),
+        np.array([len(c.normals) for c in cones]),
+    )
+
+
+def census_of(cns, ids, reduce=lambda cone: cone):
+    """A census of cns's cones ids, each passed through reduce, stacked by normal_index."""
+    ids = list(ids)
+    H, cols, sizes = normal_index([reduce(cns.cones[k]) for k in ids])
+    return ConeCensus(
+        cns.n, H.astype(np.int64), cols, sizes, tuple(cns.splits[k] for k in ids),
+        tuple(cns.merges[k] for k in ids), tuple(cns.types[k] for k in ids),
+    )
+
+
+def test_the_walk_stacks_the_normals_of_its_cones(census5, census6):
+    for cns in (census5, census6):
+        H, cols, sizes = normal_index(cns.cones)
+        assert H.tobytes() == cns.normals.astype(float).tobytes()
+        assert cols.tobytes() == cns.cols.tobytes() and cols.dtype == cns.cols.dtype
+        assert sizes.tobytes() == cns.sizes.tobytes() and sizes.dtype == cns.sizes.dtype
+        assert [c.topology.splits for c in cns.cones] == list(cns.splits)
 
 def test_batched_margins_reject_non_finite_rows(census5, rng):
     top, V = noisy_tree_rows(5, rng, 4, (0.1,))
@@ -427,4 +461,4 @@ def test_batched_margins_reject_non_finite_rows(census5, rng):
         W = V.copy()
         W[2, 3] = bad
         with pytest.raises(ValueError, match="finite"):
-            distances_to_wrong(W, top, census5.cones)
+            distances_to_wrong(W, top, census5)

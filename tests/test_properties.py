@@ -132,8 +132,8 @@ def test_atteson_radius_around_tree_metrics(census5, census6, n, seed, lengths):
     top = random_topology(n, np.random.default_rng(seed))
     w = {(min(u, v), max(u, v)): x for (u, v), x in zip(top.edges(), lengths)}
     alpha = min(x for (u, v), x in w.items() if u >= n)  # both ends inner nodes
-    cones = (census5 if n == 5 else census6).cones
-    rec = distance_to_wrong(path_metric(n, top.edges(), w), top, cones)
+    cns = census5 if n == 5 else census6
+    rec = distance_to_wrong(path_metric(n, top.edges(), w), top, cns)
     assert rec.verdict == "correct"
     assert rec.boundary_distance >= alpha / 2 - 1e-9
 
@@ -182,7 +182,7 @@ def test_verdicts_do_not_depend_on_scale(census5, census6):
         assert held == {ids5[tr] for tr, _ in runs}
         tops = {top for _, top in runs}
         for top in {c.topology for c in census5.cones[::3]}:
-            rec = distance_to_wrong(v, top, census5.cones)
+            rec = distance_to_wrong(v, top, census5)
             assert rec.verdict == ("correct" if top in tops else "incorrect")
             assert rec.boundary_distance == 0.0 or top not in tops
 
@@ -193,7 +193,7 @@ def test_verdicts_do_not_depend_on_scale(census5, census6):
             ((trace, _),) = nj_run(DissimilarityVector(6, tuple(x.tolist())))
             assert ids6[trace] == cid
             assert membership(census6.cones[cid], x) == "interior"
-        records = distances_to_wrong(V[:400], true_top, census6.cones)
+        records = distances_to_wrong(V[:400], true_top, census6)
         want = [
             "correct" if census6.cones[i].topology == true_top else "incorrect"
             for i in ids[:400]

@@ -335,7 +335,7 @@ def test_records_rows_match_the_one_alignment_api(tmp_path, census5, submodel):
         vec, capped = estimate_distances(
             simulate_alignment(model, sites, rng, submodel, kappa), submodel
         )
-        rec = distance_to_wrong(vec, model.topology, census5.cones)
+        rec = distance_to_wrong(vec, model.topology, census5)
         want = [str(r), rec.verdict, _g(rec.boundary_distance), ";".join(map(str, capped))]
         assert row == ",".join(want + [repr(v) for v in vec.values])
         saw_capped |= bool(capped)
