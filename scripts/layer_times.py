@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Time per call in the layers of `nj sim`, `nj distance` and `nj polytope`.
 
-Runs `nj sim --tree T1|T2` (JC, 500 sites) and `nj distance --format vecs`
-on noisy six-taxa caterpillar metrics in this process, with a timer
-around each layer's functions, then calls the layers of `nj polytope`
-directly, and prints one JSON object:
+Runs `nj sim --tree T1|T2` (JC, 500 sites) and, DISTANCE_CALLS times,
+`nj distance --format vecs` on noisy six-taxa caterpillar metrics in this
+process, with a timer around each layer's functions (the `nj distance`
+figures are medians over its calls), then calls the layers of
+`nj polytope` directly, and prints one JSON object:
 
 - startup: what every `nj` call pays before it runs, the median wall
   time and peak RSS (`ru_maxrss`) of `import njcones.cli` over 5 fresh
@@ -14,7 +15,10 @@ directly, and prints one JSON object:
 - simulate: `simulate_alignment`, or its block form `_simulate_block`;
 - estimate: `estimate_distances`, or its block form `_estimates`;
 - screen: `distance_to_wrong` / `distances_to_wrong` minus the time
-  spent in the projections;
+  spent in the projections and in the verdict;
+- verdict: the screen's verdict step `projection._in_some_cone`, which
+  decides exactly what the float slacks cannot (counted in the screen in
+  packages without it);
 - nnls: the projections themselves, the stacked NNLS kernel
   `projection._nnls`, or `nearest_point` in packages without it;
 - rng (`nj sim` only): `_replicate_rng`, each replicate's generator;
@@ -80,6 +84,7 @@ LAYERS = {
     "estimate": ((simulate, "estimate_distances"), (simulate, "_estimates")),
     "margin": ((projection, "distance_to_wrong"), (projection, "distances_to_wrong")),
     "nnls": ((projection, "nearest_point"), (projection, "_nnls")),
+    "verdict": ((projection, "_in_some_cone"),),
     "rng": ((simulate, "_replicate_rng"),),
     "census": ((census_module, "census"),),
     "run": ((simulate, "run_experiment"),),
@@ -88,6 +93,7 @@ LAYERS = {
 CATERPILLAR = "((((0,1),2),3),4,5);"
 REPS = 2000  # replicates of each of T1 and T2
 VECS = 600   # noisy six-taxa vectors
+DISTANCE_CALLS = 5  # `nj distance` calls on them, one figure each
 SEED = 1
 POLYTOPE_TAXA = (5, 6)
 POLYTOPE_CALLS = 3  # timed calls per polytope layer
@@ -154,10 +160,10 @@ def caterpillar_metric() -> np.ndarray:
 
 def per_unit(totals: dict, units: int) -> dict:
     out = {k: v / units * 1e6 for k, v in totals.items()}
-    out["screen"] = out.pop("margin") - out["nnls"]
+    out["screen"] = out.pop("margin") - out["nnls"] - out["verdict"]
     run = out.pop("run")
     if run:  # nj sim: run_experiment's time outside its inner layers
-        inner = ("simulate", "rng", "estimate", "screen", "nnls")
+        inner = ("simulate", "rng", "estimate", "screen", "verdict", "nnls")
         out["report"] = run - sum(out[k] for k in inner)
     return {k: round(v, 1) for k, v in out.items() if v}
 
@@ -347,7 +353,6 @@ def main() -> int:
                       "--seed", str(SEED), "--out", str(Path(tmp) / tree)])
         report["sim_us_per_replicate"] = per_unit(totals, 2 * REPS)
 
-        totals.update(dict.fromkeys(LAYERS, 0.0))
         rng = np.random.default_rng(SEED)
         base = caterpillar_metric()
         sigmas = (0.02, 0.05)
@@ -355,11 +360,17 @@ def main() -> int:
                 for k in range(VECS)]
         path = Path(tmp) / "noisy.vecs"
         path.write_text("".join(" ".join(repr(float(x)) for x in v) + "\n" for v in rows))
-        with open(Path(tmp) / "distance.csv", "w") as sink:
-            with contextlib.redirect_stdout(sink):
-                cli.main(["distance", "--input", str(path), "--true-tree", CATERPILLAR,
-                          "--format", "vecs"])
-        report["distance_us_per_vector"] = per_unit(totals, VECS)
+        calls = []
+        for _ in range(DISTANCE_CALLS):
+            totals.update(dict.fromkeys(LAYERS, 0.0))
+            with open(Path(tmp) / "distance.csv", "w") as sink:
+                with contextlib.redirect_stdout(sink):
+                    cli.main(["distance", "--input", str(path), "--true-tree", CATERPILLAR,
+                              "--format", "vecs"])
+            calls.append(per_unit(totals, VECS))
+        report["distance_us_per_vector"] = {
+            k: statistics.median(c.get(k, 0.0) for c in calls) for k in sorted(set().union(*calls))
+        }
     report["polytope_ms"] = polytope_ms()
     report["census"] = census_times()
     report["irredundant"] = irredundant_times()

@@ -6,10 +6,12 @@ for nk = n, ..., 5, then the split class 0, 1 or 2 picked at four nodes
 (pairs {1,0}, {2,0}, {2,1}, each scoring like its complement).  The
 cone id, for any n, is that sequence read as a mixed-radix number with
 digits m(n), ..., m(5), 3, most significant first; for 6 taxa it is
-(10 * p6 + p5) * 3 + s.  The census lists its cones in id order.
-_cascade composes the join maps down the pick tree once, and both the
-census and the Monte Carlo classifier read their node scores from it,
-which ties the sampling to the H-representations.
+(10 * p6 + p5) * 3 + s.  The census lists its cones in id order, and
+keeps their normals as the pick tree does: per depth, those of each
+node's picks, which every cone below the pick shares.  _cascade composes
+the join maps down the pick tree once, and both the census and the Monte
+Carlo classifier read their node scores from it, which ties the sampling
+to the H-representations.
 
 A cone's type is its orbit under relabeling the taxa.  Types are named
 I, II, ... by first cone id (the paper's I, II and III at 6 taxa); the
@@ -54,24 +56,45 @@ class AngleEstimate:
 
 @dataclass(frozen=True, eq=False)
 class ConeCensus:
-    """The census cones as one stack of normals; cone objects on request.
+    """The census cones as levels of the pick tree over one stack of normals.
 
     normals holds the distinct primitive integer normals of all cones,
-    numbered in order of first appearance cone by cone.  Cone c's normals,
-    in its order, are the rows of normals that the next sizes[c] entries
-    of cols name.  Every cone of a census has the same count: 11, 25 and
-    45 at 5, 6 and 7 taxa.  topology_index, with one TreeTopology per
+    numbered in order of first appearance cone by cone.  levels[d] is an
+    intp array of shape (nodes, k, w): for each of the k picks of each
+    node at depth d of the pick tree, nodes in id order, the rows of
+    normals of the w gap normals that force it.  With C cones, cone c
+    passes node-pick c // (C // (nodes * k)) of level d, the first d + 1
+    digits of its mixed-radix id (see the module docstring), and its
+    normals are those of its node-picks, level by level: 11, 25 and 45 at
+    5, 6 and 7 taxa.  Cones that share no pick tree are one level of
+    shape (1, C, s).  cols and sizes, the same normals cone by cone, are
+    derived from the levels.  topology_index, with one TreeTopology per
     split set, and cones, which share those topologies, are built from
     these the first time they are read.
     """
 
     n: int
     normals: np.ndarray           # distinct integer normals, one per row
-    cols: np.ndarray              # row of normals of each normal of each cone, cone by cone
-    sizes: np.ndarray             # normals per cone
+    levels: tuple                 # per depth, rows of normals of each (node, pick)
     splits: tuple                 # per cone, the split set of its topology (TreeTopology.splits)
     merges: tuple                 # per cone, its joins (CherryTrace.merges)
     types: tuple                  # orbit name per cone: "" for n=5, else I, II, ...
+
+    @property
+    def cols(self) -> np.ndarray:
+        """Row of normals of each normal of each cone, cone by cone."""
+        per_cone = [
+            np.repeat(level.reshape(-1, level.shape[2]),
+                      len(self.types) // (level.shape[0] * level.shape[1]), axis=0)
+            for level in self.levels
+        ]
+        return np.concatenate(per_cone, axis=1).ravel()
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Normals per cone."""
+        width = sum(level.shape[2] for level in self.levels)
+        return np.full(len(self.types), width, dtype=np.intp)
 
     def cones_of_type(self, t: str) -> tuple:
         return tuple(i for i, x in enumerate(self.types) if x == t)
@@ -88,13 +111,11 @@ class ConeCensus:
     def cones(self) -> tuple:
         """NJCone per cone id, with its trace, topology and label."""
         rows = [tuple(h) for h in self.normals.tolist()]
-        cols = self.cols.tolist()
+        cols = self.cols.reshape(len(self.types), -1).tolist()
         topologies = {top.splits: top for top in self.topology_index}
         every = frozenset(range(self.n))
         out = []
-        start = 0
-        for merges, split, t, size in zip(self.merges, self.splits, self.types,
-                                          self.sizes.tolist()):
+        for merges, split, t, mine in zip(self.merges, self.splits, self.types, cols):
             trace = CherryTrace(self.n, merges)
             topology = topologies[split]
             if self.n == 5:
@@ -104,9 +125,8 @@ class ConeCensus:
                 label = f"C_{{{b}{a},{mid}}}"
             else:
                 label = f"{t}:{trace.label()}"
-            normals = tuple(rows[i] for i in cols[start:start + size])
+            normals = tuple(rows[i] for i in mine)
             out.append(NJCone(self.n, normals, trace=trace, topology=topology, label=label))
-            start += size
         return tuple(out)
 
 
@@ -145,27 +165,51 @@ def _gap_bounds(n: int) -> dict:
 
 
 def census(n: int) -> ConeCensus:
-    """All completed-trace cones in canonical id order, as one stack, typed.
+    """All completed-trace cones in canonical id order, as levels, typed.
 
-    One depth-first walk of the pick tree in id order, over the score
-    rows of _cascade.  Each prefix hands the ids of its normals so far and
-    its cluster list to every child, so the shared steps of the traces
-    below it are done once.  The walk is the one place the stack is made:
-    each node's gap rows (cones._gap_rows) are looked up by their bytes
-    among the normals seen so far, so a normal gets its row of the stack
-    the first time a cone in id order has it.  A cone keeps its joins and
-    its split set, the merged clusters taken on the side without leaf 0;
-    its trace, topology and label wait for ConeCensus.cones.  At 8 taxa
-    it would hold 264,600 cones.
+    The normals are made a depth of the pick tree at a time: the score
+    rows of that depth's nodes (_cascade), stacked in id order, give all
+    of its gap rows in one cones._gap_rows pass.  No two score rows of a
+    census node coincide, so every pick keeps the same count of them.
+    The distinct rows are numbered by their int64 bytes in order of first
+    appearance, taking node-picks in depth-first preorder (a node-pick,
+    then the node-picks below it); that is their order of first
+    appearance cone by cone.  One depth-first walk of the pick tree in id
+    order keeps each cone's joins, its split set (the merged clusters
+    taken on the side without leaf 0) and its type; its trace, topology
+    and label wait for ConeCensus.cones.  At 8 taxa it would hold 264,600
+    cones.
     """
     if not 5 <= n <= 7:
         raise ValueError("census is implemented for 5 to 7 taxa")
-    every = frozenset(range(n))
     scores = _cascade(n)
     row_bytes = np.dtype((np.void, 8 * num_pairs(n)))
-    ids: dict = {}         # a normal's int64 bytes -> its row of the stack
-    cols = []
-    sizes = []
+    shapes = []  # per depth, (nodes, k, w)
+    gaps = []    # every gap row as its int64 bytes, depth by depth, each in id order
+    for d in range(n - 3):
+        S = np.stack([a for p, a in scores.items() if len(p) == d])
+        G, keep = _gap_rows(S, range(S.shape[1]))
+        shapes.append((*keep.shape[:2], int(keep[0, 0].sum())))
+        gaps += G[keep].view(row_bytes)[:, 0].tolist()
+    # the preorder position of every node-pick, repeated for each of its
+    # rows: its parent's plus one, plus the node-picks at and below each
+    # earlier sibling, of which there are `below` per sibling
+    below = [1]
+    for _, k, _ in shapes[:0:-1]:
+        below.insert(0, 1 + k * below[0])
+    pos = np.full(1, -1)
+    keys = []
+    for (_, k, w), size in zip(shapes, below):
+        pos = (pos[:, None] + 1 + size * np.arange(k)).ravel()
+        keys.append(np.repeat(pos, w))
+    order = np.argsort(np.concatenate(keys), kind="stable").tolist()
+    ids: dict = {}  # a normal's int64 bytes -> its row of the stack
+    at = np.empty(len(gaps), dtype=np.intp)
+    at[order] = [ids.setdefault(gaps[i], len(ids)) for i in order]
+    ends = np.cumsum([np.prod(shape) for shape in shapes])
+    levels = tuple(a.reshape(shape) for a, shape in zip(np.split(at, ends[:-1]), shapes))
+
+    every = frozenset(range(n))
     splits = []
     cone_merges = []
     types = []
@@ -193,35 +237,22 @@ def census(n: int) -> ConeCensus:
             by_form[form] = tuple(_TYPE_NAMES[names.setdefault(k, len(names))] for k in keys)
         return by_form[form]
 
-    def add_cone(clusters, p, merges, normals, t):
-        merges += (_canonical_last_join(clusters, p),)
-        split = frozenset(c if 0 not in c else every - c for c in (a | b for a, b in merges))
-        splits.append(split_sets.setdefault(split, split))
-        cone_merges.append(merges)
-        cols.extend(normals)
-        sizes.append(len(normals))
-        types.append("" if n == 5 else t)
-
-    def walk(prefix, normals, clusters, merges):
-        kinds = last_types(clusters, merges) if len(clusters) == 4 else None
-        G, keep = _gap_rows(scores[prefix], range(len(scores[prefix])))
-        gaps = G.view(row_bytes)[..., 0].tolist()  # each normal as its int64 bytes
-        for p, (keys, ks) in enumerate(zip(gaps, keep.tolist())):
-            mine = normals | dict.fromkeys(
-                ids.setdefault(g, len(ids)) for g, k in zip(keys, ks) if k
-            )
-            if kinds:
-                add_cone(clusters, p, merges, mine, kinds[p])
-            else:
+    def walk(clusters, merges):
+        if len(clusters) > 4:
+            for p in range(num_pairs(len(clusters))):
                 nxt, join = join_clusters(clusters, p)
-                walk(prefix + (p,), mine, nxt, merges + (join,))
+                walk(nxt, merges + (join,))
+            return
+        for p, t in enumerate(last_types(clusters, merges)):
+            last = merges + (_canonical_last_join(clusters, p),)
+            split = frozenset(c if 0 not in c else every - c for c in (a | b for a, b in last))
+            splits.append(split_sets.setdefault(split, split))
+            cone_merges.append(last)
+            types.append("" if n == 5 else t)
 
-    walk((), {}, _leaves(n), ())
+    walk(_leaves(n), ())
     stack = np.frombuffer(b"".join(ids), dtype=np.int64).reshape(len(ids), num_pairs(n))
-    return ConeCensus(
-        n, stack, np.array(cols, dtype=np.intp), np.array(sizes, dtype=np.intp),
-        tuple(splits), tuple(cone_merges), tuple(types),
-    )
+    return ConeCensus(n, stack, levels, tuple(splits), tuple(cone_merges), tuple(types))
 
 
 def load_census(n: int, cache_dir=None) -> ConeCensus:

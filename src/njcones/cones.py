@@ -72,19 +72,21 @@ class NJCone:
 
 
 def _gap_rows(scores: np.ndarray, picks) -> tuple:
-    """(G, keep): G[i, j] is the normal forcing pick picks[i] over score row j.
+    """(G, keep): G[..., i, j, :] is the normal forcing pick picks[i] over score row j.
 
-    The normals are the gaps score_j - score_p, each divided by the gcd
-    of its entries, which keeps its orientation; keep is False on the zero
-    rows (row p itself, and coinciding scores), which force nothing.  One
-    array pass serves all the picks of a node.  This is the one place
-    normals are made: for a single trace by _pick_normals, and for the
-    whole census, with the stack of its distinct normals, by census.census.
+    scores holds one node's score rows, (k, m), or a stack of nodes,
+    (..., k, m).  The normals are the gaps score_j - score_p, each divided
+    by the gcd of its entries, which keeps its orientation; keep is False
+    on the zero rows (row p itself, and coinciding scores), which force
+    nothing.  One array pass serves all the picks of all the nodes given.
+    This is the one place normals are made: for a single trace by
+    _pick_normals, and for the whole census, a depth of the pick tree at
+    a time, by census.census.
     """
-    G = scores[None, :, :] - scores[list(picks), None, :]
-    g = np.gcd.reduce(G, axis=2)
+    G = scores[..., None, :, :] - scores[..., list(picks), None, :]
+    g = np.gcd.reduce(G, axis=-1)
     keep = g != 0
-    G //= np.where(keep, g, 1)[:, :, None]
+    G //= np.where(keep, g, 1)[..., None]
     return G, keep
 
 

@@ -12,11 +12,13 @@ stack.  nearest_point is the one-problem case.
 Margins are computed a block of input vectors at a time
 (distances_to_wrong): the distinct normals of all cones, which the
 census walk stacks (census.ConeCensus), screen the whole block, giving
-each row its verdict
-(exact wherever the float slacks cannot settle it) and a lower bound on
-its distance to each cone.  The cones whose bound can still beat a
-row's best distance are then projected in rounds, the t-th candidate
-of every row in round t.  distance_to_wrong is the one-row case.
+each row its verdict (exact wherever the float slacks cannot settle it)
+and a lower bound on its distance to each cone.  A cone's bound is read
+off the census's levels of the pick tree: the least scaled slack of
+each node-pick's normals, then the least of those along each cone's
+path.  The cones whose bound can still beat a row's best distance are
+then projected in rounds, the t-th candidate of every row in round t.
+distance_to_wrong is the one-row case.
 """
 
 from __future__ import annotations
@@ -166,36 +168,47 @@ def nearest_point(cone, v) -> ProjectionResult:
 
 
 # Budget of a block in the noise experiments: distances_to_wrong screens as
-# many rows as keep the (rows x cone normals) slack matrix this small, keeps
-# the candidate orders of as many rows, and projects stacks of as many problems
-# as keep their normals this small; simulate.run_experiment takes as many
-# replicates as keep one edge's draws plus the vertex sequences this small.  So
-# peak memory does not grow with the rows.
+# many rows as keep what the screen holds per row (the slacks on the distinct
+# normals, the largest level of them gathered, and two bounds per cone) this
+# small, keeps the candidate orders of as many rows, and projects stacks of as
+# many problems as keep their normals this small; simulate.run_experiment takes
+# as many replicates as keep one edge's draws plus the vertex sequences this
+# small.  So peak memory does not grow with the rows.
 BLOCK_BYTES = 1 << 20
 
 
-def _starts(sizes: np.ndarray) -> np.ndarray:
-    return np.concatenate(([0], np.cumsum(sizes[:-1])))
-
-
-def _in_some_cone(X, slack, rounding, normals, sizes) -> np.ndarray:
+def _in_some_cone(X, slack, rounding, normals) -> np.ndarray:
     """Per row of X, whether some cone holds it, decided exactly.
 
-    Cone c owns the next sizes[c] columns of slack, the float slacks (h, x)
-    of the integer normals h in `normals`.  Each counts when it clears its
+    slack[r, c, i] is the float slack (h, x) of row r on the i-th integer
+    normal h = normals[c, i] of cone c.  Each counts when it clears its
     rounding bound, rounding = gamma_m |h|_1 times max|x| (rational.gamma);
     those inside it are evaluated exactly for a row no cone surely holds.
     """
-    starts = _starts(sizes)
-    err = np.abs(X).max(axis=1)[:, None] * rounding
+    err = np.abs(X).max(axis=1)[:, None, None] * rounding
     holds = slack >= err
     unsure = ~holds & (slack >= -err)
-    held = np.logical_and.reduceat(holds, starts, axis=1).any(axis=1)
-    for r in np.flatnonzero(~held & unsure.any(axis=1)).tolist():
-        cols = np.flatnonzero(unsure[r])
-        holds[r, cols] = normals[cols] @ np.array(primitive(X[r].tolist()), dtype=object) >= 0
-        held[r] = np.logical_and.reduceat(holds[r], starts).any()
+    held = holds.all(axis=2).any(axis=1)
+    for r in np.flatnonzero(~held & unsure.any(axis=(1, 2))).tolist():
+        some = unsure[r]
+        holds[r][some] = normals[some] @ np.array(primitive(X[r].tolist()), dtype=object) >= 0
+        held[r] = holds[r].all(axis=1).any()
     return held
+
+
+def _lowest(T, levels) -> np.ndarray:
+    """Per row of T and cone, the least entry of T on the cone's normals.
+
+    T[r, i] is a value of row r on normal i of the stack, levels those of
+    a census (census.ConeCensus).  Each level gives the least entry of
+    every node-pick; a cone's is the least of those of its node-picks,
+    taken level by level over the mixed radix of the cone ids.  Minima
+    are exact, so the result is the per-cone minimum bit for bit.
+    """
+    low = np.full((len(T), 1), np.inf)
+    for level in levels:
+        low = np.minimum(low[:, :, None], T[:, level].min(axis=-1)).reshape(len(T), -1)
+    return low
 
 
 def _margins(V, U, rows_of, order, sorted_bounds, best, best_k) -> np.ndarray:
@@ -241,14 +254,15 @@ def distances_to_wrong(V, true_topology, census) -> list:
     cone of the true topology contains it, decided exactly as by
     cones.membership (_in_some_cone).  Each (row, cone) pair also gets
     the violation bound max(0, -min_h (h, v) / |h|), which never exceeds
-    the distance from v to the cone.  The candidate cones of a row are
-    visited in ascending bound order (census order on ties) while a
-    bound is below the best distance so far (_margins).  Each row keeps
-    its first _KEPT candidates, and the rows of many screen blocks are
-    visited together, so that a round projects many rows at once; a row
-    still looking past its kept candidates is screened again.  A cone is
-    of the true topology when its split set is; a TreeTopology is built
-    only for the regions the records name.
+    the distance from v to the cone; the minimum over the cone's normals
+    is taken level by level of the census (_lowest).  The candidate
+    cones of a row are visited in ascending bound order (census order on
+    ties) while a bound is below the best distance so far (_margins).
+    Each row keeps its first _KEPT candidates, and the rows of many
+    screen blocks are visited together, so that a round projects many
+    rows at once; a row still looking past its kept candidates is
+    screened again.  A cone is of the true topology when its split set
+    is; a TreeTopology is built only for the regions the records name.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2:
@@ -258,29 +272,29 @@ def distances_to_wrong(V, true_topology, census) -> list:
     mine = np.array([split == true_topology.splits for split in census.splits])
     if not mine.any():
         raise ValueError("census contains no cone for the given topology")
-    cols, sizes = census.cols, census.sizes
-    if (sizes != sizes[0]).any():
-        raise ValueError("census cones must all have the same number of normals")
+    levels = census.levels
+    rows_of = census.cols.reshape(len(mine), -1)
     H = census.normals.astype(float)
     norms = np.linalg.norm(H, axis=1)
     inv_norms = 1.0 / norms
-    starts = _starts(sizes)
-    mine_cols = cols[np.repeat(mine, sizes)]
+    mine_cols = rows_of[mine]
     mine_normals = census.normals[mine_cols].astype(object)
-    rounding = gamma(H.shape[1]) * np.abs(H[mine_cols]).sum(axis=1)
+    rounding = gamma(H.shape[1]) * np.abs(H[mine_cols]).sum(axis=2)
 
     def screen(X):
         """The verdict of every row of X, and its bound on every cone."""
         # a matvec per row rather than one matmul: a row's rounding, and with
         # it the order of tied bounds, must not depend on the rest of the block
         S = np.array([H @ x for x in X])
-        ok = _in_some_cone(X, S[:, mine_cols], rounding, mine_normals, sizes[mine])
-        bounds = -np.minimum.reduceat((S * inv_norms)[:, cols], starts, axis=1)
+        ok = _in_some_cone(X, S[:, mine_cols], rounding, mine_normals)
+        S *= inv_norms  # now the slacks on the unit normals
+        bounds = -_lowest(S, levels)
         # correct rows look for other topologies, incorrect ones for their own
         return ok, np.where(mine != ok[:, None], np.maximum(bounds, 0.0), np.inf)
 
-    step = max(1, BLOCK_BYTES // (8 * len(cols)))
-    kept = min(_KEPT, len(sizes))
+    held = len(H) + max(level.size for level in levels) + 2 * len(mine)
+    step = max(1, BLOCK_BYTES // (8 * held))
+    kept = min(_KEPT, len(mine))
     batch = max(1, BLOCK_BYTES // (16 * kept))
     correct = np.empty(len(V), dtype=bool)
     best = np.full(len(V), np.inf)
@@ -298,10 +312,10 @@ def distances_to_wrong(V, true_topology, census) -> list:
         if not first:
             # after the first screen, whose slack matrix is gone by then:
             # U[rows_of[c]] are the unit rows of cone c, bit for bit its unit_rows
-            U, rows_of = H / norms[:, None], cols.reshape(len(sizes), -1)
+            U = H / norms[:, None]
         left = first + _margins(V[first:last], U, rows_of, order, sorted_bounds,
                                 best[first:last], best_k[first:last])
-        if kept == len(sizes):
+        if kept == len(mine):
             continue
         for lo in range(0, len(left), step):
             rows = left[lo:lo + step]

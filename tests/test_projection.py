@@ -11,6 +11,7 @@ from njcones import projection
 from njcones.census import ConeCensus, census
 from njcones.cones import (
     NJCone,
+    _pick_normals,
     cone_from_trace,
     first_step_cone,
     interior_point,
@@ -438,12 +439,18 @@ def normal_index(cones):
 
 
 def census_of(cns, ids, reduce=lambda cone: cone):
-    """A census of cns's cones ids, each passed through reduce, stacked by normal_index."""
+    """A one-level census of cns's cones ids, each passed through reduce.
+
+    Its normals are stacked by normal_index, and its one level, of shape
+    (1, cones, normals per cone), names them cone by cone.
+    """
     ids = list(ids)
     H, cols, sizes = normal_index([reduce(cns.cones[k]) for k in ids])
+    assert (sizes == sizes[0]).all()
     return ConeCensus(
-        cns.n, H.astype(np.int64), cols, sizes, tuple(cns.splits[k] for k in ids),
-        tuple(cns.merges[k] for k in ids), tuple(cns.types[k] for k in ids),
+        cns.n, H.astype(np.int64), (cols.reshape(1, len(ids), -1),),
+        tuple(cns.splits[k] for k in ids), tuple(cns.merges[k] for k in ids),
+        tuple(cns.types[k] for k in ids),
     )
 
 
@@ -454,6 +461,53 @@ def test_the_walk_stacks_the_normals_of_its_cones(census5, census6):
         assert cols.tobytes() == cns.cols.tobytes() and cols.dtype == cns.cols.dtype
         assert sizes.tobytes() == cns.sizes.tobytes() and sizes.dtype == cns.sizes.dtype
         assert [c.topology.splits for c in cns.cones] == list(cns.splits)
+
+
+def test_seven_taxa_levels_are_the_pick_normals():
+    cns = census(7)
+    assert [level.shape for level in cns.levels] == [(1, 21, 20), (21, 15, 14), (315, 10, 9),
+                                                     (3150, 3, 2)]
+    assert all(level.dtype == np.intp for level in cns.levels)
+    cols = cns.cols.reshape(len(cns.types), -1)
+    assert cols.shape == (9450, 45)
+    for c in np.random.default_rng(7).choice(9450, size=50, replace=False).tolist():
+        picks = [c // 450, c // 30 % 15, c // 3 % 10, c % 3]  # the digits of its id
+        assert [tuple(h) for h in cns.normals[cols[c]].tolist()] == list(
+            _pick_normals(7, picks)
+        )
+
+
+def per_cone_bounds(T, cns):
+    """The least entry of each row of T on each cone's normals, one reduceat over them all."""
+    starts = np.concatenate(([0], np.cumsum(cns.sizes[:-1])))
+    return np.minimum.reduceat(T[:, cns.cols], starts, axis=1)
+
+
+def test_level_bounds_are_the_per_cone_bounds(census5, census6, rng, monkeypatch):
+    # the screen's bound on each cone, the least of its path's node minima,
+    # is the per-cone minimum bit for bit, in every block split, and on a
+    # one-level census too
+    seen = []
+    real = projection._lowest
+
+    def recording(T, levels):
+        low = real(T, levels)
+        seen.append((T.copy(), low))
+        return low
+
+    monkeypatch.setattr(projection, "_lowest", recording)
+    for cns in (census5, census6, census_of(census5, range(29, -1, -1))):
+        top, V = noisy_tree_rows(cns.n, rng, 40, (0.0, 0.02, 0.1, 0.5))
+        for budget in (projection.BLOCK_BYTES, 1):
+            seen.clear()
+            with monkeypatch.context() as m:
+                m.setattr(projection, "BLOCK_BYTES", budget)
+                distances_to_wrong(V, top, cns)
+            assert sum(len(T) for T, _ in seen) >= len(V)
+            assert (budget == 1) == all(len(T) == 1 for T, _ in seen)
+            for T, low in seen:
+                assert T.shape[1] == len(cns.normals)
+                assert low.tobytes() == per_cone_bounds(T, cns).tobytes()
 
 def test_batched_margins_reject_non_finite_rows(census5, rng):
     top, V = noisy_tree_rows(5, rng, 4, (0.1,))
