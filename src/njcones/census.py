@@ -67,8 +67,8 @@ class ConeCensus:
     digits of its mixed-radix id (see the module docstring), and its
     normals are those of its node-picks, level by level: 11, 25 and 45 at
     5, 6 and 7 taxa.  Cones that share no pick tree are one level of
-    shape (1, C, s).  cols and sizes, the same normals cone by cone, are
-    derived from the levels.  topology_index, with one TreeTopology per
+    shape (1, C, s).  cols, the same normals cone by cone, is derived
+    from the levels.  topology_index, with one TreeTopology per
     split set, and cones, which share those topologies, are built from
     these the first time they are read.
     """
@@ -89,12 +89,6 @@ class ConeCensus:
             for level in self.levels
         ]
         return np.concatenate(per_cone, axis=1).ravel()
-
-    @property
-    def sizes(self) -> np.ndarray:
-        """Normals per cone."""
-        width = sum(level.shape[2] for level in self.levels)
-        return np.full(len(self.types), width, dtype=np.intp)
 
     def cones_of_type(self, t: str) -> tuple:
         return tuple(i for i, x in enumerate(self.types) if x == t)

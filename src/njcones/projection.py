@@ -16,9 +16,9 @@ each row its verdict (exact wherever the float slacks cannot settle it)
 and a lower bound on its distance to each cone.  A cone's bound is read
 off the census's levels of the pick tree: the least scaled slack of
 each node-pick's normals, then the least of those along each cone's
-path.  The cones whose bound can still beat a row's best distance are
-then projected in rounds, the t-th candidate of every row in round t.
-distance_to_wrong is the one-row case.
+path.  Each row then visits its cones in rounds, in each round the one
+of least bound it has not visited, while that bound can still beat its
+best distance.  distance_to_wrong is the one-row case.
 """
 
 from __future__ import annotations
@@ -60,24 +60,16 @@ def _refit(U, normals, V, passive):
     in the stack.
     """
     counts = passive.sum(axis=1)
-    sizes = np.flatnonzero(np.bincount(counts)).tolist()
-    if len(sizes) == 1:
-        return _solve(U[normals[passive]].reshape(len(V), sizes[0], -1), V, passive)
     z = np.zeros(passive.shape)
     w = np.empty(V.shape)
-    for p in sizes:
-        g = np.flatnonzero(counts == p)
-        A = U[normals[g][passive[g]]].reshape(len(g), p, -1)
-        z[g], w[g] = _solve(A, V[g], passive[g])
+    for p in np.flatnonzero(np.bincount(counts)).tolist():
+        g = counts == p
+        in_g = passive & g[:, None]
+        A = U[normals[in_g]].reshape(np.count_nonzero(g), p, -1)
+        zp = np.linalg.solve(A @ A.transpose(0, 2, 1), -(A @ V[g][:, :, None]))
+        z[in_g] = zp.ravel()
+        w[g] = (zp.transpose(0, 2, 1) @ A)[:, 0]
     return z, w
-
-
-def _solve(A, V, passive):
-    """_refit for a stack A of passive rows, all of one count."""
-    zp = np.linalg.solve(A @ A.transpose(0, 2, 1), -(A @ V[:, :, None]))
-    z = np.zeros(passive.shape)
-    z[passive] = zp.ravel()
-    return z, (zp.transpose(0, 2, 1) @ A)[:, 0]
 
 
 def _nnls(U, normals, V) -> np.ndarray:
@@ -170,10 +162,11 @@ def nearest_point(cone, v) -> ProjectionResult:
 # Budget of a block in the noise experiments: distances_to_wrong screens as
 # many rows as keep what the screen holds per row (the slacks on the distinct
 # normals, the largest level of them gathered, and two bounds per cone) this
-# small, keeps the candidate orders of as many rows, and projects stacks of as
-# many problems as keep their normals this small; simulate.run_experiment takes
-# as many replicates as keep one edge's draws plus the vertex sequences this
-# small.  So peak memory does not grow with the rows.
+# small, keeps the bounds of as many rows (8 bytes per cone per row) this
+# small, and projects stacks of as many problems as keep their normals this
+# small; simulate.run_experiment takes as many replicates as keep one edge's
+# draws plus the vertex sequences this small.  So peak memory does not grow
+# with the rows.
 BLOCK_BYTES = 1 << 20
 
 
@@ -211,38 +204,36 @@ def _lowest(T, levels) -> np.ndarray:
     return low
 
 
-def _margins(V, U, rows_of, order, sorted_bounds, best, best_k) -> np.ndarray:
-    """Visit each row's candidate cones in order, a round at a time.
+def _margins(V, U, rows_of, bounds, best, best_k) -> None:
+    """Visit each row's cones in ascending bound order, a round at a time.
 
-    Round t projects, as stacks of problems, the t-th candidate
-    order[r, t] of every row r whose t-th sorted bound is below its best
-    distance so far; a cone replaces the best only when strictly nearer.
-    U[rows_of[c]] are the unit normals of cone c.  best and
-    best_k are updated in place.  Returns the rows visited in the last
-    round, which may have further candidates past the columns of order.
+    bounds[r, c] is a lower bound on the distance from row r to cone c,
+    whose unit normals are U[rows_of[c]].  In each round every row still
+    looking takes its least bound (the first on ties, so census order),
+    and projects onto that cone, as stacks of problems, if the bound is
+    below its best distance so far; the bound then becomes inf.  A row
+    whose least bound cannot beat its best is done.  A cone replaces the
+    best only when strictly nearer.  bounds, best and best_k are updated
+    in place.
     """
     # a stack's normals take half of BLOCK_BYTES, the rest of a call's arrays
     # live beside them, and so no stack outgrows the screen's slack matrix
     problems = max(1, BLOCK_BYTES // (2 * U.itemsize * U.shape[1] * rows_of.shape[1]))
     live = np.arange(len(V))
-    for t in range(order.shape[1]):
-        live = live[sorted_bounds[live, t] < best[live]]
+    while True:
+        k = bounds[live].argmin(axis=1)
+        near = bounds[live, k] < best[live]
+        live, k = live[near], k[near]
         if not live.size:
-            break
+            return
+        bounds[live, k] = np.inf
         for lo in range(0, len(live), problems):
-            rows = live[lo:lo + problems]
-            k = order[rows, t]
-            W = _nnls(U, rows_of[k], V[rows])
+            rows, cones = live[lo:lo + problems], k[lo:lo + problems]
+            W = _nnls(U, rows_of[cones], V[rows])
             dist = np.sqrt((W * W).sum(axis=1))
             nearer = dist < best[rows]
             best[rows[nearer]] = dist[nearer]
-            best_k[rows[nearer]] = k[nearer]
-    return live
-
-
-# Candidates kept per row from its screen.  Rows visit one to three cones and
-# rarely more than five; a row that could visit more is screened again.
-_KEPT = 8
+            best_k[rows[nearer]] = cones[nearer]
 
 
 def distances_to_wrong(V, true_topology, census) -> list:
@@ -258,11 +249,11 @@ def distances_to_wrong(V, true_topology, census) -> list:
     is taken level by level of the census (_lowest).  The candidate
     cones of a row are visited in ascending bound order (census order on
     ties) while a bound is below the best distance so far (_margins).
-    Each row keeps its first _KEPT candidates, and the rows of many
-    screen blocks are visited together, so that a round projects many
-    rows at once; a row still looking past its kept candidates is
-    screened again.  A cone is of the true topology when its split set
-    is; a TreeTopology is built only for the regions the records name.
+    Each row is screened once, and the bounds of many screen blocks are
+    kept as one batch whose rows are visited together, so that a round
+    projects many rows at once.  A cone is of the true topology when its
+    split set is; a TreeTopology is built only for the regions the
+    records name.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2:
@@ -294,36 +285,21 @@ def distances_to_wrong(V, true_topology, census) -> list:
 
     held = len(H) + max(level.size for level in levels) + 2 * len(mine)
     step = max(1, BLOCK_BYTES // (8 * held))
-    kept = min(_KEPT, len(mine))
-    batch = max(1, BLOCK_BYTES // (16 * kept))
+    batch = max(1, BLOCK_BYTES // (8 * len(mine)))
     correct = np.empty(len(V), dtype=bool)
     best = np.full(len(V), np.inf)
     best_k = np.zeros(len(V), dtype=np.intp)
     for first in range(0, len(V), batch):
         last = min(first + batch, len(V))
-        order = np.empty((last - first, kept), dtype=np.intp)
-        sorted_bounds = np.empty(order.shape)
+        bounds = np.empty((last - first, len(mine)))
         for lo in range(first, last, step):
             hi = min(lo + step, last)
-            correct[lo:hi], bounds = screen(V[lo:hi])
-            rank = np.argsort(bounds, axis=1, kind="stable")[:, :kept]
-            order[lo - first:hi - first] = rank
-            sorted_bounds[lo - first:hi - first] = np.take_along_axis(bounds, rank, axis=1)
+            correct[lo:hi], bounds[lo - first:hi - first] = screen(V[lo:hi])
         if not first:
             # after the first screen, whose slack matrix is gone by then:
             # U[rows_of[c]] are the unit rows of cone c, bit for bit its unit_rows
             U = H / norms[:, None]
-        left = first + _margins(V[first:last], U, rows_of, order, sorted_bounds,
-                                best[first:last], best_k[first:last])
-        if kept == len(mine):
-            continue
-        for lo in range(0, len(left), step):
-            rows = left[lo:lo + step]
-            bounds = screen(V[rows])[1]
-            rank = np.argsort(bounds, axis=1, kind="stable")[:, kept:]
-            b, bk = best[rows], best_k[rows]
-            _margins(V[rows], U, rows_of, rank, np.take_along_axis(bounds, rank, axis=1), b, bk)
-            best[rows], best_k[rows] = b, bk
+        _margins(V[first:last], U, rows_of, bounds, best[first:last], best_k[first:last])
     named = {census.splits[k]: k for k in set(best_k.tolist())}
     names = {
         split: TreeTopology.from_trace(census.n, census.merges[k]).newick()

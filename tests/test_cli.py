@@ -474,7 +474,7 @@ def test_cone_objects_are_built_only_on_request(tmp_path, capsys, monkeypatch):
         assert run_cli(capsys, *map(str, argv))[0] == 0
     assert built == []
     cns = census_module.census(6)
-    assert len(cns.cones) == len(built) == len(cns.sizes) == 450
+    assert len(cns.cones) == len(built) == len(cns.splits) == 450
     assert cns.cones is cns.cones and len(built) == 450
 
 

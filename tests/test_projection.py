@@ -374,7 +374,7 @@ def test_a_census_of_facets_gives_the_full_margins(census5, rng, monkeypatch):
     # every cone reduced to its 9 facets: the redundant normals change no
     # verdict and no distance beyond rounding, alone or in any block split
     facets = census_of(census5, range(30), irredundant)
-    assert set(facets.sizes.tolist()) == {9}
+    assert set(cone_sizes(facets).tolist()) == {9}
     top, V = noisy_tree_rows(5, rng, 40, (0.0, 0.1, 0.5))
     records = distances_to_wrong(V, top, facets)
     for rec, full in zip(records, distances_to_wrong(V, top, census5)):
@@ -384,29 +384,44 @@ def test_a_census_of_facets_gives_the_full_margins(census5, rng, monkeypatch):
     assert distances_to_wrong(V, top, facets) == records
 
 
-def test_rows_past_their_kept_candidates_are_screened_again(census5, census6, rng, monkeypatch):
-    # with one kept candidate per row, every row that visits a second cone
-    # is screened again and visits the rest from its full order
-    screened = []
-    real = projection._in_some_cone
+def test_every_row_is_screened_once(census5, census6, rng, monkeypatch):
+    # six-taxa star metrics (every d_ij = 1) sit near many cones: some rows
+    # visit six or more, one _nnls stack per cone in a one-row call, and
+    # still every row is screened once, in every block split
+    star = TreeTopology.from_newick("((0,1),(2,3),(4,5));")
+    cases = [noisy_tree_rows(5, rng, 60, (0.0, 0.1, 0.5)),
+             (star, 1.0 + 0.001 * rng.standard_normal((12, 15)))]
+    screened, stacks = [], []
+    real_screen, real_nnls = projection._in_some_cone, projection._nnls
 
     def counting(X, *args):
-        screened.append(len(X))
-        return real(X, *args)
+        screened.append(X.copy())
+        return real_screen(X, *args)
+
+    def stacking(U, normals, V):
+        stacks.append(len(V))
+        return real_nnls(U, normals, V)
 
     monkeypatch.setattr(projection, "_in_some_cone", counting)
-    for cns, count in ((census5, 60), (census6, 30)):
-        top, V = noisy_tree_rows(cns.n, rng, count, (0.0, 0.1, 0.5))
-        default = distances_to_wrong(V, top, cns)
-        screened.clear()
-        with monkeypatch.context() as m:
-            m.setattr(projection, "_KEPT", 1)
-            assert distances_to_wrong(V, top, cns) == default
-        assert sum(screened) > count
+    monkeypatch.setattr(projection, "_nnls", stacking)
+    for (top, V), cns in zip(cases, (census5, census6)):
+        for budget in (projection.BLOCK_BYTES, 1):
+            screened.clear()
+            with monkeypatch.context() as m:
+                m.setattr(projection, "BLOCK_BYTES", budget)
+                distances_to_wrong(V, top, cns)
+            assert np.concatenate(screened).tobytes() == V.tobytes()
+    visits = []
+    for v in cases[1][1]:
+        stacks.clear()
+        distance_to_wrong(v, star, census6)
+        visits.append(len(stacks))
+    assert max(visits) >= 6
+    assert_margins_match_unpruned(cases[1][1], star, census6)
 
 
 def test_normals_are_stacked_once_per_cone_sequence(census5, census6, rng):
-    assert len(census6.normals) == 1200 and census6.sizes.sum() == 11250
+    assert len(census6.normals) == 1200 and cone_sizes(census6).sum() == 11250
     # results do not depend on the order of the cones
     top, V = noisy_tree_rows(5, rng, 6, (0.1,))
     records = distances_to_wrong(V, top, census5)
@@ -438,6 +453,12 @@ def normal_index(cones):
     )
 
 
+def cone_sizes(cns):
+    """Normals per cone of a census: the widths of its levels, summed."""
+    width = sum(level.shape[2] for level in cns.levels)
+    return np.full(len(cns.types), width, dtype=np.intp)
+
+
 def census_of(cns, ids, reduce=lambda cone: cone):
     """A one-level census of cns's cones ids, each passed through reduce.
 
@@ -459,7 +480,8 @@ def test_the_walk_stacks_the_normals_of_its_cones(census5, census6):
         H, cols, sizes = normal_index(cns.cones)
         assert H.tobytes() == cns.normals.astype(float).tobytes()
         assert cols.tobytes() == cns.cols.tobytes() and cols.dtype == cns.cols.dtype
-        assert sizes.tobytes() == cns.sizes.tobytes() and sizes.dtype == cns.sizes.dtype
+        assert sizes.tobytes() == cone_sizes(cns).tobytes()
+        assert sizes.dtype == cone_sizes(cns).dtype
         assert [c.topology.splits for c in cns.cones] == list(cns.splits)
 
 
@@ -479,7 +501,7 @@ def test_seven_taxa_levels_are_the_pick_normals():
 
 def per_cone_bounds(T, cns):
     """The least entry of each row of T on each cone's normals, one reduceat over them all."""
-    starts = np.concatenate(([0], np.cumsum(cns.sizes[:-1])))
+    starts = np.concatenate(([0], np.cumsum(cone_sizes(cns)[:-1])))
     return np.minimum.reduceat(T[:, cns.cols], starts, axis=1)
 
 
