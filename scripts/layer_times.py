@@ -12,7 +12,8 @@ figures are medians over its calls), then calls the layers of
   interpreters, whether that import loaded scipy.optimize, and the
   milliseconds per `cli.build_parser` call (median of 200), of which
   `cli.main` makes one per call;
-- simulate: `simulate_alignment`, or its block form `_simulate_block`;
+- simulate: `simulate_alignment`, or its block form `_simulate_block`,
+  less the seeks it makes (counted under rng);
 - estimate: `estimate_distances`, or its block form `_estimates`;
 - screen: `distance_to_wrong` / `distances_to_wrong` minus the time
   spent in the projections and in the verdict;
@@ -21,7 +22,9 @@ figures are medians over its calls), then calls the layers of
   packages without it);
 - nnls: the projections themselves, the stacked NNLS kernel
   `projection._nnls`, or `nearest_point` in packages without it;
-- rng (`nj sim` only): `_replicate_rng`, each replicate's generator;
+- rng (`nj sim` only): making and positioning the generators: each
+  block's `keyed_stream` and its per-segment `_seek`s, or each
+  replicate's `_replicate_rng` in packages that draw per replicate;
 - census: the command's one `census(n)` call (n = 5 for `nj sim`, 6 for
   `nj distance`), spread over its replicates or vectors;
 - report (`nj sim` only): `run_experiment`'s own time, outside the
@@ -85,7 +88,8 @@ LAYERS = {
     "margin": ((projection, "distance_to_wrong"), (projection, "distances_to_wrong")),
     "nnls": ((projection, "nearest_point"), (projection, "_nnls")),
     "verdict": ((projection, "_in_some_cone"),),
-    "rng": ((simulate, "_replicate_rng"),),
+    "rng": ((simulate, "_replicate_rng"), (simulate, "keyed_stream")),
+    "seek": ((simulate, "_seek"),),
     "census": ((census_module, "census"),),
     "run": ((simulate, "run_experiment"),),
     "csv": ((simulate, "records_csv"), (simulate, "summary_csv")),
@@ -161,6 +165,8 @@ def caterpillar_metric() -> np.ndarray:
 def per_unit(totals: dict, units: int) -> dict:
     out = {k: v / units * 1e6 for k, v in totals.items()}
     out["screen"] = out.pop("margin") - out["nnls"] - out["verdict"]
+    out["simulate"] -= out["seek"]  # a block seeks inside _simulate_block
+    out["rng"] += out.pop("seek")
     run = out.pop("run")
     if run:  # nj sim: run_experiment's time outside its inner layers
         inner = ("simulate", "rng", "estimate", "screen", "verdict", "nnls")

@@ -376,17 +376,25 @@ def topology_angle(cns: ConeCensus, survey: AngleSurvey, topology) -> AngleEstim
     return survey._mass(topology.newick(), members)
 
 
+def keyed_stream(seed: int, key: int) -> np.random.Generator:
+    """The counter-based (Philox) generator keyed by (seed, key) through
+    SeedSequence spawn keys: the package's one idiom for streams that a
+    span of work draws from its key alone."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+    )
+
+
 def solid_angles_mc(
     cns: ConeCensus, samples: int, seed: int, threads: int | None = None
 ) -> AngleSurvey:
     """Tally spherically-symmetric draws per cone until `samples` accepted.
 
     The draws are one stream of Gaussian rows: row r is row r - ci * _CHUNK
-    of chunk ci, a counter-based generator keyed by (seed, ci) through
-    SeedSequence spawn keys.  So a span of rows lo..hi of a chunk is drawn
-    from its key alone, as the last hi - lo rows of a fill of hi rows, and
-    no generator outlives its span.  Tied draws are discarded (and
-    counted) rather than assigned.
+    of chunk ci, drawn from keyed_stream(seed, ci).  So a span of rows
+    lo..hi of a chunk is drawn from its key alone, as the last hi - lo
+    rows of a fill of hi rows, and no generator outlives its span.  Tied
+    draws are discarded (and counted) rather than assigned.
 
     Sampling runs in rounds.  Each classifies the next samples - accepted
     rows of the stream, cut at chunk ends into spans, threads of them
@@ -408,10 +416,7 @@ def solid_angles_mc(
 
     def classify_span(span) -> np.ndarray:
         ci, lo, hi = span
-        gen = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
-        )
-        return classify_batch(cns.n, gen.standard_normal((hi, m))[lo:])
+        return classify_batch(cns.n, keyed_stream(seed, ci).standard_normal((hi, m))[lo:])
 
     with ThreadPoolExecutor(max_workers=threads or os.cpu_count() or 1) as pool:
         while accepted < samples:

@@ -8,23 +8,37 @@ XOR 2 and XOR 3), distances come back through the closed-form pairwise
 corrections, and each replicate is classified against the 5-taxon cone
 census with its margin to the nearest differently-labeled cone.
 
-Replicates run a block at a time.  The BFS edge plan and each edge's
-change thresholds are built once per experiment; every replicate makes
-its own Philox draws (root sequence, then one uniform per site and
-edge), and each edge maps the whole block's draws through one XOR
-lookup table.  Distances are estimated a pair at a time for all
-replicates of the block.  The estimates of all blocks are then
-classified by projection.distances_to_wrong, which takes its own blocks
-of rows.  simulate_alignment and estimate_distances are the
-one-alignment cases, and the package's public one-alignment API.
+The draws are addressed by key.  Replicate r of a run is replicate
+j = r % PER_KEY of key k = r // PER_KEY, drawn from keyed_stream(seed, k).
+A key's stream is edge-major: a segment for the root, then one per edge
+in plan order, each holding PER_KEY runs of S uniforms (S is sites
+rounded up to a multiple of 4), replicate j's run in segment s starting
+at word (s * PER_KEY + j) * S.  A replicate uses the first `sites`
+words of each run: floor(4u) is its root base (exactly uniform on 0..3,
+as 4 divides 2^53), and on an edge the change its draw reaches.  So a
+replicate's alignment depends on (seed, r, sites) alone, never on the
+block size or the replicate count.
 
-A block holds as many replicates as keep one edge's draws (8 bytes a
-site) and the sequences of all vertices (1 byte a site each) within
+Replicates run a block at a time, and blocks are cut at key ends.  The
+BFS edge plan and each edge's change thresholds are built once per
+experiment.  A block takes one generator at the start of its key's
+stream; per segment it advances the counter to the block's runs (Philox
+steps 4 words at a time, and S keeps every run on a step) and draws them
+in one call, and each edge turns the whole block's draws into the XOR
+each applies to its parent's base in a few array passes.  Distances are
+estimated a pair at a time for all replicates of the block.  The
+estimates of all blocks are then classified by
+projection.distances_to_wrong, which takes its own blocks of rows.
+simulate_alignment and estimate_distances are the one-alignment cases,
+and the package's public one-alignment API.
+
+A block holds as many replicates as keep one segment's draws (8 bytes a
+word) and the sequences of all vertices (1 byte a site each) within
 projection.BLOCK_BYTES together; the other temporaries are smaller.  A
 block is never less than one replicate, so above BLOCK_BYTES / 16 =
 65,536 sites (5 taxa, 8 vertices) the temporaries grow with the sites:
-one edge's draws and the vertex sequences of one replicate, 16 bytes a
-site, which simulating any single replicate needs.
+one segment's draws and the vertex sequences of one replicate, 16 bytes
+a site, which simulating any single replicate needs.
 """
 
 from __future__ import annotations
@@ -35,13 +49,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .census import ConeCensus
+from . import projection
+from .census import ConeCensus, keyed_stream
 from .distvec import DissimilarityVector, all_pairs, index_to_pair, num_pairs
-from .projection import BLOCK_BYTES, distances_to_wrong
+from .projection import distances_to_wrong
 from .trees import TreeTopology, path_metric
 
 _EDGES = ((0, 5), (1, 5), (5, 6), (2, 6), (6, 7), (3, 7), (4, 7))
 D_MAX = 5.0  # the estimate of a pair whose correction has no defined logarithm
+PER_KEY = 1024  # replicates drawn from one key's stream
 
 
 @dataclass(frozen=True)
@@ -88,11 +104,6 @@ def _change_probs(t: float, submodel: str, kappa: float):
     return 0.25 + 0.25 * e4b - 0.5 * eab, 0.25 - 0.25 * e4b
 
 
-# Thresholds a draw reaches (0..3) -> the XOR it applies to the parent's
-# base: a transition (1), a transversion (2 or 3), or no change (0).
-_XOR = np.array([1, 2, 3, 0], dtype=np.int8)
-
-
 class _EdgePlan(NamedTuple):
     leaves: int
     root: int
@@ -130,25 +141,54 @@ def _edge_plan(model: TreeModel, submodel: str, kappa: float) -> _EdgePlan:
     return _EdgePlan(model.topology.n, root, len(adj), steps)
 
 
-def _simulate_block(plan: _EdgePlan, rngs, sites: int) -> np.ndarray:
-    """(len(rngs), n, sites) int8 leaf sequences, one replicate per generator.
+def _run_length(sites: int) -> int:
+    """S: the words of one replicate's run, sites rounded up to a multiple of 4."""
+    return -(-sites // 4) * 4
 
-    Each generator draws its root sequence, then one uniform per site for
-    every edge in plan order.  The generators are independent streams, so
-    the block draws an edge at a time and holds only that edge's draws,
-    which it maps through _XOR at once.
+
+def _seek(rng: np.random.Generator, at: int, word: int) -> int:
+    """Move rng on from word `at` of its stream to word `word`; return word.
+
+    Both are multiples of 4, as Philox4x64 makes 4 words a counter step.
+    """
+    if word > at:
+        rng.bit_generator.advance((word - at) // 4)
+    return word
+
+
+def _simulate_block(
+    plan: _EdgePlan, rng, sites: int, count: int = 1, first: int = 0, per_key: int = 1
+) -> np.ndarray:
+    """(count, n, sites) int8 leaf sequences of replicates first, ...,
+    first + count - 1 of a key whose stream rng starts.
+
+    The stream holds per_key runs of S words a segment (see the module
+    docstring), so the block goes a segment at a time: it seeks its
+    replicates' runs, draws them in one call and applies them at once,
+    holding only that segment's draws.  With the defaults the runs lie
+    back to back, and rng's next words give one replicate.
     """
     if sites < 1:
         raise ValueError("need at least one site")
-    seqs = np.empty((len(rngs), plan.vertices, sites), dtype=np.int8)
-    for r, rng in enumerate(rngs):
-        seqs[r, plan.root] = rng.integers(0, 4, size=sites, dtype=np.int8)
-    draws = np.empty((len(rngs), sites))
-    for u, w, thresholds in plan.steps:
-        for rng, row in zip(rngs, draws):
-            rng.random(out=row)
-        reached = sum((draws >= t).view(np.int8) for t in thresholds)
-        np.bitwise_xor(seqs[:, u], _XOR[reached], out=seqs[:, w])
+    S = _run_length(sites)
+    seqs = np.empty((count, plan.vertices, sites), dtype=np.int8)
+    draws = np.empty((count, S))
+    at = 0
+    for s in range(1 + len(plan.steps)):
+        at = _seek(rng, at, (s * per_key + first) * S) + count * S
+        rng.random(out=draws)
+        if s == 0:
+            draws *= 4
+            seqs[:, plan.root] = draws[:, :sites]  # truncation is floor here
+            continue
+        u, w, thresholds = plan.steps[s - 1]
+        # the thresholds a draw reaches, 0..3, plus 1 and mod 4 is the XOR it
+        # applies to the parent's base: a transition (1), a transversion (2
+        # or 3), or no change (0)
+        used = draws[:, :sites]
+        change = sum(((used >= t).view(np.int8) for t in thresholds), 1)
+        np.bitwise_and(change, 3, out=change)
+        np.bitwise_xor(seqs[:, u], change, out=seqs[:, w])
     return seqs[:, : plan.leaves]
 
 
@@ -159,8 +199,10 @@ def simulate_alignment(
     submodel: str = "jc",
     kappa: float = 2.0,
 ) -> np.ndarray:
-    """(n, sites) int8 leaf sequences, root drawn uniform, edges in BFS order."""
-    return _simulate_block(_edge_plan(model, submodel, kappa), [rng], sites)[0]
+    """(n, sites) int8 leaf sequences from rng's next words: a run of S
+    (sites rounded up to a multiple of 4) for the root, then one per
+    edge in BFS order, of which the first `sites` are used."""
+    return _simulate_block(_edge_plan(model, submodel, kappa), rng, sites)[0]
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -278,29 +320,28 @@ class ExperimentReport:
         return sum(r.verdict == "correct" for r in self.records) / len(self.records)
 
 
-def _replicate_rng(seed: int, key: tuple) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key))
-    )
-
-
 def run_experiment(config: ExperimentConfig, cns: ConeCensus) -> ExperimentReport:
-    """Simulate, estimate, and classify every replicate (its own RNG stream).
+    """Simulate, estimate, and classify every replicate.
 
-    Three array passes: replicates are simulated and estimated a block
-    at a time, then all estimates are classified together.
+    Replicate r is drawn from the stream keyed by (seed, r // PER_KEY), at
+    the words the module docstring gives it.  Three array passes:
+    replicates are simulated and estimated a block at a time, blocks cut
+    at key ends, then all estimates are classified together.
     """
     if cns.n != config.model.topology.n:
         raise ValueError("census does not match the model's taxon count")
     plan = _edge_plan(config.model, config.submodel, config.kappa)
-    block = max(1, BLOCK_BYTES // ((8 + plan.vertices) * config.sites))
+    sites = config.sites
+    block = max(1, projection.BLOCK_BYTES // ((8 + plan.vertices) * _run_length(sites)))
     estimates = []
-    for lo in range(0, config.replicates, block):
-        reps = range(lo, min(lo + block, config.replicates))
-        alignments = _simulate_block(
-            plan, [_replicate_rng(config.seed, (r,)) for r in reps], config.sites
-        )
-        estimates.append(_estimates(alignments, config.submodel))
+    for key, lo in enumerate(range(0, config.replicates, PER_KEY)):
+        reps = min(PER_KEY, config.replicates - lo)
+        for first in range(0, reps, block):
+            alignments = _simulate_block(
+                plan, keyed_stream(config.seed, key), sites,
+                min(block, reps - first), first, PER_KEY,
+            )
+            estimates.append(_estimates(alignments, config.submodel))
     values = np.concatenate([v for v, _ in estimates])
     capped = np.concatenate([c for _, c in estimates])
     records = distances_to_wrong(values, config.model.topology, cns)
@@ -325,7 +366,9 @@ def gaussian_experiment(
 ) -> list:
     """Correct-classification rate under additive Gaussian noise per entry.
 
-    Each sigma's replicates are classified by one distances_to_wrong call.
+    Sigma number i draws its replicates' noise as the rows of one
+    standard_normal((replicates, pairs)) call on keyed_stream(seed, i),
+    and classifies them by one distances_to_wrong call.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
@@ -334,12 +377,7 @@ def gaussian_experiment(
     for si, sigma in enumerate(sigma_grid):
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        noise = np.array(
-            [
-                _replicate_rng(seed, (si, r)).standard_normal(base.shape)
-                for r in range(replicates)
-            ]
-        )
+        noise = keyed_stream(seed, si).standard_normal((replicates, base.size))
         groups = _by_verdict(
             distances_to_wrong(base + sigma * noise, model.topology, cns)
         )

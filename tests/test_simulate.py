@@ -5,17 +5,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from njcones import projection, simulate
+from njcones.census import keyed_stream
 from njcones.cli import main
 from njcones.distvec import DissimilarityVector, index_to_pair, num_pairs
 from njcones.projection import distance_to_wrong
 from njcones.simulate import (
+    PER_KEY,
     ExperimentConfig,
     TreeModel,
     _EDGES,
     _edge_plan,
     _estimates,
     _g,
-    _replicate_rng,
     _simulate_block,
     build_model,
     curve_csv,
@@ -40,7 +42,7 @@ def three_mask_alignment(model, sites, rng, submodel="jc", kappa=2.0):
         adj.setdefault(v, []).append(u)
     n = model.topology.n
     root = min(u for u in adj if len(adj[u]) > 1)
-    seqs = {root: rng.integers(0, 4, size=sites, dtype=np.int8)}
+    seqs = {root: np.floor(4 * rng.random(sites)).astype(np.int8)}
     queue = [root]
     while queue:
         u = queue.pop(0)
@@ -58,6 +60,28 @@ def three_mask_alignment(model, sites, rng, submodel="jc", kappa=2.0):
             seqs[w] = child
             queue.append(w)
     return np.stack([seqs[i] for i in range(n)])
+
+
+class Replay:
+    """A generator stand-in that hands out the given runs, one a random() call."""
+
+    def __init__(self, runs):
+        self.runs = iter(runs)
+
+    def random(self, size=None, out=None):
+        run = next(self.runs)
+        if out is None:
+            return run[:size].copy()
+        out[...] = run.reshape(out.shape)
+        return out
+
+
+def key_runs(seed, key, sites, segments):
+    """One key's whole stream, drawn by one random call and cut by the layout:
+    [s, j] is the run of replicate j of the key in segment s (root, then
+    the edges), S = sites rounded up to a multiple of 4 words long."""
+    S = (sites + 3) // 4 * 4
+    return keyed_stream(seed, key).random(segments * PER_KEY * S).reshape(segments, PER_KEY, S)
 
 
 def pairwise_estimate(alignment, submodel="jc", d_max=5.0):
@@ -287,8 +311,9 @@ def test_alignment_and_estimates_match_the_references(submodel, kappa):
     for model in oracle_models():
         for seed in range(6):
             sites = 40 if model.name == "saturated" else 300
-            got = simulate_alignment(model, sites, _replicate_rng(seed, (1,)), submodel, kappa)
-            want = three_mask_alignment(model, sites, _replicate_rng(seed, (1,)), submodel, kappa)
+            # sites is a multiple of 4, so both read the same words of the stream
+            got = simulate_alignment(model, sites, keyed_stream(seed, 1), submodel, kappa)
+            want = three_mask_alignment(model, sites, keyed_stream(seed, 1), submodel, kappa)
             assert got.dtype == want.dtype and np.array_equal(got, want)
             vec, capped = estimate_distances(got, submodel)
             ref, ref_capped = pairwise_estimate(got, submodel)
@@ -300,14 +325,16 @@ def test_alignment_and_estimates_match_the_references(submodel, kappa):
 
 
 def test_block_passes_match_one_replicate_at_a_time():
+    # a block of 9 replicates from the middle of key 1: each is its own
+    # addressed runs put through the reference simulator
+    first, count = 5, 9
     for model, submodel in zip(oracle_models(), ("jc", "k2p", "jc", "k2p")):
-        sites = 40 if model.name == "saturated" else 120
-        keys = [(r,) for r in range(9)]
-        block = _simulate_block(
-            _edge_plan(model, submodel, 3.0), [_replicate_rng(4, k) for k in keys], sites
-        )
-        for k, aln in zip(keys, block):
-            want = three_mask_alignment(model, sites, _replicate_rng(4, k), submodel, 3.0)
+        sites = 38 if model.name == "saturated" else 118
+        plan = _edge_plan(model, submodel, 3.0)
+        runs = key_runs(4, 1, sites, 1 + len(plan.steps))
+        block = _simulate_block(plan, keyed_stream(4, 1), sites, count, first, PER_KEY)
+        for j, aln in enumerate(block, first):
+            want = three_mask_alignment(model, sites, Replay(runs[:, j]), submodel, 3.0)
             assert np.array_equal(aln, want)
         values, capped = _estimates(block, submodel)
         for aln, vals, caps in zip(block, values, capped):
@@ -330,16 +357,69 @@ def test_records_rows_match_the_one_alignment_api(tmp_path, census5, submodel):
     rows = (out / "records.csv").read_text().splitlines()[1:]
     assert len(rows) == reps
     saw_capped = False
+    runs = key_runs(seed, 0, sites, 1 + len(_EDGES))
     for r, row in enumerate(rows):
-        rng = _replicate_rng(seed, (r,))
         vec, capped = estimate_distances(
-            simulate_alignment(model, sites, rng, submodel, kappa), submodel
+            simulate_alignment(model, sites, Replay(runs[:, r]), submodel, kappa), submodel
         )
         rec = distance_to_wrong(vec, model.topology, census5)
         want = [str(r), rec.verdict, _g(rec.boundary_distance), ";".join(map(str, capped))]
         assert row == ",".join(want + [repr(v) for v in vec.values])
         saw_capped |= bool(capped)
     assert saw_capped
+
+
+def test_every_replicate_draws_its_addressed_runs():
+    # the runs of a key tile its stream, so no two replicates share a draw,
+    # and every replicate of two keys, simulated a key-long block at a
+    # time, is the reference simulator run on its own runs; 10 sites leave
+    # 2 unused words at the end of every run
+    model, sites, seed = build_model("T2"), 10, 7
+    plan = _edge_plan(model, "k2p", 3.0)
+    segments = 1 + len(plan.steps)
+    S = 12
+    starts = sorted((s * PER_KEY + j) * S for s in range(segments) for j in range(PER_KEY))
+    assert starts == list(range(0, segments * PER_KEY * S, S))
+    for key in (0, 1):
+        runs = key_runs(seed, key, sites, segments)
+        block = _simulate_block(plan, keyed_stream(seed, key), sites, PER_KEY, 0, PER_KEY)
+        for j, aln in enumerate(block):
+            want = three_mask_alignment(model, sites, Replay(runs[:, j]), "k2p", 3.0)
+            assert np.array_equal(aln, want)
+
+
+@pytest.mark.parametrize("submodel", ["jc", "k2p"])
+def test_a_replicate_does_not_depend_on_the_block_size(monkeypatch, census5, submodel):
+    # 12 sites take 16 * 12 bytes a replicate, so the default budget puts a
+    # whole key in a block, 1 a replicate, and 300 replicates' worth splits
+    # key 0 into 300, 300, 300 and 124; replicates PER_KEY - 1 and PER_KEY
+    # sit on either side of the key end
+    config = ExperimentConfig(build_model("T2"), submodel, 12, PER_KEY + 2, seed=11, kappa=3.0)
+    blocks = []
+    real = simulate._simulate_block
+
+    def counted(*args):
+        blocks[-1] += 1
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "_simulate_block", counted)
+    reports = []
+    for budget in (projection.BLOCK_BYTES, 1, 300 * 16 * 12):
+        monkeypatch.setattr(projection, "BLOCK_BYTES", budget)
+        blocks.append(0)
+        reports.append(run_experiment(config, census5))
+    assert blocks == [2, PER_KEY + 2, 5]
+    first = reports[0]
+    for report in reports[1:]:
+        assert np.array_equal(report.estimates, first.estimates)
+        assert np.array_equal(report.capped, first.capped)
+        assert report.records == first.records
+    # nor on the replicate count: a shorter run is a prefix
+    short = run_experiment(
+        ExperimentConfig(build_model("T2"), submodel, 12, 5, seed=11, kappa=3.0), census5
+    )
+    assert np.array_equal(short.estimates, first.estimates[:5])
+    assert short.records == first.records[:5]
 
 
 def test_estimates_match_the_reference_at_every_count():
@@ -378,20 +458,21 @@ def test_a_replicate_larger_than_a_block_holds_one_edge_of_draws(census5):
         assert peak < 32 * sites
 
 
-# sha256 of the files written by earlier versions of `nj sim` / `nj sim-gauss`
+# sha256 of the files `nj sim` / `nj sim-gauss` write: the streams are
+# keyed per PER_KEY replicates (sim) and per sigma (sim-gauss)
 PINNED_SIM = {
-    ("T1", "jc"): ("2dbfc7bab35621245195f73728df13d07d1bc549dbf10b0e9ea8f342cb4718bb",
-                   "0992d38b2f8130a6f0f8438538b770f6468ce97bef7e6c345f99676883e950a5"),
-    ("T1", "k2p"): ("39232aed8f1c320fb0191dd936f9eb6120acc0d4f123166dd842d982d18a12cc",
-                    "250631b01f4194b9dad37092de521ce3c99b22b37037ebd674b5bc8e6c3f43d2"),
-    ("T2", "jc"): ("20827c9c1bd2b8ed36be7ec0eeb0e31559eb3ad2c8e34d5a4552010748ea7e3a",
-                   "efdc37729ab1a80c4cac0a750b189a9802a6f12d9f8ed8fdb1ccbb6b2fd56e95"),
-    ("T2", "k2p"): ("890ea624fd35c3179ad542b8890823cbdab023586bf90aa35099037257c5c302",
-                    "9cb8182fde256c3f3b8a3685e8f17a059c425ee389fbbfb8801b8dbd7f3f5b0d"),
+    ("T1", "jc"): ("a4b236e22899982257f7769c4bde634a3f8dc8a2f6b6aa18d734c4eed0423222",
+                   "aace1e277d8cf1df8a76f6d6326602d98d5dd75fada665721f609121458bf6c3"),
+    ("T1", "k2p"): ("71865dbc60ca49f0cd283532e57c7f8bcd3bda414048eae1d2e48ee63b87507e",
+                    "d393642f0424c99d304e857fb35cfb5b347c4b5ec8bffa521188cdb78b0cebe0"),
+    ("T2", "jc"): ("15c5d098944097d13087352734df2000bcca848291f0030012e75fea45f2b9e2",
+                   "2e806f4b56c7890007ec4bb7b0091c7dff832ae085bba68f85f63b6d8102e9fb"),
+    ("T2", "k2p"): ("b47ed929f6ab5e32adddf5d82ca6dacc6e200c279a754b76f7c77c2c999dea28",
+                    "d5b8b0c864de1c6c702481f60af4c025147507b58c24367c53824e7858a4c720"),
 }
 PINNED_CURVE = {
-    "T1": "de58870aa4dc1bb8e718c7f891da32ce5cb934538d50f6a2282d09d60e0669e6",
-    "T2": "143aafa62c8115b45e4e9f577fcaf640e118c7e5b3ef89d703a43953c6a34976",
+    "T1": "79770d9898daad91ffcf7cd0bc9bbaca0288b77616a66ecec506d1c1b5f0d71d",
+    "T2": "c218a43b06425141789423f7561227c09a0fa87f83bc450b5f4c57edead7826b",
 }
 
 
