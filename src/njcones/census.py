@@ -7,11 +7,13 @@ for nk = n, ..., 5, then the split class 0, 1 or 2 picked at four nodes
 cone id, for any n, is that sequence read as a mixed-radix number with
 digits m(n), ..., m(5), 3, most significant first; for 6 taxa it is
 (10 * p6 + p5) * 3 + s.  The census lists its cones in id order, and
-keeps their normals as the pick tree does: per depth, those of each
-node's picks, which every cone below the pick shares.  _cascade composes
-the join maps down the pick tree once, and both the census and the Monte
-Carlo classifier read their node scores from it, which ties the sampling
-to the H-representations.
+keeps the pick tree in one form, arrays per depth in id order: the
+normals of each node's picks, which every cone below the pick shares.
+_cascade composes the join maps down the pick tree once, a depth at a
+time, and both the census and the Monte Carlo classifier read their
+node scores from it, which ties the sampling to the H-representations.
+Everything else about a cone follows from its digits: its split row,
+its type and, when asked for, its trace (nj.trace_from_picks).
 
 A cone's type is its orbit under relabeling the taxa.  Types are named
 I, II, ... by first cone id (the paper's I, II and III at 6 taxa); the
@@ -30,17 +32,9 @@ from math import sqrt
 import numpy as np
 
 from .cones import NJCone, _gap_rows
-from .distvec import index_to_pair, num_pairs, permute_flat
-from .nj import (
-    CherryTrace,
-    _canonical_last_join,
-    _leaves,
-    join_clusters,
-    join_operator,
-    q_operator,
-)
+from .distvec import all_pairs, num_pairs, permute_flat
+from .nj import CherryTrace, _leaves, join_clusters, join_operator, q_operator, trace_from_picks
 from .rational import gamma, primitive
-from .trees import TreeTopology
 
 _CHUNK = 1 << 17
 _TYPE_NAMES = "I II III IV V VI VII VIII IX X XI".split()  # 11 orbits at 7 taxa
@@ -68,16 +62,17 @@ class ConeCensus:
     normals are those of its node-picks, level by level: 11, 25 and 45 at
     5, 6 and 7 taxa.  Cones that share no pick tree are one level of
     shape (1, C, s).  cols, the same normals cone by cone, is derived
-    from the levels.  topology_index, with one TreeTopology per
-    split set, and cones, which share those topologies, are built from
-    these the first time they are read.
+    from the levels.  picks holds each cone's digits; splits, its n - 3
+    splits as sorted int64 taxon bitmasks of the side without leaf 0.
+    topology_index, one TreeTopology per split row, and cones, which
+    share those topologies, are built the first time they are read.
     """
 
     n: int
     normals: np.ndarray           # distinct integer normals, one per row
     levels: tuple                 # per depth, rows of normals of each (node, pick)
-    splits: tuple                 # per cone, the split set of its topology (TreeTopology.splits)
-    merges: tuple                 # per cone, its joins (CherryTrace.merges)
+    splits: np.ndarray            # per cone, its split bitmasks, sorted
+    picks: np.ndarray             # per cone, its pick digits
     types: tuple                  # orbit name per cone: "" for n=5, else I, II, ...
 
     @property
@@ -97,156 +92,153 @@ class ConeCensus:
     def topology_index(self) -> dict:
         """TreeTopology -> tuple of its cone ids, in the order of their first cones."""
         ids: dict = {}
-        for k, split in enumerate(self.splits):
-            ids.setdefault(split, []).append(k)
-        return {TreeTopology.from_trace(self.n, self.merges[v[0]]): tuple(v) for v in ids.values()}
+        for k, row in enumerate(map(tuple, self.splits.tolist())):
+            ids.setdefault(row, []).append(k)
+        picks = self.picks.tolist()
+        return {trace_from_picks(self.n, picks[v[0]]).topology(): tuple(v) for v in ids.values()}
 
     @cached_property
     def cones(self) -> tuple:
         """NJCone per cone id, with its trace, topology and label."""
         rows = [tuple(h) for h in self.normals.tolist()]
         cols = self.cols.reshape(len(self.types), -1).tolist()
-        topologies = {top.splits: top for top in self.topology_index}
-        every = frozenset(range(self.n))
+        topologies = {c: top for top, ids in self.topology_index.items() for c in ids}
+        shared: dict = {}  # one frozenset per cluster, for all the traces that join it
         out = []
-        for merges, split, t, mine in zip(self.merges, self.splits, self.types, cols):
-            trace = CherryTrace(self.n, merges)
-            topology = topologies[split]
+        for c, (picks, t, mine) in enumerate(zip(self.picks.tolist(), self.types, cols)):
+            merges = trace_from_picks(self.n, picks).merges
+            trace = CherryTrace(self.n, tuple(tuple(map(shared.setdefault, m, m)) for m in merges))
             if self.n == 5:
                 # the first cherry and the middle leaf, which is in no cherry
                 (b,), (a,) = trace.merges[0]
-                (mid,) = every.difference(*topology.cherries())
+                (mid,) = set(range(5)).difference(*topologies[c].cherries())
                 label = f"C_{{{b}{a},{mid}}}"
             else:
                 label = f"{t}:{trace.label()}"
             normals = tuple(rows[i] for i in mine)
-            out.append(NJCone(self.n, normals, trace=trace, topology=topology, label=label))
+            out.append(NJCone(self.n, normals, trace=trace, topology=topologies[c], label=label))
         return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _cascade(n: int) -> dict:
-    """Integer score rows of every decision node, keyed by its pick prefix.
+def _cascade(n: int) -> tuple:
+    """Integer score rows of every decision node, per depth of the pick tree.
 
-    After a prefix of picks the current distances are the input under
-    the composed join maps L, which carry a factor 2**len(prefix); the
-    node's rows are q_operator(nk) @ L, restricted at four nodes to the
-    three split classes.  Nodes are listed depth first in id order.
+    Entry d is read-only, (nodes, k, m): the k score rows of each node
+    at depth d, nodes in id order, so a cone's node is the first d digits
+    of its id.  After d picks the current distances are the input under
+    the composed join maps L, which carry a factor 2**d; a node's rows
+    are q_operator(nk) @ L, at four nodes only the three split classes.
+    Each depth's maps are its parents' under the stacked join_operators.
     """
-    rows = {}
-
-    def walk(prefix, nk, L):
-        q = q_operator(nk) if nk > 4 else q_operator(4)[:3]
-        rows[prefix] = q @ L
-        rows[prefix].setflags(write=False)
+    if n < 4:
+        raise ValueError("need at least 4 taxa")
+    L = np.eye(num_pairs(n), dtype=np.int64)[None]
+    out = []
+    for nk in range(n, 3, -1):
+        scores = (q_operator(nk) if nk > 4 else q_operator(4)[:3]) @ L
+        scores.setflags(write=False)
+        out.append(scores)
         if nk > 4:
-            for p in range(num_pairs(nk)):
-                walk(prefix + (p,), nk - 1, join_operator(p, nk) @ L)
-
-    walk((), n, np.eye(num_pairs(n), dtype=np.int64))
-    return rows
+            J = np.stack([join_operator(p, nk) for p in range(num_pairs(nk))])
+            L = (J @ L[:, None]).reshape(-1, num_pairs(nk - 1), L.shape[2])
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _gap_bounds(n: int) -> dict:
-    """Per node, c = 2 gamma_m max_j |a_j|_1 over its score rows a_j / 2**len(prefix).
+def _gap_bounds(n: int) -> tuple:
+    """Per depth and node, c = 2 gamma_m max_j |a_j|_1 over its score rows a_j / 2**d.
 
     classify_batch scores x there as a_j.x, so a float gap of two scores
     is within c max|x| of the exact one.
     """
     g = 2 * gamma(num_pairs(n))
-    return {p: g * np.abs(a).sum(axis=1).max() / 2 ** len(p) for p, a in _cascade(n).items()}
+    return tuple(g * np.abs(a).sum(axis=2).max(axis=1) / 2**d for d, a in enumerate(_cascade(n)))
+
+
+def _splits_and_orbits(n: int, picks: np.ndarray) -> tuple:
+    """(splits, keys): per cone, from its pick digits, its split row and orbit key.
+
+    One pass over the steps keeps each cone's clusters as taxon bitmasks
+    and the step that made each (0 for a leaf, j + 1 for step j).  The
+    split row is the clusters the joins make and the last split, each as
+    its side without leaf 0, sorted.  The orbit key forgets the leaf
+    labels: each join as the sorted pair of its parts' steps, the last as
+    its unordered 2 + 2 split of them, read as one number.
+    """
+    base = n - 3  # steps run 0..n-4
+    clusters = np.broadcast_to(1 << np.arange(n, dtype=np.int64), (len(picks), n))
+    made = np.zeros((len(picks), n), dtype=np.int64)
+    masks = np.empty((len(picks), n - 3), dtype=np.int64)
+    keys = 0
+
+    def code(cols):  # the steps of two clusters as one unordered pair
+        steps = np.take_along_axis(made, cols, axis=1)
+        return steps.min(axis=1) * base + steps.max(axis=1)
+
+    for j, nk in enumerate(range(n, 3, -1)):
+        # per pick: its pair (x, y), and the slot each node after the join
+        # comes from (nj.join_clusters; the merged node's is x, the larger)
+        pairs = all_pairs(nk)
+        order = np.array([[max(c) for c in join_clusters(_leaves(nk), p)[0]]
+                          for p in range(len(pairs))])
+        xy, slots = np.array(pairs)[picks[:, j]], order[picks[:, j]]
+        masks[:, j] = np.bitwise_or.reduce(np.take_along_axis(clusters, xy, axis=1), axis=1)
+        if nk == 4:  # the last pick is a split class: x, y against the other two
+            a, b = code(xy), code(slots[:, :2])
+            keys = (keys * base**2 + np.minimum(a, b)) * base**2 + np.maximum(a, b)
+            break
+        keys = keys * base**2 + code(xy)
+        clusters, made = (np.take_along_axis(a, slots, axis=1) for a in (clusters, made))
+        clusters[:, -1], made[:, -1] = masks[:, j], j + 1
+    # kind="stable": numpy's default int64 sort would page in ~256 KB more code
+    return np.sort(np.where(masks & 1, (1 << n) - 1 - masks, masks), axis=1, kind="stable"), keys
 
 
 def census(n: int) -> ConeCensus:
     """All completed-trace cones in canonical id order, as levels, typed.
 
     The normals are made a depth of the pick tree at a time: the score
-    rows of that depth's nodes (_cascade), stacked in id order, give all
-    of its gap rows in one cones._gap_rows pass.  No two score rows of a
-    census node coincide, so every pick keeps the same count of them.
-    The distinct rows are numbered by their int64 bytes in order of first
-    appearance, taking node-picks in depth-first preorder (a node-pick,
-    then the node-picks below it); that is their order of first
-    appearance cone by cone.  One depth-first walk of the pick tree in id
-    order keeps each cone's joins, its split set (the merged clusters
-    taken on the side without leaf 0) and its type; its trace, topology
-    and label wait for ConeCensus.cones.  At 8 taxa it would hold 264,600
-    cones.
+    rows of that depth's nodes (_cascade) give all of its gap rows in one
+    cones._gap_rows pass.  No two score rows of a census node coincide,
+    so every pick keeps the same count of them.  The distinct rows are
+    numbered by their int64 bytes in order of first appearance cone by
+    cone.  A cone's pick digits are its id in the mixed radix; they give
+    its split row and orbit key (_splits_and_orbits), and the types
+    number the distinct keys by their first cone.  Traces, topologies
+    and labels wait for ConeCensus.cones.  At 8 taxa it would hold
+    264,600 cones.
     """
     if not 5 <= n <= 7:
         raise ValueError("census is implemented for 5 to 7 taxa")
-    scores = _cascade(n)
     row_bytes = np.dtype((np.void, 8 * num_pairs(n)))
     shapes = []  # per depth, (nodes, k, w)
     gaps = []    # every gap row as its int64 bytes, depth by depth, each in id order
-    for d in range(n - 3):
-        S = np.stack([a for p, a in scores.items() if len(p) == d])
+    for S in _cascade(n):
         G, keep = _gap_rows(S, range(S.shape[1]))
         shapes.append((*keep.shape[:2], int(keep[0, 0].sum())))
         gaps += G[keep].view(row_bytes)[:, 0].tolist()
-    # the preorder position of every node-pick, repeated for each of its
-    # rows: its parent's plus one, plus the node-picks at and below each
-    # earlier sibling, of which there are `below` per sibling
-    below = [1]
-    for _, k, _ in shapes[:0:-1]:
-        below.insert(0, 1 + k * below[0])
-    pos = np.full(1, -1)
-    keys = []
-    for (_, k, w), size in zip(shapes, below):
-        pos = (pos[:, None] + 1 + size * np.arange(k)).ravel()
-        keys.append(np.repeat(pos, w))
-    order = np.argsort(np.concatenate(keys), kind="stable").tolist()
+    radices = [k for _, k, _ in shapes]
+    cones = int(np.prod(radices))
+    # a node-pick's rows first appear in its first cone, after the rows of
+    # the node-picks above it: in order of (first cone, depth)
+    order = np.argsort(np.concatenate([
+        np.repeat(np.arange(nodes * k) * (cones // (nodes * k)) * (n - 3) + d, w)
+        for d, (nodes, k, w) in enumerate(shapes)
+    ]), kind="stable").tolist()
     ids: dict = {}  # a normal's int64 bytes -> its row of the stack
     at = np.empty(len(gaps), dtype=np.intp)
     at[order] = [ids.setdefault(gaps[i], len(ids)) for i in order]
     ends = np.cumsum([np.prod(shape) for shape in shapes])
     levels = tuple(a.reshape(shape) for a, shape in zip(np.split(at, ends[:-1]), shapes))
 
-    every = frozenset(range(n))
-    splits = []
-    cone_merges = []
-    types = []
-    names: dict = {}       # orbit key -> type number
-    by_form: dict = {}     # a four-node's merges and clusters in parts -> types
-    split_sets: dict = {}  # one shared frozenset per split set
-
-    def last_types(clusters, merges) -> tuple:
-        """Type names of the three cones below a four-node, by split class.
-
-        The orbit key of a trace forgets its leaf labels: each join as the
-        sorted pair of its parts (-1 for a leaf, j for the cluster made at
-        step j), the last join as its unordered 2+2 split of parts.
-        """
-        made = {a | b: j for j, (a, b) in enumerate(merges)}
-        part = tuple(made.get(c, -1) for c in clusters)
-        form = tuple(tuple(sorted(made.get(c, -1) for c in m)) for m in merges), part
-        if form not in by_form:
-            keys = []
-            for p in range(3):
-                x, y = index_to_pair(p, 4)
-                rest = sorted(v for i, v in enumerate(part) if i != x and i != y)
-                split = frozenset((tuple(sorted((part[x], part[y]))), tuple(rest)))
-                keys.append((form[0], split))
-            by_form[form] = tuple(_TYPE_NAMES[names.setdefault(k, len(names))] for k in keys)
-        return by_form[form]
-
-    def walk(clusters, merges):
-        if len(clusters) > 4:
-            for p in range(num_pairs(len(clusters))):
-                nxt, join = join_clusters(clusters, p)
-                walk(nxt, merges + (join,))
-            return
-        for p, t in enumerate(last_types(clusters, merges)):
-            last = merges + (_canonical_last_join(clusters, p),)
-            split = frozenset(c if 0 not in c else every - c for c in (a | b for a, b in last))
-            splits.append(split_sets.setdefault(split, split))
-            cone_merges.append(last)
-            types.append("" if n == 5 else t)
-
-    walk(_leaves(n), ())
+    picks = np.stack(np.unravel_index(np.arange(cones), radices), axis=1)
+    splits, orbits = _splits_and_orbits(n, picks)
+    names: dict = {}  # orbit key -> type number, in order of first cone
+    types = tuple(_TYPE_NAMES[names.setdefault(k, len(names))] for k in orbits.tolist())
+    types = types if n > 5 else ("",) * cones
     stack = np.frombuffer(b"".join(ids), dtype=np.int64).reshape(len(ids), num_pairs(n))
-    return ConeCensus(n, stack, levels, tuple(splits), tuple(cone_merges), tuple(types))
+    return ConeCensus(n, stack, levels, splits, picks, types)
 
 
 def load_census(n: int, cache_dir=None) -> ConeCensus:
@@ -307,25 +299,26 @@ def classify_batch(n: int, X: np.ndarray) -> np.ndarray:
         raise ValueError("rows to classify must be finite")
 
     # depth first, each node's rows gathered from its parent's only when
-    # popped, so pending siblings hold indices rather than copies of rows
-    todo = [((), X, slice(None), np.arange(X.shape[0]), 0)]
+    # popped, so pending siblings hold indices rather than copies of rows;
+    # code is the node's number at its depth, the first digits of its ids
+    todo = [(0, X, slice(None), np.arange(X.shape[0]), 0)]
     while todo:
-        prefix, parent_rows, take, sel, code = todo.pop()
+        d, parent_rows, take, sel, code = todo.pop()
         rows = parent_rows[take]
-        A = scores[prefix] / 2.0 ** len(prefix)  # exact dyadics: the true scores
-        pick, ok = _argmin_gap(A @ rows.T, _gap_bounds(n)[prefix] * xmax)
+        A = scores[d][code] / 2.0**d  # exact dyadics: the true scores
+        pick, ok = _argmin_gap(A @ rows.T, _gap_bounds(n)[d][code] * xmax)
         if not ok.all():
             for r in np.flatnonzero(~ok).tolist():
-                q = (scores[prefix] @ np.array(primitive(rows[r].tolist()), dtype=object)).tolist()
+                q = (scores[d][code] @ np.array(primitive(rows[r].tolist()), dtype=object)).tolist()
                 pick[r] = q.index(min(q)) if q.count(min(q)) == 1 else -1
             ok = pick >= 0
         code *= len(A)
-        if len(prefix) == n - 4:
+        if d == n - 4:
             ids[sel[ok]] = code + pick[ok]
             continue
         for p in np.flatnonzero(np.bincount(pick[ok], minlength=len(A))).tolist():
             take = np.flatnonzero(pick == p)
-            todo.append((prefix + (p,), rows, take, sel[take], code + p))
+            todo.append((d + 1, rows, take, sel[take], code + p))
     return ids
 
 

@@ -10,15 +10,15 @@ passive-set size, so no problem's result depends on the rest of its
 stack.  nearest_point is the one-problem case.
 
 Margins are computed a block of input vectors at a time
-(distances_to_wrong): the distinct normals of all cones, which the
-census walk stacks (census.ConeCensus), screen the whole block, giving
-each row its verdict (exact wherever the float slacks cannot settle it)
-and a lower bound on its distance to each cone.  A cone's bound is read
-off the census's levels of the pick tree: the least scaled slack of
-each node-pick's normals, then the least of those along each cone's
-path.  Each row then visits its cones in rounds, in each round the one
-of least bound it has not visited, while that bound can still beat its
-best distance.  distance_to_wrong is the one-row case.
+(distances_to_wrong): the distinct normals of all cones, made a depth
+of the pick tree at a time (census.ConeCensus), screen the whole block,
+giving each row its verdict (exact wherever the float slacks cannot
+settle it) and a lower bound on its distance to each cone.  A cone's
+bound is read off the census's levels of the pick tree: the least
+scaled slack of each node-pick's normals, then the least of those along
+each cone's path.  Each row then visits its cones in rounds, in each
+round the one of least bound it has not visited, while that bound can
+still beat its best distance.  distance_to_wrong is the one-row case.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rational import gamma, primitive
-from .trees import TreeTopology
+from .nj import trace_from_picks
 
 
 @dataclass(frozen=True)
@@ -252,15 +252,22 @@ def distances_to_wrong(V, true_topology, census) -> list:
     Each row is screened once, and the bounds of many screen blocks are
     kept as one batch whose rows are visited together, so that a round
     projects many rows at once.  A cone is of the true topology when its
-    split set is; a TreeTopology is built only for the regions the
-    records name.
+    split row (census.ConeCensus.splits) holds that topology's splits; a
+    TreeTopology is built only for the regions the records name.  Rows
+    of the wrong width, or a true topology on other taxa, raise ValueError.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2:
         raise ValueError("expected a matrix with one distance vector per row")
     if not np.isfinite(V).all():
         raise ValueError("distance vectors must be finite")
-    mine = np.array([split == true_topology.splits for split in census.splits])
+    m = census.normals.shape[1]
+    if V.shape[1] != m:
+        raise ValueError(f"rows have {V.shape[1]} entries, a {census.n}-taxon census takes {m}")
+    if true_topology.n != census.n:
+        raise ValueError(f"the true topology has {true_topology.n} taxa, the census {census.n}")
+    row = sorted(sum(1 << i for i in split) for split in true_topology.splits)
+    mine = (census.splits == row).all(axis=1)
     if not mine.any():
         raise ValueError("census contains no cone for the given topology")
     levels = census.levels
@@ -300,13 +307,12 @@ def distances_to_wrong(V, true_topology, census) -> list:
             # U[rows_of[c]] are the unit rows of cone c, bit for bit its unit_rows
             U = H / norms[:, None]
         _margins(V[first:last], U, rows_of, bounds, best[first:last], best_k[first:last])
-    named = {census.splits[k]: k for k in set(best_k.tolist())}
-    names = {
-        split: TreeTopology.from_trace(census.n, census.merges[k]).newick()
-        for split, k in named.items()
-    }
+    regions = {k: tuple(census.splits[k].tolist()) for k in set(best_k.tolist())}
+    named = {split: k for k, split in regions.items()}  # one cone of each region named
+    names = {split: trace_from_picks(census.n, census.picks[k].tolist()).topology().newick()
+             for split, k in named.items()}
     return [
-        ClassificationRecord("correct" if ok else "incorrect", d, names[census.splits[k]])
+        ClassificationRecord("correct" if ok else "incorrect", d, names[regions[k]])
         for ok, d, k in zip(correct.tolist(), best.tolist(), best_k.tolist())
     ]
 

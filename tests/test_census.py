@@ -22,7 +22,7 @@ from njcones.census import (
 )
 from njcones.cones import cone_from_trace, membership
 from njcones.distvec import DissimilarityVector, num_pairs
-from njcones.nj import CherryTrace, nj_run, trace_from_picks
+from njcones.nj import CherryTrace, join_operator, nj_run, q_operator, trace_from_picks
 from test_trees import random_metric_tree
 
 census_module = importlib.import_module("njcones.census")  # njcones.census is the function
@@ -114,6 +114,28 @@ def test_census_walk_matches_per_trace_build(census5, census6):
         # one topology object per split set, shared by its cones
         for top, ids in cns.topology_index.items():
             assert all(cns.cones[i].topology is top for i in ids)
+
+
+def test_seven_taxa_split_rows_are_the_trace_topologies(census7):
+    assert census7.splits.shape == census7.picks.shape == (9450, 4)
+    for c in range(0, 9450, 7):
+        trace = trace_from_picks(7, census7.picks[c].tolist())
+        masks = sorted(sum(1 << i for i in split) for split in trace.topology().splits)
+        assert census7.splits[c].tolist() == masks
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_cascade_composes_the_joins_of_each_pick_prefix(n):
+    radices = pick_radices(n)
+    for d, scores in enumerate(_cascade(n)):
+        nk = n - d
+        q = q_operator(nk) if nk > 4 else q_operator(4)[:3]
+        assert scores.shape == (int(np.prod(radices[:d])), radices[d], num_pairs(n))
+        for node in range(len(scores)):
+            L = np.eye(num_pairs(n), dtype=np.int64)
+            for k, p in enumerate(np.unravel_index(node, radices[:d])):
+                L = join_operator(int(p), n - k) @ L
+            assert (scores[node] == q @ L).all()
 
 
 def test_census_only_five_to_seven():
@@ -401,7 +423,7 @@ def with_forced_ties(band: float):
 
     def classify(n, X):
         ids = classify_batch(n, X)
-        root = np.sort(X @ _cascade(n)[()].T, axis=1)
+        root = np.sort(X @ _cascade(n)[0][0].T, axis=1)
         ids[root[:, 1] - root[:, 0] <= band] = -1
         return ids
 
@@ -524,7 +546,7 @@ def test_classify_batch_matches_the_partition_rule(monkeypatch, n):
     X = np.random.default_rng(n).standard_normal((20_000, num_pairs(n)))
     ids = classify_batch(n, X)
     # the rules agree on the root picks and gap masks at any bound
-    S = _cascade(n)[()] @ X.T
+    S = _cascade(n)[0][0] @ X.T
     for bound in (0.0, 0.05):
         want_pick, want_ok = partition_argmin_gap(S.T, bound)
         pick, ok = census_module._argmin_gap(S.copy(), bound)
@@ -548,7 +570,7 @@ def test_argmin_gap_on_repeated_scores():
 def test_duplicated_minimal_scores_give_minus_one(monkeypatch):
     # integer entries give exact integer root scores, often with a repeated minimum
     X = np.random.default_rng(1).integers(0, 3, size=(5_000, 15)).astype(float)
-    root = X @ _cascade(6)[()].T
+    root = X @ _cascade(6)[0][0].T
     repeated = (root == root.min(axis=1)[:, None]).sum(axis=1) > 1
     assert repeated.sum() > 100
     ids = classify_batch(6, X)
@@ -563,7 +585,7 @@ def test_gaps_inside_the_rounding_bound_are_decided_exactly(census6):
     # by less than the rounding bound, so those steps are scored exactly
     rng = np.random.default_rng(3)
     X = rng.integers(0, 3, size=(400, 15)) + 2.0**-50 * rng.integers(-1, 2, size=(400, 15))
-    root = np.sort(X @ _cascade(6)[()].T, axis=1)
+    root = np.sort(X @ _cascade(6)[0][0].T, axis=1)
     assert ((0 < root[:, 1] - root[:, 0]) & (root[:, 1] - root[:, 0] < 1e-12)).sum() > 50
     want = []
     ids = trace_ids(census6)

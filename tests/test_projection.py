@@ -271,8 +271,23 @@ def test_distance_to_wrong_flags_wrong_topology(census5, rng):
 
 def test_distance_to_wrong_unknown_topology(census5):
     alien = TreeTopology(6, [(0, 6), (1, 6), (6, 7), (2, 7), (7, 8), (3, 8), (8, 9), (4, 9), (5, 9)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the true topology has 6 taxa, the census 5"):
         distance_to_wrong(np.zeros(10), alien, census5)
+
+
+def test_distances_to_wrong_rejects_rows_of_another_width(census5, census6):
+    top = build_model("T1").topology
+    for V, cns in ((np.zeros((3, 15)), census5), (np.zeros((3, 10)), census6)):
+        with pytest.raises(ValueError, match=f"a {cns.n}-taxon census takes {cns.normals.shape[1]}"):
+            distances_to_wrong(V, top, cns)
+
+
+def test_distances_to_wrong_needs_a_cone_of_the_true_topology(census5):
+    # a census of the first cone alone: every other topology is absent
+    part = census_of(census5, range(1))
+    absent = next(top for top in census5.topology_index if top != part.cones[0].topology)
+    with pytest.raises(ValueError, match="census contains no cone for the given topology"):
+        distances_to_wrong(np.zeros((1, 10)), absent, part)
 
 
 def unpruned_margins(v, top, cones):
@@ -453,6 +468,11 @@ def normal_index(cones):
     )
 
 
+def mask_row(topology) -> list:
+    """A topology's splits as the census keeps them: sorted taxon bitmasks."""
+    return sorted(sum(1 << i for i in split) for split in topology.splits)
+
+
 def cone_sizes(cns):
     """Normals per cone of a census: the widths of its levels, summed."""
     width = sum(level.shape[2] for level in cns.levels)
@@ -470,8 +490,7 @@ def census_of(cns, ids, reduce=lambda cone: cone):
     assert (sizes == sizes[0]).all()
     return ConeCensus(
         cns.n, H.astype(np.int64), (cols.reshape(1, len(ids), -1),),
-        tuple(cns.splits[k] for k in ids), tuple(cns.merges[k] for k in ids),
-        tuple(cns.types[k] for k in ids),
+        cns.splits[ids], cns.picks[ids], tuple(cns.types[k] for k in ids),
     )
 
 
@@ -482,7 +501,7 @@ def test_the_walk_stacks_the_normals_of_its_cones(census5, census6):
         assert cols.tobytes() == cns.cols.tobytes() and cols.dtype == cns.cols.dtype
         assert sizes.tobytes() == cone_sizes(cns).tobytes()
         assert sizes.dtype == cone_sizes(cns).dtype
-        assert [c.topology.splits for c in cns.cones] == list(cns.splits)
+        assert [mask_row(c.topology) for c in cns.cones] == cns.splits.tolist()
 
 
 def test_seven_taxa_levels_are_the_pick_normals():

@@ -305,6 +305,11 @@ def test_gaussian_experiment_rejects_negative_sigma(census5):
         )
 
 
+def test_gaussian_experiment_rejects_a_census_of_other_taxa(census6):
+    with pytest.raises(ValueError, match="rows have 10 entries, a 6-taxon census takes 15"):
+        gaussian_experiment(build_model("T1"), [0.1], replicates=2, seed=0, cns=census6)
+
+
 @pytest.mark.parametrize("submodel,kappa", [("jc", 2.0), ("k2p", 2.0), ("k2p", 5.0)])
 def test_alignment_and_estimates_match_the_references(submodel, kappa):
     saw_capped = False
