@@ -47,11 +47,15 @@ figures are medians over its calls), then calls the layers of
   of three) at 1,000 and 2,000,000 samples and 1 and 2 threads, with the
   rows it handed to `classify_batch`;
 - tie_rule: microseconds per `nj_run` row on 500 Gaussian six-taxa rows
-  (median of three passes), and for `distances_to_wrong` on 300 copies of
+  (median of three passes); for `distances_to_wrong` on 300 copies of
   the six-taxa caterpillar metric (sigma 0, the rows the float slacks
   leave undecided) and on 300 noisy copies (sigma 0.02), the microseconds
-  per vector of its verdict step `_in_some_cone` and the rows it took to
-  exact arithmetic.
+  per vector of its verdict step `_in_some_cone`; and microseconds per
+  row of `classify_batch(6)` on 400 near ties (small integers moved by
+  2**-50, median of three calls).  Each comes with the rows handed to
+  `rational.signs` (exact_rows) and the rows taken to Python integers
+  by `rational.primitive` (primitive_rows, the kernel's fallback); in
+  packages without the kernel every exact row is a primitive row.
 
 Only the outermost call of a layer is timed, so a one-row wrapper around
 a block function is not counted twice.  Layer functions absent from the
@@ -75,7 +79,7 @@ from pathlib import Path
 
 import numpy as np
 
-from njcones import cli, cones, polytopes, projection, simulate, trees
+from njcones import cli, cones, polytopes, projection, rational, simulate, trees
 from njcones.census import _CHUNK, census, classify_batch
 from njcones.distvec import DissimilarityVector
 from njcones.nj import nj_run
@@ -308,23 +312,59 @@ def sampler_times() -> dict:
     return out
 
 
+@contextlib.contextmanager
+def exact_rows(module):
+    """Count the rows the module takes to exact arithmetic inside the block.
+
+    exact_rows: the rows handed to rational.signs, each call counted (so a
+    row counts at every classify_batch node that hands it on), or in
+    packages without the kernel, the rows taken to integers by the
+    module's primitive.  primitive_rows: the rows rational.primitive takes
+    to Python integers, the kernel's fallback; without the kernel, every
+    exact row.
+    """
+    counts = {"exact_rows": 0, "primitive_rows": 0}
+    kernel = getattr(module, "signs", None)
+    owner = rational if kernel else module
+    real = owner.primitive
+
+    def primitive(x):
+        counts["primitive_rows"] += 1
+        return real(x)
+
+    def signs(N, X):
+        counts["exact_rows"] += len(X)
+        return kernel(N, X)
+
+    owner.primitive = primitive
+    if kernel:
+        module.signs = signs
+    try:
+        yield counts
+    finally:
+        owner.primitive = real
+        if kernel:
+            module.signs = kernel
+        else:
+            counts["exact_rows"] = counts["primitive_rows"]
+
+
 def tie_rule_times() -> dict:
-    """nj_run per row, and the exact verdict step of distances_to_wrong per vector."""
+    """nj_run per row, the exact verdict step of distances_to_wrong per
+    vector, and classify_batch per near-tie row, with the rows each takes
+    to exact arithmetic."""
     rng = np.random.default_rng(SEED)
     rows = rng.standard_normal((NJ_RUN_ROWS, 15)).tolist()
     runs = [DissimilarityVector(6, tuple(x)) for x in rows]
     per_row = median_time(lambda: [nj_run(d) for d in runs], 3) / NJ_RUN_ROWS
     out = {"nj_run_us_per_row": round(per_row * 1e6, 1)}
-    verdict = getattr(projection, "_in_some_cone", None)
-    if verdict is None:
-        return out
-    real_primitive = projection.primitive
     six = census(6)
+    verdict = getattr(projection, "_in_some_cone", None)
     top = trees.TreeTopology.from_newick(CATERPILLAR)
     base = caterpillar_metric()
-    for sigma in (0.0, 0.02):
+    for sigma in (0.0, 0.02) if verdict else ():
         V = base + sigma * rng.standard_normal((VERDICT_ROWS, base.size))
-        spent, exact = [0.0], [0]
+        spent = [0.0]
 
         def timed(*args):
             start = time.perf_counter()
@@ -333,19 +373,23 @@ def tie_rule_times() -> dict:
             finally:
                 spent[0] += time.perf_counter() - start
 
-        def counted(x):
-            exact[0] += 1  # one integer image per row taken to exact arithmetic
-            return real_primitive(x)
-
-        projection._in_some_cone, projection.primitive = timed, counted
+        projection._in_some_cone = timed
         try:
-            projection.distances_to_wrong(V, top, margin_census(six))
+            with exact_rows(projection) as counts:
+                projection.distances_to_wrong(V, top, margin_census(six))
         finally:
-            projection._in_some_cone, projection.primitive = verdict, real_primitive
+            projection._in_some_cone = verdict
         out[f"sigma{sigma}"] = {
             "verdict_us_per_vector": round(spent[0] / VERDICT_ROWS * 1e6, 1),
-            "exact_rows": exact[0],
+            **counts,
         }
+    # the near ties of test_gaps_inside_the_rounding_bound_are_decided_exactly
+    near = np.random.default_rng(3)
+    X = near.integers(0, 3, size=(400, 15)) + 2.0**-50 * near.integers(-1, 2, size=(400, 15))
+    with exact_rows(census_module) as counts:
+        classify_batch(6, X)
+    per_row = median_time(lambda: classify_batch(6, X), 3) / len(X)
+    out["near_ties"] = {"classify_batch_us_per_row": round(per_row * 1e6, 1), **counts}
     return out
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from .cones import NJCone, _gap_rows
 from .distvec import all_pairs, num_pairs, permute_flat
 from .nj import CherryTrace, _leaves, join_clusters, join_operator, q_operator, trace_from_picks
-from .rational import gamma, primitive
+from .rational import gamma, signs
 
 _CHUNK = 1 << 17
 _TYPE_NAMES = "I II III IV V VI VII VIII IX X XI".split()  # 11 orbits at 7 taxa
@@ -287,9 +287,10 @@ def classify_batch(n: int, X: np.ndarray) -> np.ndarray:
     A @ rows.T, one column per row, so the gap reductions run along the
     batch rather than across a node's few pairs.  A row's float pick
     stands when its gap exceeds the node's rounding bound (_gap_bounds)
-    times max|X|; any other row is scored exactly, on its integer image
-    (rational.primitive).  So every id is the exact one, whatever the
-    other rows of the batch.
+    times max|X|.  The node's other rows take one rational.signs call on
+    its pairwise score differences a_j - a_i: pick i stands where every
+    one is positive, and a row with no such i ties.  So every id is the
+    exact one, whatever the other rows of the batch.
     """
     scores = _cascade(n)  # raises below 4 taxa
     X = np.asarray(X, dtype=float)
@@ -308,9 +309,12 @@ def classify_batch(n: int, X: np.ndarray) -> np.ndarray:
         A = scores[d][code] / 2.0**d  # exact dyadics: the true scores
         pick, ok = _argmin_gap(A @ rows.T, _gap_bounds(n)[d][code] * xmax)
         if not ok.all():
-            for r in np.flatnonzero(~ok).tolist():
-                q = (scores[d][code] @ np.array(primitive(rows[r].tolist()), dtype=object)).tolist()
-                pick[r] = q.index(min(q)) if q.count(min(q)) == 1 else -1
+            # pick i stands where every gap a_j - a_i, j != i, is positive
+            a = scores[d][code]
+            unsure = np.flatnonzero(~ok)
+            gaps = signs((a - a[:, None]).reshape(-1, a.shape[1]), rows[unsure])
+            stands = (gaps.reshape(-1, len(a), len(a)) > 0).sum(axis=2) == len(a) - 1
+            pick[unsure] = np.where(stands.any(axis=1), stands.argmax(axis=1), -1)
             ok = pick >= 0
         code *= len(A)
         if d == n - 4:

@@ -13,12 +13,13 @@ Margins are computed a block of input vectors at a time
 (distances_to_wrong): the distinct normals of all cones, made a depth
 of the pick tree at a time (census.ConeCensus), screen the whole block,
 giving each row its verdict (exact wherever the float slacks cannot
-settle it) and a lower bound on its distance to each cone.  A cone's
-bound is read off the census's levels of the pick tree: the least
-scaled slack of each node-pick's normals, then the least of those along
-each cone's path.  Each row then visits its cones in rounds, in each
-round the one of least bound it has not visited, while that bound can
-still beat its best distance.  distance_to_wrong is the one-row case.
+settle it, by rational.signs) and a lower bound on its distance to each
+cone.  A cone's bound is read off the census's levels of the pick tree:
+the least scaled slack of each node-pick's normals, then the least of
+those along each cone's path.  Each row then visits its cones in
+rounds, in each round the one of least bound it has not visited, while
+that bound can still beat its best distance.  distance_to_wrong is the
+one-row case.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rational import gamma, primitive
+from .rational import gamma, signs
 from .nj import trace_from_picks
 
 
@@ -170,22 +171,24 @@ def nearest_point(cone, v) -> ProjectionResult:
 BLOCK_BYTES = 1 << 20
 
 
-def _in_some_cone(X, slack, rounding, normals) -> np.ndarray:
+def _in_some_cone(X, slack, rounding, normals, cols) -> np.ndarray:
     """Per row of X, whether some cone holds it, decided exactly.
 
     slack[r, c, i] is the float slack (h, x) of row r on the i-th integer
-    normal h = normals[c, i] of cone c.  Each counts when it clears its
-    rounding bound, rounding = gamma_m |h|_1 times max|x| (rational.gamma);
-    those inside it are evaluated exactly for a row no cone surely holds.
+    normal h = normals[cols[c, i]] of cone c.  Each counts when it clears
+    its rounding bound, rounding = gamma_m |h|_1 times max|x|
+    (rational.gamma).  The rows no cone surely holds but some slack
+    leaves unsure go to one rational.signs call, whose exact signs
+    settle every slack inside its bound.
     """
     err = np.abs(X).max(axis=1)[:, None, None] * rounding
     holds = slack >= err
     unsure = ~holds & (slack >= -err)
     held = holds.all(axis=2).any(axis=1)
-    for r in np.flatnonzero(~held & unsure.any(axis=(1, 2))).tolist():
-        some = unsure[r]
-        holds[r][some] = normals[some] @ np.array(primitive(X[r].tolist()), dtype=object) >= 0
-        held[r] = holds[r].all(axis=1).any()
+    rows = np.flatnonzero(~held & unsure.any(axis=(1, 2)))
+    if rows.size:
+        sure = holds[rows] | unsure[rows] & (signs(normals, X[rows])[:, cols] >= 0)
+        held[rows] = sure.all(axis=2).any(axis=1)
     return held
 
 
@@ -241,14 +244,17 @@ def distances_to_wrong(V, true_topology, census) -> list:
 
     Rows are screened in blocks against the census's stack of distinct
     integer normals (census.ConeCensus), which gives every raw slack
-    (h, v) of the block.  A row is correct when some
-    cone of the true topology contains it, decided exactly as by
-    cones.membership (_in_some_cone).  Each (row, cone) pair also gets
-    the violation bound max(0, -min_h (h, v) / |h|), which never exceeds
-    the distance from v to the cone; the minimum over the cone's normals
-    is taken level by level of the census (_lowest).  The candidate
-    cones of a row are visited in ascending bound order (census order on
-    ties) while a bound is below the best distance so far (_margins).
+    (h, v) of the block.  A row is correct when some cone of the true
+    topology contains it, the verdict cones.membership gives
+    (_in_some_cone): the slacks on the topology's distinct normals are
+    read in floats, and those inside their rounding bound are signed
+    exactly, a block's unsure rows in one rational.signs call.  Each
+    (row, cone) pair also gets the violation bound
+    max(0, -min_h (h, v) / |h|), which never exceeds the distance from v
+    to the cone; the minimum over the cone's normals is taken level by
+    level of the census (_lowest).  The candidate cones of a row are
+    visited in ascending bound order (census order on ties) while a
+    bound is below the best distance so far (_margins).
     Each row is screened once, and the bounds of many screen blocks are
     kept as one batch whose rows are visited together, so that a round
     projects many rows at once.  A cone is of the true topology when its
@@ -276,7 +282,12 @@ def distances_to_wrong(V, true_topology, census) -> list:
     norms = np.linalg.norm(H, axis=1)
     inv_norms = 1.0 / norms
     mine_cols = rows_of[mine]
-    mine_normals = census.normals[mine_cols].astype(object)
+    # the true topology's distinct normals, and each of its cones' rows of them
+    used = np.zeros(len(H), dtype=bool)
+    used[mine_cols] = True
+    local = np.zeros(len(H), dtype=np.intp)
+    local[used] = np.arange(np.count_nonzero(used))
+    mine_normals, mine_local = census.normals[used], local[mine_cols]
     rounding = gamma(H.shape[1]) * np.abs(H[mine_cols]).sum(axis=2)
 
     def screen(X):
@@ -284,7 +295,7 @@ def distances_to_wrong(V, true_topology, census) -> list:
         # a matvec per row rather than one matmul: a row's rounding, and with
         # it the order of tied bounds, must not depend on the rest of the block
         S = np.array([H @ x for x in X])
-        ok = _in_some_cone(X, S[:, mine_cols], rounding, mine_normals)
+        ok = _in_some_cone(X, S[:, mine_cols], rounding, mine_normals, mine_local)
         S *= inv_norms  # now the slacks on the unit normals
         bounds = -_lowest(S, levels)
         # correct rows look for other topologies, incorrect ones for their own

@@ -16,7 +16,11 @@ small (tens of rows), so clarity wins over asymptotics.
 
 The package's one tie rule lives here too.  A verdict is the sign of an
 integer form on the input: a float value decides it beyond the rounding
-bound `gamma`, and `primitive` of the input exactly within it.
+bound `gamma`, and an exact evaluation within it.  The float classifiers
+(`projection.distances_to_wrong`, `census.classify_batch`) sign a batch
+of such forms at once with `signs`, which splits each row into integer
+digits; `nj.nj_run` and `cones.membership` take the input to integers
+with `primitive`, and so stay independent of `signs` as its oracles.
 
 scipy is used only by `feasible_point` here and by the NNLS certificates
 in `cones`, that is by `cones.irredundant`, `cones.interior_point` and
@@ -62,6 +66,80 @@ def primitive(vec) -> tuple[int, ...]:
     den = lcm(*(int(d) for _, d in fracs))
     # int(): the numerator of Fraction(numpy int) keeps the numpy type, which can wrap
     return tuple(_coprime([int(p) * (den // int(d)) for p, d in fracs]))
+
+
+_BASE = 2.0**31  # a digit of signs
+_DIGITS = 32     # rows spanning more than 31 * _DIGITS bits take primitive
+_NORM = 1 << 20  # the largest |h|_1 of a row of N in signs
+# Terms in one matmul of signs.  Larger products run on several BLAS threads,
+# and on a 2-core host such a call was measured to stall at times for ~8 ms,
+# against ~0.1 ms on one thread.
+_PRODUCT = 1 << 18
+
+
+def signs(N, X) -> np.ndarray:
+    """The exact sign of (h, x) for every row h of N and x of X, int8 (rows of X, rows of N).
+
+    N is an integer matrix whose rows have |h|_1 <= 2**20; X holds finite
+    floats, each taken at its binary value.  Each row x is 2**E y with E
+    its least exponent (np.frexp) and y an integer vector (np.ldexp), and
+    y is split into base-2**31 digits by floor and subtract, all exact.
+    One float matmul of N with the digits is then exact in any summation
+    order, as every entry is an integer below 2**51; so is carrying the
+    excess of each sum but the top two over its digit into the next.  A
+    float sum of two floats has the sign of their exact sum, so the sign
+    is that of (top sum) 2**31 + (next sum), or positive where that is
+    zero and some lower digit is not: the simplest case of exact
+    expansions (Shewchuk, DCG 18, 1997).  A row spanning more than
+    31 * _DIGITS bits, which the scaling would overflow, is taken to
+    integers by primitive instead.
+    """
+    N = np.asarray(N)
+    X = np.asarray(X, dtype=float)
+    if N.size and np.abs(N).sum(axis=1).max() > _NORM:
+        raise ValueError(f"signs takes normals with |h|_1 <= {_NORM}")
+    if not np.isfinite(X).all():
+        raise ValueError("signs takes finite rows")
+    if not X.size or not N.size:
+        return np.zeros((len(X), len(N)), dtype=np.int8)
+    frac, exp = np.frexp(X)  # x = frac 2**exp, frac 2**53 an integer
+    nonzero = frac != 0
+    low = np.where(nonzero, exp, 1 << 12).min(axis=1) - 53
+    span = np.where(nonzero, exp, -(1 << 12)).max(axis=1) - low  # |y| < 2**span
+    fast = span <= 31 * _DIGITS
+    out = np.zeros((len(X), len(N)), dtype=np.int8)
+    if not fast.all():
+        ints = N.astype(object)
+        for r in np.flatnonzero(~fast).tolist():
+            exact = (ints @ np.array(primitive(X[r].tolist()), dtype=object)).tolist()
+            out[r] = [(s > 0) - (s < 0) for s in exact]
+        if not fast.any():
+            return out
+    digits = max(1, -(-int(span[fast].max()) // 31))
+    y = np.ldexp(X[fast], -low[fast, None])
+    stack = np.empty((digits, *y.shape))  # (digit, row, entry), least digit first
+    for d in range(digits - 1):
+        q = np.floor(y * (1 / _BASE))
+        stack[d] = y - q * _BASE
+        y = q
+    stack[-1] = y
+    # in products of at most _PRODUCT terms, which BLAS runs on one thread
+    stack, H = stack.reshape(-1, X.shape[1]), N.T.astype(float)
+    P = np.empty((len(stack), len(N)))
+    step = max(1, _PRODUCT // H.size)
+    for lo in range(0, len(stack), step):
+        np.matmul(stack[lo:lo + step], H, out=P[lo:lo + step])
+    P = P.reshape(digits, -1, len(N))
+    lower = False  # whether a carried digit is left nonzero
+    for d in range(digits - 2):
+        carry = np.floor(P[d] * (1 / _BASE))
+        lower = lower | (P[d] != carry * _BASE)
+        P[d + 1] += carry
+    top = P[-1] * _BASE + P[-2] if digits > 1 else P[0]
+    if digits > 2:
+        top = 2 * top + lower  # |2 top| >= 2 unless top is 0
+    out[fast] = (top > 0).view(np.int8) - (top < 0).view(np.int8)
+    return out
 
 
 def gamma(k: int) -> float:

@@ -1,10 +1,12 @@
 """Standalone property suites over the core invariants."""
 
+import importlib
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from njcones import projection, rational
 from njcones.census import classify_batch
 from njcones.cones import first_step_cone, membership
 from njcones.distvec import (
@@ -203,3 +205,91 @@ def test_verdicts_do_not_depend_on_scale(census5, census6):
         if margins1 is None:
             margins1 = margins
         assert (np.abs(margins - margins1) <= 1e-12 * margins1).all()
+
+
+CATERPILLAR = TreeTopology.from_newick("((((0,1),2),3),4,5);")
+
+
+def caterpillar_rows(rng, count, tiny=None) -> np.ndarray:
+    """Tree metrics of the six-taxa caterpillar, one pendant and one interior
+    length per row, each uniform on [0.1, 1).
+
+    Equal lengths put the rows on cone boundaries.  With tiny, leaves 0
+    and 1 hang on pendant edges of that length, so a row spans the bits
+    from tiny to 1.
+    """
+    rows = []
+    for pendant, interior in rng.uniform(0.1, 1.0, (count, 2)).tolist():
+        lengths = {}
+        for u, v in CATERPILLAR.edges():
+            leaf = min(u, v)
+            lengths[leaf, max(u, v)] = interior if leaf >= 6 else tiny if tiny and leaf < 2 else pendant
+        rows.append(path_metric(6, CATERPILLAR.edges(), lengths))
+    return np.array(rows)
+
+
+def exact_paths(monkeypatch) -> dict:
+    """Counts of the rows the float classifiers hand to rational.signs, and of
+    the rows it takes to Python integers (rational.primitive)."""
+    counts = {"signs": 0, "primitive": 0}
+    real_signs, real_primitive = rational.signs, rational.primitive
+
+    def signs(N, X):
+        counts["signs"] += len(X)
+        return real_signs(N, X)
+
+    def primitive(x):
+        counts["primitive"] += 1
+        return real_primitive(x)
+
+    monkeypatch.setattr(rational, "primitive", primitive)
+    for module in (importlib.import_module("njcones.census"), projection):
+        monkeypatch.setattr(module, "signs", signs)
+    return counts
+
+
+def test_exact_paths_of_the_float_classifiers_match_the_oracles(census6, monkeypatch):
+    # classify_batch ids are nj_run's and distances_to_wrong verdicts are
+    # membership's where rows go exact: tree metrics with equal lengths, on
+    # cone boundaries, near ties, and rows too wide for the digits of
+    # rational.signs, which alone are taken to Python integers
+    rng = np.random.default_rng(28)
+    ids6 = trace_ids(census6)
+    mine = [census6.cones[i] for i in census6.topology_index[CATERPILLAR]]
+    near_ties = rng.integers(0, 3, (200, 15)) + 2.0**-50 * rng.integers(-1, 2, (200, 15))
+    wide_ties = rng.integers(0, 3, (40, 15)) * 1e150
+    wide_ties[wide_ties == 0] = 1e-150 * rng.integers(-1, 2, np.count_nonzero(wide_ties == 0))
+    tree_metrics, wide_metrics = caterpillar_rows(rng, 30), caterpillar_rows(rng, 30, tiny=1e-300)
+    # (rows, what is compared, whether they span too many bits for the digits)
+    cases = (
+        (tree_metrics, "verdicts", False),
+        (tree_metrics, "ids", False),
+        (near_ties, "ids", False),
+        (wide_metrics, "verdicts", True),
+        (wide_metrics, "ids", True),
+        (wide_ties, "ids", True),
+    )
+    for X, run, wide in cases:
+        if run == "ids":
+            want = []
+            for x in X:
+                runs = nj_run(DissimilarityVector(6, tuple(x.tolist())))
+                want.append(ids6[runs[0][0]] if len(runs) == 1 else -1)
+        else:
+            want = [
+                "correct" if any(membership(c, x) != "outside" for c in mine) else "incorrect"
+                for x in X
+            ]
+        counts = exact_paths(monkeypatch)
+        if run == "ids":
+            got = classify_batch(6, X).tolist()
+        else:
+            got = [r.verdict for r in distances_to_wrong(X, CATERPILLAR, census6)]
+        monkeypatch.undo()
+        assert got == want, (run, wide)
+        assert counts["signs"] > 0  # every case has rows the floats leave unsure
+        # Python integers only for the rows too wide for the digits
+        assert (counts["primitive"] > 0) == wide
+        assert counts["primitive"] <= counts["signs"]
+        if X is near_ties or X is wide_ties:
+            assert 0 < want.count(-1) < len(want)

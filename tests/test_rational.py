@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from njcones import rational
+from njcones.census import census
 from njcones.rational import (
     affine_rank,
     extreme_rays,
@@ -14,8 +15,11 @@ from njcones.rational import (
     nullspace,
     primitive,
     rank,
+    signs,
     solve,
 )
+from njcones.trees import path_metric
+from test_trees import random_metric_tree
 
 
 def test_primitive_scales_and_orients():
@@ -289,3 +293,84 @@ def test_extreme_rays_match_brute_force_enumeration(rows):
 def test_extreme_rays_reject_a_cone_that_is_not_pointed(rows):
     with pytest.raises(ValueError, match="not pointed"):
         extreme_rays(rows)
+
+
+def exact_signs(N, X) -> np.ndarray:
+    """The Python-integer oracle of signs: primitive of each row, then an object matmul."""
+    H = np.asarray(N).astype(object)
+    return np.array(
+        [[(s > 0) - (s < 0) for s in (H @ np.array(primitive(x), dtype=object)).tolist()]
+         for x in np.asarray(X, dtype=float).tolist()],
+        dtype=np.int8,
+    ).reshape(len(X), len(N))
+
+
+def sign_rows(n, rng) -> dict:
+    """Rows of n(n-1)/2 floats for signs, by kind; every row spans at most ~300 bits."""
+    m = n * (n - 1) // 2
+    g = rng.standard_normal((6, m))
+    sub = rng.integers(-4, 5, (6, m)) * 5e-324  # subnormals and zeros
+    sub[:, ::3] = -0.0
+    dyadic = []  # tree metrics of dyadic lengths: float sums are exact, so ties are
+    for _ in range(6):
+        top, d = random_metric_tree(n, rng)
+        lengths = {(min(u, v), max(u, v)): rng.integers(1, 64) / 64 for u, v in top.edges()}
+        dyadic.append(path_metric(n, top.edges(), lengths))
+    return {
+        **{f"scale {s:g}": g * s for s in (1e-300, 1e-200, 1e-100, 1e-9, 1, 1e9, 1e100, 1e200, 1e300)},
+        "subnormal": sub,
+        "integers": rng.integers(-2, 3, (6, m)).astype(float),
+        "tree metrics": np.array([random_metric_tree(n, rng)[1].as_array() for _ in range(6)]),
+        "dyadic tree metrics": np.array(dyadic),
+        "2**+-60": g * 2.0 ** rng.choice([-60, 0, 60], (6, m)),
+    }
+
+
+@pytest.mark.parametrize("n, stride", [(5, 1), (6, 1), (7, 5)])
+def test_signs_match_the_integer_oracle(n, stride, monkeypatch):
+    # the census normals (|h|_1 <= 32) on rows the digits hold: no row is
+    # taken to Python integers, and each sign is the oracle's
+    N = census(n).normals[::stride]
+    fallback = []
+    real = rational.primitive
+    monkeypatch.setattr(rational, "primitive", lambda x: fallback.append(x) or real(x))
+    zeros = 0
+    for kind, X in sign_rows(n, np.random.default_rng(n)).items():
+        got, want = signs(N, X), exact_signs(N, X)
+        assert got.dtype == np.int8 and got.shape == (len(X), len(N))
+        assert (got == want).all(), kind
+        zeros += np.count_nonzero(want[np.abs(X).max(axis=1) > 0] == 0)
+    assert not fallback
+    assert zeros > 100  # planted exact zeros, on nonzero rows
+
+
+def test_rows_too_wide_for_the_digits_take_the_fallback(census6, monkeypatch):
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((8, 15)) * np.where(rng.random((8, 15)) < 0.5, 1e-300, 1e300)
+    X[:4, 0] = 1e300  # the tiny entries decide the normals with h_0 = 0
+    X[:4, 1:] = 1e-300 * rng.integers(-1, 2, (4, 14))
+    X[5, :] = 1.0  # one row the digits hold, beside the wide ones
+    N = census6.normals[::5]
+    fallback = []
+    real = rational.primitive
+    monkeypatch.setattr(rational, "primitive", lambda x: fallback.append(x) or real(x))
+    got = signs(N, X)
+    assert len(fallback) == 7
+    assert (got == exact_signs(N, X)).all()
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=10, max_size=10))
+@settings(max_examples=200, deadline=None)
+def test_signs_of_any_finite_row_match_the_oracle(census5, x):
+    assert (signs(census5.normals, [x]) == exact_signs(census5.normals, [x])).all()
+
+
+def test_signs_guard_their_inputs():
+    row = [[1.0, -2.0, 0.5]]
+    assert signs([[1 << 19, -(1 << 19), 0]], row).tolist() == [[1]]
+    with pytest.raises(ValueError, match=r"\|h\|_1"):
+        signs([[1 << 19, -(1 << 19), 1]], row)
+    with pytest.raises(ValueError, match="finite"):
+        signs([[1, 0, 0]], [[1.0, np.inf, 0.0]])
+    assert signs(np.zeros((0, 3), dtype=int), row).shape == (1, 0)
+    assert signs([[1, 2, 3]], np.zeros((0, 3))).shape == (0, 1)
