@@ -9,9 +9,11 @@ figures are medians over its calls), then calls the layers of
 
 - startup: what every `nj` call pays before it runs, the median wall
   time and peak RSS (`ru_maxrss`) of `import njcones.cli` over 5 fresh
-  interpreters, whether that import loaded scipy.optimize, and the
-  milliseconds per `cli.build_parser` call (median of 200), of which
-  `cli.main` makes one per call;
+  interpreters, whether that import loaded scipy.optimize and whether a
+  following `nj cones build` and `nj cones reduce` on the first
+  five-taxa type-I trace did, and the milliseconds per
+  `cli.build_parser` call (median of 200), of which `cli.main` makes
+  one per call;
 - simulate: `simulate_alignment`, or its block form `_simulate_block`,
   less the seeks it makes (counted under rng);
 - estimate: `estimate_distances`, or its block form `_estimates`;
@@ -41,8 +43,13 @@ figures are medians over its calls), then calls the layers of
   microseconds per `cone_from_trace` call over the 450 six-taxa census
   traces (each a median of three passes);
 - irredundant: milliseconds per `cones.irredundant` call on the first
-  census cone of each six-taxa type (median of three calls after one
-  warm-up), and the `feasible_point` calls each one makes;
+  census cone of each six-taxa type, and of the `interior_point` and the
+  NNLS proposal calls inside it (stacked `cones._nnls` calls, or
+  one-normal `cones.nnls` calls in packages without them), each a median
+  of three calls after one warm-up; the proposal calls each one makes,
+  the normals proposed again after the first call (reproposed), and its
+  `feasible_point` calls, the interior point's and one per normal whose
+  proposals did not check out;
 - sampler: seconds per `solid_angles_mc(census(6), samples)` call (median
   of three) at 1,000 and 2,000,000 samples and 1 and 2 threads, with the
   rows it handed to `classify_batch`;
@@ -114,16 +121,23 @@ SAMPLER_CALLS = 3
 NJ_RUN_ROWS = 500
 VERDICT_ROWS = 300
 # Run in a fresh interpreter: time `import njcones.cli`, then report it
-# with the process's peak RSS and whether scipy.optimize came along.
+# with the process's peak RSS and whether scipy.optimize came along, and
+# whether it did once `nj cones reduce` ran.
 IMPORT_PROBE = """\
 import time
 start = time.perf_counter()
 import njcones.cli
 seconds = time.perf_counter() - start
-import json, resource, sys
-print(json.dumps({"s": seconds,
-                  "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-                  "scipy_optimize": "scipy.optimize" in sys.modules}))
+import contextlib, io, json, resource, sys, tempfile
+report = {"s": seconds,
+          "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+          "scipy_optimize": "scipy.optimize" in sys.modules}
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    trace = '{"n": 5, "merges": [[[0], [1]], [[0, 1], [4]]]}'
+    njcones.cli.main(["cones", "build", "--trace", trace, "--out", tmp + "/c"])
+    njcones.cli.main(["cones", "reduce", "--in", tmp + "/c", "--out", tmp + "/r"])
+report["reduce_scipy_optimize"] = "scipy.optimize" in sys.modules
+print(json.dumps(report))
 """
 
 
@@ -198,6 +212,7 @@ def startup_times() -> dict:
         "import_s": round(statistics.median(r["s"] for r in runs), 3),
         "import_rss_mb": round(statistics.median(r["rss_mb"] for r in runs), 1),
         "scipy_optimize_loaded": any(r["scipy_optimize"] for r in runs),
+        "cones_reduce_loads_scipy_optimize": any(r["reduce_scipy_optimize"] for r in runs),
         "build_parser_ms": round(median_time(cli.build_parser, PARSER_CALLS) * 1e3, 4),
     }
 
@@ -258,28 +273,57 @@ def census_times() -> dict:
 
 
 def irredundant_times() -> dict:
-    """Per six-taxa type: irredundant ms per call and feasible_point calls."""
+    """Per six-taxa type: irredundant, interior_point and proposal ms per
+    call, proposal calls, normals proposed again and feasible_point calls."""
     six = census(6)
-    calls = [0]
-    real = cones.feasible_point
+    proposer = "_nnls" if hasattr(cones, "_nnls") else "nnls"
+    spent = {"interior_point": 0.0, proposer: 0.0}
+    counts = {"proposal_calls": 0, "reproposed": 0, "feasible_point_calls": 0}
+    real = {name: getattr(cones, name) for name in (*spent, "feasible_point")}
+
+    def timed(name):
+        def call(*args):
+            start = time.perf_counter()
+            try:
+                return real[name](*args)
+            finally:
+                spent[name] += time.perf_counter() - start
+        return call
+
+    def proposal(*args):
+        if proposer == "_nnls" and counts["proposal_calls"]:
+            counts["reproposed"] += len(args[-1])
+        counts["proposal_calls"] += 1
+        return timed(proposer)(*args)
 
     def counted(G):
-        calls[0] += 1
-        return real(G)
+        counts["feasible_point_calls"] += 1
+        return real["feasible_point"](G)
 
     out = {}
-    cones.feasible_point = counted
+    cones.interior_point, cones.feasible_point = timed("interior_point"), counted
+    setattr(cones, proposer, proposal)
     try:
         for kind in ("I", "II", "III"):
             cone = six.cones[six.types.index(kind)]
-            calls[0] = 0
             cones.irredundant(cone)
+            runs = []
+            for _ in range(3):
+                spent.update(dict.fromkeys(spent, 0.0))
+                counts.update(dict.fromkeys(counts, 0))
+                start = time.perf_counter()
+                cones.irredundant(cone)
+                runs.append((time.perf_counter() - start, *spent.values()))
+            whole, interior, proposing = (statistics.median(r) * 1e3 for r in zip(*runs))
             out[kind] = {
-                "feasible_point_calls": calls[0],
-                "ms": round(median_time(lambda: cones.irredundant(cone), 3) * 1e3, 2),
+                "ms": round(whole, 2),
+                "interior_point_ms": round(interior, 2),
+                "proposal_ms": round(proposing, 2),
+                **counts,
             }
     finally:
-        cones.feasible_point = real
+        for name, fn in real.items():
+            setattr(cones, name, fn)
     return out
 
 

@@ -11,9 +11,9 @@ preserves the inequality; flipping signs would not, so deduplication is
 done on the oriented vectors (duplicates always arise with equal signs
 here, because coinciding score rows coincide exactly).
 
-scipy is used only by `irredundant` and `interior_point` (and so by
-`nj cones reduce`), through `nnls` and `rational.linprog`; scipy.optimize
-is imported on first use, so the rest of the package runs without it.
+`irredundant` (and so `nj cones reduce`) lets the package's one NNLS
+kernel, `projection._nnls`, propose its redundancy certificates and
+interior points, and keeps only those that check out exactly.
 """
 
 from __future__ import annotations
@@ -25,15 +25,9 @@ import numpy as np
 
 from .distvec import DissimilarityVector, index_to_pair, num_pairs
 from .nj import CherryTrace, join_operator, q_operator
+from .projection import _TOL, _nnls
 from .rational import feasible_point, primitive, solve
 from .trees import TreeTopology
-
-
-def nnls(A, b):
-    """scipy.optimize.nnls, imported on the first call (see `rational.linprog`)."""
-    from scipy.optimize import nnls
-
-    return nnls(A, b)
 
 
 class DegenerateConeError(RuntimeError):
@@ -149,47 +143,63 @@ def interior_point(cone: NJCone):
     return feasible_point(cone.normals)
 
 
-# A residual this small next to its normal proposes the redundant certificate.
-_RESIDUAL_TOL = 1e-9
-# The facet certificate rounds -r to integers of at most this magnitude.
+# The facet certificate rounds p to integers of at most this magnitude.
 _ROUND_SCALE = float(1 << 30)
 
 
-def _certificate(H, Z, x0, s0, k: int, others: list):
+def _proposals(U, rows, V) -> list:
+    """NNLS's proposal for each problem of a stack, or None for all if the kernel fails.
+
+    Problem b projects V[b] = -u onto {x : (U[j], x) >= 0 for j in
+    rows[b]}, u a unit normal.  The projection q is zero (to _TOL) when
+    u lies in the cone of those normals; the proposal is then
+    (True, support), the normals with positive multipliers.  Otherwise
+    it is (False, q), and (u, q) = -|q|^2 < 0 while every (U[j], q) is
+    nonnegative to _TOL.
+    """
+    try:
+        W, mu = _nnls(U, rows, V)
+    except (ValueError, RuntimeError):
+        return [None] * len(V)
+    P = V + W
+    small = np.sqrt((P * P).sum(axis=1)) <= _TOL
+    return [
+        (True, row[m > 0].tolist()) if implied else (False, p)
+        for row, m, p, implied in zip(rows, mu, P, small)
+    ]
+
+
+def _certificate(Z, x0, s0, k: int, others: list, proposal):
     """An exact certificate for or against h_k in the cone of `others`, or None.
 
-    H and Z hold the normals as floats and as Python integers, x0 is an
-    integer interior point and s0 = Z x0 its slacks.  scipy's NNLS of h_k
-    onto the other normals proposes one certificate, and it is returned
-    only once it checks out in integer arithmetic:
+    Z holds the normals as Python integers, x0 is an integer interior
+    point and s0 = Z x0 its slacks.  proposal is one of _proposals',
+    (True, support) or (False, q), made against `others` or more
+    normals.  Its certificate is returned only once it checks out in
+    integer arithmetic:
 
     - (True, y): h_k = sum_j y_j h_j with rational y_j >= 0, re-solved
-      exactly on the NNLS support, so h_k is implied;
+      exactly on the proposed support, which must lie in `others`, so h_k
+      is implied;
     - (False, p): an integer p with (h_k, p) = 0 < (h_j, p) for every j
-      in `others`, so p - t x0 cuts h_k off alone for small t > 0.  The NNLS
-      residual r has (h_j, r) <= 0 on the others and (h_k, r) = |r|^2, so
-      x = round(-c r) nearly cuts h_k off alone; with a = Z x,
+      in `others`, so p - t x0 cuts h_k off alone for small t > 0.  The
+      proposed point q has (h_j, q) >= 0 on the others and (h_k, q) < 0,
+      so x = round(c q) nearly cuts h_k off alone; with a = Z x,
       p = s0_k x - a_k x0 and Z p = s0_k a - a_k s0.
     """
-    h = H[k]
-    if others:
-        try:
-            A = H[others].T
-            y, _ = nnls(A, h)
-            r = h - A @ y
-        except (ValueError, RuntimeError):
-            return None
-    else:  # scipy's nnls aborts the process on a matrix with no columns
-        y, r = np.zeros(0), h
-    if not np.all(np.isfinite(r)):
+    if proposal is None:
         return None
-    if np.linalg.norm(r) <= _RESIDUAL_TOL * np.linalg.norm(h):
-        support = [j for j, v in zip(others, y) if v > 0]
-        coef = solve(Z[support].T.tolist(), Z[k].tolist())
+    implied, hint = proposal
+    if implied:
+        if not set(hint) <= set(others):
+            return None
+        coef = solve(Z[hint].T.tolist(), Z[k].tolist())
         if coef is None or any(v < 0 for v in coef):
             return None
-        return True, dict(zip(support, coef))
-    x = np.rint(-r * (_ROUND_SCALE / np.abs(r).max())).astype(np.int64).astype(object)
+        return True, dict(zip(hint, coef))
+    if not np.all(np.isfinite(hint)):
+        return None
+    x = np.rint(hint * (_ROUND_SCALE / np.abs(hint).max())).astype(np.int64).astype(object)
     a = Z @ x
     slack = s0[k] * a - a[k] * s0
     if not all(slack[j] > 0 for j in others):
@@ -205,10 +215,17 @@ def redundant_indices(cone: NJCone) -> list[int]:
     equal or positively proportional normals the earlier one goes.  As
     the cone is full-dimensional, that is the same as: no x has
     (h_k, x) < 0 < (h_j, x) for the other kept j (Farkas).  One
-    feasible_point call finds an interior point; each normal is then
-    decided by an exact certificate that NNLS proposes (`_certificate`),
-    and by one more feasible_point call on that question only when the
-    proposal does not check out.  No float decides a verdict.
+    feasible_point call finds an interior point.  Each normal is then
+    decided by an exact certificate (`_certificate`) that NNLS proposes
+    (Lawson and Hanson, Solving Least Squares Problems, 1974, ch. 23),
+    and by one more feasible_point call on that question only when no
+    proposal checks out.  One stacked _nnls call proposes every normal's
+    certificate against all the other normals: a facet proposal made
+    against all of them also holds against the kept ones.  An implied
+    proposal holds only if its support is kept; those whose support
+    holds an earlier normal with an implied proposal (so likely removed)
+    are proposed again, in one more stacked call, against the normals
+    whose proposals are facets.  No float decides a verdict.
     """
     normals = cone.normals
     if not normals:
@@ -216,21 +233,33 @@ def redundant_indices(cone: NJCone) -> list[int]:
     x0 = interior_point(cone)
     if x0 is None:
         raise DegenerateConeError("cone has empty interior")
-    H = np.array(normals, dtype=float)
+    U = cone.unit_rows
     Z = np.array(normals, dtype=object)
     x0 = np.array(primitive(x0), dtype=object)
     s0 = Z @ x0
-    kept = list(range(len(normals)))
+    count = len(normals)
+    ids = np.arange(count)
+    others = np.tile(ids, (count, 1))[~np.eye(count, dtype=bool)].reshape(count, -1)
+    first = _proposals(U, others, -U)
+    implied = [p is not None and p[0] for p in first]
+    facets = ids[~np.array(implied, dtype=bool)]
+    again = [k for k, p in enumerate(first) if implied[k] and any(implied[j] for j in p[1] if j < k)]
+    second = {}
+    if again:
+        second = dict(zip(again, _proposals(U, np.tile(facets, (len(again), 1)), -U[again])))
+    kept = list(range(count))
     removed = []
-    for idx in range(len(normals)):
+    for idx in range(count):
         others = [j for j in kept if j != idx]
-        cert = _certificate(H, Z, x0, s0, idx, others)
+        cert = _certificate(Z, x0, s0, idx, others, first[idx])
+        if cert is None and idx in second:
+            cert = _certificate(Z, x0, s0, idx, others, second[idx])
         if cert is not None:
-            implied = cert[0]
+            verdict = cert[0]
         else:
             rows = [normals[j] for j in others] + [[-v for v in normals[idx]]]
-            implied = feasible_point(rows) is None
-        if implied:
+            verdict = feasible_point(rows) is None
+        if verdict:
             kept.remove(idx)
             removed.append(idx)
     return removed

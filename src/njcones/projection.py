@@ -7,7 +7,11 @@ squares on the polar cone (Moreau's decomposition), run on a stack of
 problems at once, which always terminates and needs no fallback.  Each
 passive set is refit from its normal equations, in groups of one
 passive-set size, so no problem's result depends on the rest of its
-stack.  nearest_point is the one-problem case.
+stack.  It has three callers: nearest_point, the one-problem case;
+distances_to_wrong, below; and cone reduction, where it proposes the
+redundancy certificates (cones.redundant_indices) and the feasible
+points (rational.feasible_point) that exact arithmetic then checks,
+from its steps and its multipliers mu.
 
 Margins are computed a block of input vectors at a time
 (distances_to_wrong): the distinct normals of all cones, made a depth
@@ -73,8 +77,8 @@ def _refit(U, normals, V, passive):
     return z, w
 
 
-def _nnls(U, normals, V) -> np.ndarray:
-    """The step P_K v - v of every problem of a stack.
+def _nnls(U, normals, V) -> tuple:
+    """The step P_K v - v and the multipliers mu* of every problem of a stack.
 
     Problem b projects V[b] onto K = {x : Hx >= 0} for the unit rows
     H = U[normals[b]], k = normals.shape[1] of them.  Moreau's
@@ -89,10 +93,13 @@ def _nnls(U, normals, V) -> np.ndarray:
     and release the constraint that hit zero.  The residual drops at
     every step, so no passive set repeats and each problem ends; it
     raises if Lawson and Hanson's bound of 3k steps is reached.
-    Redundant or dependent normals make mu* non-unique, never the point.
-    Problems that end leave the stack.
+    Redundant or dependent normals make mu* non-unique, never the point;
+    the mu* returned is zero off the passive set, whose normals are
+    independent.  Problems that end leave the stack.
     """
-    out = np.zeros(V.shape)
+    out, mults = np.zeros(V.shape), np.zeros(normals.shape)
+    if not normals.shape[1]:  # K is the whole space
+        return out, mults
     ids = np.arange(len(V))
     limit = 3 * normals.shape[1]
     passive = np.zeros(normals.shape, dtype=bool)
@@ -107,12 +114,12 @@ def _nnls(U, normals, V) -> np.ndarray:
         j = s.argmin(axis=1)
         enter = s.min(axis=1) < floor
         if not enter.all():
-            out[ids[~enter]] = W[~enter]
+            out[ids[~enter]], mults[ids[~enter]] = W[~enter], mu[~enter]
             ids, normals, V, W, floor, passive, mu, j = (
                 a[enter] for a in (ids, normals, V, W, floor, passive, mu, j)
             )
             if not ids.size:
-                return out
+                return out, mults
         if limit <= step + 1:
             raise RuntimeError("nonnegative least squares did not converge")
         rows = np.arange(len(ids))
@@ -156,7 +163,7 @@ def nearest_point(cone, v) -> ProjectionResult:
         return ProjectionResult(v.copy(), 0.0, "trivial")
     if H.shape[1] != v.shape[0]:
         raise ValueError("vector length does not match the cone's ambient dimension")
-    w = _nnls(H, np.arange(len(H))[None], v[None])
+    w, _ = _nnls(H, np.arange(len(H))[None], v[None])
     return ProjectionResult(v + w[0], float(np.sqrt((w * w).sum(axis=1))[0]), "nnls")
 
 
@@ -232,7 +239,7 @@ def _margins(V, U, rows_of, bounds, best, best_k) -> None:
         bounds[live, k] = np.inf
         for lo in range(0, len(live), problems):
             rows, cones = live[lo:lo + problems], k[lo:lo + problems]
-            W = _nnls(U, rows_of[cones], V[rows])
+            W, _ = _nnls(U, rows_of[cones], V[rows])
             dist = np.sqrt((W * W).sum(axis=1))
             nearer = dist < best[rows]
             best[rows[nearer]] = dist[nearer]

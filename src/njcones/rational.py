@@ -7,12 +7,13 @@ each input row is scaled to coprime integers once, and fraction-free
 Gauss-Jordan keeps it integral from then on.  Fractions appear only in
 what `solve` and `feasible_point` return.  `extreme_rays` is the one
 double description: integer extreme rays of a pointed cone, with their
-zero sets.  `feasible_point` lets a float LP (HiGHS) propose its answer
-and returns it only once the answer is checked in exact arithmetic.
-Cone reduction calls it once per cone for an interior point, and again
-only for a normal whose NNLS certificate does not check out; `solve`
-re-solves such certificates exactly on their support.  Matrices stay
-small (tens of rows), so clarity wins over asymptotics.
+zero sets.  `feasible_point` lets the package's NNLS kernel
+(`projection._nnls`) propose its answer and returns it only once the
+answer is checked in exact arithmetic.  Cone reduction calls it once per
+cone for an interior point, and again only for a normal whose NNLS
+certificate does not check out; `solve` re-solves such certificates
+exactly on their support.  Matrices stay small (tens of rows), so
+clarity wins over asymptotics.
 
 The package's one tie rule lives here too.  A verdict is the sign of an
 integer form on the input: a float value decides it beyond the rounding
@@ -21,10 +22,6 @@ bound `gamma`, and an exact evaluation within it.  The float classifiers
 of such forms at once with `signs`, which splits each row into integer
 digits; `nj.nj_run` and `cones.membership` take the input to integers
 with `primitive`, and so stay independent of `signs` as its oracles.
-
-scipy is used only by `feasible_point` here and by the NNLS certificates
-in `cones`, that is by `cones.irredundant`, `cones.interior_point` and
-`nj cones reduce`; scipy.optimize is imported on first use.
 """
 
 from __future__ import annotations
@@ -34,17 +31,6 @@ from math import gcd, lcm
 from typing import Optional
 
 import numpy as np
-
-
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first call.
-
-    Importing scipy.optimize costs more than the rest of the package, and
-    only cone reduction needs it.
-    """
-    from scipy.optimize import linprog
-
-    return linprog(*args, **kwargs)
 
 
 def _coprime(ints: list[int]) -> list[int]:
@@ -310,34 +296,42 @@ def feasible_point(G) -> Optional[list[Fraction]]:
     """An exact x with every (G x)_i >= 1 for a rational matrix G, or None.
 
     Gordan's alternative: either some x has G x > 0, or some y >= 0 with
-    sum(y) = 1 has G^T y = 0, never both.  One HiGHS LP, max t subject to
-    G x >= t and t <= 1, proposes both: x when t reaches 1, and its
-    multipliers y when t stays 0.  The proposal is only a hint.  x is
-    accepted if its exact slacks are all positive, and is then divided by
-    the smallest.  None is returned only if y, re-solved exactly on its
-    support, is nonnegative.  When neither checks out, ArithmeticError is
-    raised rather than a guess returned.
+    sum(y) = 1 has G^T y = 0, never both.  Lawson and Hanson's least
+    distance programming (Solving Least Squares Problems, 1974, ch. 23)
+    proposes both with one NNLS, projection._nnls: project
+    v = -e_{m+1} onto K = {z : (h_i, z) >= 0} for the rows
+    h_i = [g_i, 1], scaled to unit length.  The projection r has
+    (h_i, r) >= 0 and r_{m+1} = -|r|^2, so r_{m+1} < 0 proposes
+    x = -r_{1..m} / r_{m+1}, which has G x >= 1; r = 0 writes e_{m+1}
+    as the sum of mu_i h_i, so the multipliers mu, each divided by the
+    length of its [g_i, 1], give a Gordan y.  The proposal is only a
+    hint.  x is accepted if its exact slacks are all positive, and is
+    then divided by the smallest.  None is returned only if y, re-solved
+    exactly on the support of the multipliers, is nonnegative.  When
+    neither checks out, ArithmeticError is raised rather than a guess
+    returned.
     """
     if not len(G):
         return []
-    A = np.array(G, dtype=float)
-    k, m = A.shape
-    lp = linprog(
-        np.r_[np.zeros(m), -1.0],
-        A_ub=np.c_[-A, np.ones(k)],
-        b_ub=np.zeros(k),
-        bounds=[(None, None)] * m + [(None, 1)],
-        method="highs",
-    )
-    if lp.status == 0:
-        x = primitive(lp.x[:m].tolist())
-        least = min(sum(a * v for a, v in zip(row, x)) for row in G)
+    from .projection import _nnls  # not at the top: projection imports this module
+
+    E = np.array(G, dtype=float)
+    k, m = E.shape
+    E = np.c_[E, np.ones(k)]
+    E /= np.linalg.norm(E, axis=1, keepdims=True)
+    v = np.zeros((1, m + 1))
+    v[0, m] = -1.0
+    W, mu = _nnls(E, np.arange(k)[None], v)
+    r = (v + W)[0]
+    if r[m] < 0:
+        x = primitive(r[:m].tolist())  # r_{1..m} is a positive multiple of x
+        least = min(sum(a * b for a, b in zip(row, x)) for row in G)
         if least > 0:
-            return [Fraction(v, least) for v in x]
-        # the marginals of G x >= t are -y; a vertex's support pins y uniquely
-        support = [i for i, mu in enumerate(lp.ineqlin.marginals) if mu < -1e-9]
-        rows = [[G[i][c] for i in support] for c in range(m)] + [[1] * len(support)]
-        y = solve(rows, [0] * m + [1])
-        if y is not None and min(y) >= 0:
-            return None
-    raise ArithmeticError("no proposal of the LP checks out exactly")
+            return [Fraction(a, least) for a in x]
+    # the passive rows are independent, so they pin y uniquely
+    support = np.flatnonzero(mu[0] > 0).tolist()
+    rows = [[G[i][c] for i in support] for c in range(m)] + [[1] * len(support)]
+    y = solve(rows, [0] * m + [1])
+    if y is not None and min(y) >= 0:
+        return None
+    raise ArithmeticError("no proposal of the NNLS checks out exactly")

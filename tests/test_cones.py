@@ -156,14 +156,17 @@ def test_a_negative_multiplier_on_the_support_is_refused(monkeypatch):
     u = [a + b for a, b in zip(e[0], e[1])]
     w = [a + 2 * b for a, b in zip(e[0], e[1])]
     cone = NJCone(4, tuple(map(tuple, (e[0], u, e[1], w, *e[2:]))))
+    real = cones._nnls
 
-    def signed(A, b):
-        y = np.zeros(A.shape[1])
-        if list(b) == e[0]:
-            y[:3] = (0.5, -1.5, 0.5)
-        return y, 0.0
+    def signed(U, normals, V):
+        W, mu = real(U, normals, V)
+        for b, row in enumerate(normals):
+            if list(-V[b]) == e[0]:  # claim e1 = 0.5 u - 1.5 e2 + 0.5 w
+                W[b], mu[b] = -V[b], 0.0
+                mu[b, np.searchsorted(row, [1, 2, 3])] = (0.5, -1.5, 0.5)
+        return W, mu
 
-    monkeypatch.setattr(cones, "nnls", signed)
+    monkeypatch.setattr(cones, "_nnls", signed)
     assert redundant_indices(cone) == lp_redundant_indices(cone) == [1, 3]
 
 
@@ -261,8 +264,8 @@ def recorded_certificates(cone: NJCone):
     seen = []
     real = cones._certificate
 
-    def recording(H, Z, x0, s0, k, others):
-        cert = real(H, Z, x0, s0, k, others)
+    def recording(Z, x0, s0, k, others, proposal):
+        cert = real(Z, x0, s0, k, others, proposal)
         if cert is not None:
             seen.append((k, list(others), cert))
         return cert
@@ -315,16 +318,16 @@ def test_census_certificates_need_no_fallback(census5, type_reps):
             check_certificate(cone.normals, k, others, cert)
 
 
-def nan_proposal(A, b):
-    return np.full(A.shape[1], np.nan), np.nan
+def nan_proposal(U, normals, V):
+    return np.full(V.shape, np.nan), np.full(normals.shape, np.nan)
 
 
-def noise_proposal(A, b):
-    y = np.random.default_rng(A.shape[1]).normal(size=A.shape[1])
-    return y, float(np.linalg.norm(A @ y - b))
+def noise_proposal(U, normals, V):
+    rng = np.random.default_rng(normals.shape)
+    return rng.normal(size=V.shape), rng.normal(size=normals.shape)
 
 
-def failed_proposal(A, b):
+def failed_proposal(U, normals, V):
     raise RuntimeError("nonnegative least squares did not converge")
 
 
@@ -340,7 +343,7 @@ def test_a_bad_proposal_falls_back_to_feasible_point(monkeypatch, census5, propo
         calls.append(G)
         return real(G)
 
-    monkeypatch.setattr(cones, "nnls", proposal)
+    monkeypatch.setattr(cones, "_nnls", proposal)
     monkeypatch.setattr(cones, "feasible_point", counted)
     assert tuple(irredundant(c).removed for c in census5.cones) == CENSUS5_REMOVED
     if proposal is not noise_proposal:

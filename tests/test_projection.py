@@ -242,6 +242,52 @@ def test_the_exact_oracle_rejects_wrong_active_sets(census6):
     assert exact_squared_distance(cone, p, nearest_point(cone, -p).point) is None
 
 
+def assert_kkt(U, normals, V):
+    """_nnls's steps and multipliers meet the KKT conditions of every problem.
+
+    mu >= 0, W = H^T mu, and every slack H (v + W) >= -_TOL |v| (primal
+    feasibility to the kernel's threshold).  mu is zero off the passive
+    set: the normals it uses are tight at v + W and independent, which
+    is what lets cone reduction re-solve a certificate on that support.
+    """
+    W, mu = projection._nnls(U, normals, V)
+    H = U[normals]
+    size = np.sqrt((V * V).sum(axis=1))
+    assert mu.shape == normals.shape and (mu >= 0).all()
+    combo = np.einsum("bk,bkd->bd", mu, H)
+    assert (np.abs(W - combo).max(axis=1) <= 1e-12 * (np.abs(mu).sum(axis=1) + size)).all()
+    slack = (H * (V + W)[:, None, :]).sum(axis=2)
+    assert (slack >= -projection._TOL * size[:, None]).all()
+    for b in range(len(V)):
+        on = mu[b] > 0
+        assert (np.abs(slack[b, on]) <= projection._TOL * size[b]).all()
+        assert np.linalg.matrix_rank(H[b, on]) == on.sum()
+
+
+def test_nnls_multipliers_meet_the_kkt_conditions(census5, rng):
+    # random stacks, rows drawn with repeats, at several scales
+    U = rng.standard_normal((30, 8))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    for scale in (1e-3, 1.0, 1e3):
+        assert_kkt(U, rng.integers(0, 30, size=(60, 12)), scale * rng.standard_normal((60, 8)))
+    for cone in census5.cones:
+        # the certificate stack of cone reduction: -u_k against all the others
+        count = len(cone.normals)
+        U = cone.unit_rows
+        others = np.tile(np.arange(count), (count, 1))[~np.eye(count, dtype=bool)]
+        assert_kkt(U, others.reshape(count, -1), -U)
+        # feasible_point's least distance stacks: its interior point question,
+        # and each normal's question with that normal negated (feasible or not)
+        for k in range(-1, count):
+            G = np.array(cone.normals, dtype=float)
+            G[k] *= -1 if k >= 0 else 1
+            E = np.c_[G, np.ones(count)]
+            E /= np.linalg.norm(E, axis=1, keepdims=True)
+            v = np.zeros((1, cone.m + 1))
+            v[0, -1] = -1.0
+            assert_kkt(E, np.arange(count)[None], v)
+
+
 def test_rays_and_faces_of_the_criterion_9_cones_are_pinned(census5, type_reps):
     cones = (census5.cones[27], *(irredundant(rep) for rep in type_reps))
     counts = [tuple(map(len, cone_faces(cone))) for cone in cones]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from njcones import rational
+from njcones import projection, rational
 from njcones.census import census
 from njcones.rational import (
     affine_rank,
@@ -127,19 +127,19 @@ def test_feasible_point_certifies_planted_dependencies(G, data):
     assert feasible_point(G + [last]) is None
 
 
-def moved_coordinate(lp):
-    lp.x[0] -= 10 * (abs(lp.x[0]) + 1)  # the slack of row [1, 0, 0] goes negative
+def moved_coordinate(W, mu):
+    # x is a positive multiple of (v + W)_{1..m}, and v_1 = 0: the slack of
+    # row [1, 0, 0] goes negative
+    W[0, 0] -= 10 * (abs(W[0, 0]) + 1)
 
 
-def dropped_multiplier(lp):
-    y = lp.ineqlin.marginals  # -y
-    y[np.argmin(y)] *= -1
+def dropped_multiplier(W, mu):
+    mu[0, np.argmax(mu[0])] = 0.0
 
 
-def added_multiplier(lp):
+def added_multiplier(W, mu):
     # the support becomes all three rows, where the exact solution is (-1, 2, 0)
-    y = lp.ineqlin.marginals
-    y[np.argmax(y)] = y.min()
+    mu[0, np.argmin(mu[0])] = mu.max()
 
 
 @pytest.mark.parametrize(
@@ -152,16 +152,16 @@ def added_multiplier(lp):
     ids=["moved_coordinate", "dropped_multiplier", "added_multiplier"],
 )
 def test_feasible_point_rejects_a_perturbed_proposal(monkeypatch, G, feasible, perturb):
-    """A wrong LP proposal raises; it never becomes an answer."""
+    """A wrong NNLS proposal raises; it never becomes an answer."""
     assert (feasible_point(G) is not None) == feasible
-    real = rational.linprog
+    real = projection._nnls
 
-    def perturbed(*args, **kwargs):
-        lp = real(*args, **kwargs)
-        perturb(lp)
-        return lp
+    def perturbed(U, normals, V):
+        W, mu = real(U, normals, V)
+        perturb(W, mu)
+        return W, mu
 
-    monkeypatch.setattr(rational, "linprog", perturbed)
+    monkeypatch.setattr(projection, "_nnls", perturbed)
     with pytest.raises(ArithmeticError):
         feasible_point(G)
 
