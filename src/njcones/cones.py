@@ -239,8 +239,8 @@ def redundant_indices(cone: NJCone) -> list[int]:
     s0 = Z @ x0
     count = len(normals)
     ids = np.arange(count)
-    others = np.tile(ids, (count, 1))[~np.eye(count, dtype=bool)].reshape(count, -1)
-    first = _proposals(U, others, -U)
+    rest = np.tile(ids, (count, 1))[~np.eye(count, dtype=bool)].reshape(count, -1)
+    first = _proposals(U, rest, -U)
     implied = [p is not None and p[0] for p in first]
     facets = ids[~np.array(implied, dtype=bool)]
     again = [k for k, p in enumerate(first) if implied[k] and any(implied[j] for j in p[1] if j < k)]
