@@ -18,10 +18,11 @@ figures are medians over its calls), then calls the layers of
   less the seeks it makes (counted under rng);
 - estimate: `estimate_distances`, or its block form `_estimates`;
 - screen: `distance_to_wrong` / `distances_to_wrong` minus the time
-  spent in the projections and in the verdict;
-- verdict: the screen's verdict step `projection._in_some_cone`, which
-  decides exactly what the float slacks cannot (counted in the screen in
-  packages without it);
+  spent in the projections and in the slack kernel;
+- slacks: the screen's product kernel `rational.products` (as
+  `projection.products`), which gives every slack rounded once with its
+  exact sign, so also the verdict (counted in the screen in packages
+  without it);
 - nnls: the projections themselves, the stacked NNLS kernel
   `projection._nnls`, or `nearest_point` in packages without it;
 - rng (`nj sim` only): making and positioning the generators: each
@@ -29,6 +30,12 @@ figures are medians over its calls), then calls the layers of
   replicate's `_replicate_rng` in packages that draw per replicate;
 - census: the command's one `census(n)` call (n = 5 for `nj sim`, 6 for
   `nj distance`), spread over its replicates or vectors;
+- distance_nnls_per_vector (`nj distance` only): the NNLS problems
+  `projection._nnls` was given, its steps (`projection._refit` problem
+  refits: each entering step or step back of one problem) and its early
+  exits (problems returned above the cutoff `_margins` gave them), per
+  vector, medians over the calls; steps need a package with `_refit`
+  and exits one whose `_nnls` takes a cutoff;
 - report (`nj sim` only): `run_experiment`'s own time, outside the
   layers above, which joins the blocks' estimates into the report;
 - csv (`nj sim` only): `records_csv` and `summary_csv`;
@@ -55,14 +62,16 @@ figures are medians over its calls), then calls the layers of
   rows it handed to `classify_batch`;
 - tie_rule: microseconds per `nj_run` row on 500 Gaussian six-taxa rows
   (median of three passes); for `distances_to_wrong` on 300 copies of
-  the six-taxa caterpillar metric (sigma 0, the rows the float slacks
-  leave undecided) and on 300 noisy copies (sigma 0.02), the microseconds
-  per vector of its verdict step `_in_some_cone`; and microseconds per
-  row of `classify_batch(6)` on 400 near ties (small integers moved by
-  2**-50, median of three calls).  Each comes with the rows handed to
-  `rational.signs` (exact_rows) and the rows taken to Python integers
+  the six-taxa caterpillar metric (sigma 0, every row on cone
+  boundaries) and on 300 noisy copies (sigma 0.02), the microseconds
+  per vector of the screen's product kernel `products` (or of the
+  verdict step `_in_some_cone` in packages without it); and
+  microseconds per row of `classify_batch(6)` on 400 near ties (small
+  integers moved by 2**-50, median of three calls).  Each comes with
+  the rows handed to the exact kernel, `rational.products` or
+  `rational.signs` (exact_rows), and the rows taken to Python integers
   by `rational.primitive` (primitive_rows, the kernel's fallback); in
-  packages without the kernel every exact row is a primitive row.
+  packages without a kernel every exact row is a primitive row.
 
 Only the outermost call of a layer is timed, so a one-row wrapper around
 a block function is not counted twice.  Layer functions absent from the
@@ -98,7 +107,7 @@ LAYERS = {
     "estimate": ((simulate, "estimate_distances"), (simulate, "_estimates")),
     "margin": ((projection, "distance_to_wrong"), (projection, "distances_to_wrong")),
     "nnls": ((projection, "nearest_point"), (projection, "_nnls")),
-    "verdict": ((projection, "_in_some_cone"),),
+    "slacks": ((projection, "products"),),
     "rng": ((simulate, "_replicate_rng"), (simulate, "keyed_stream")),
     "seek": ((simulate, "_seek"),),
     "census": ((census_module, "census"),),
@@ -182,12 +191,12 @@ def caterpillar_metric() -> np.ndarray:
 
 def per_unit(totals: dict, units: int) -> dict:
     out = {k: v / units * 1e6 for k, v in totals.items()}
-    out["screen"] = out.pop("margin") - out["nnls"] - out["verdict"]
+    out["screen"] = out.pop("margin") - out["nnls"] - out["slacks"]
     out["simulate"] -= out["seek"]  # a block seeks inside _simulate_block
     out["rng"] += out.pop("seek")
     run = out.pop("run")
     if run:  # nj sim: run_experiment's time outside its inner layers
-        inner = ("simulate", "rng", "estimate", "screen", "verdict", "nnls")
+        inner = ("simulate", "rng", "estimate", "screen", "slacks", "nnls")
         out["report"] = run - sum(out[k] for k in inner)
     return {k: round(v, 1) for k, v in out.items() if v}
 
@@ -357,18 +366,48 @@ def sampler_times() -> dict:
 
 
 @contextlib.contextmanager
+def nnls_counts():
+    """Count the NNLS problems, steps and early exits inside the block."""
+    counts = {"problems": 0, "steps": 0, "exits": 0}
+    nnls, refit = projection._nnls, getattr(projection, "_refit", None)
+
+    def counted_nnls(U, normals, V, *cutoff):
+        counts["problems"] += len(V)
+        W, *rest = nnls(U, normals, V, *cutoff)
+        if cutoff:
+            counts["exits"] += int((np.sqrt((W * W).sum(axis=1)) > cutoff[0]).sum())
+        return (W, *rest)
+
+    def counted_refit(U, normals, V, passive):
+        counts["steps"] += len(passive)
+        return refit(U, normals, V, passive)
+
+    projection._nnls = counted_nnls
+    if refit:
+        projection._refit = counted_refit
+    try:
+        yield counts
+    finally:
+        projection._nnls = nnls
+        if refit:
+            projection._refit = refit
+
+
+@contextlib.contextmanager
 def exact_rows(module):
     """Count the rows the module takes to exact arithmetic inside the block.
 
-    exact_rows: the rows handed to rational.signs, each call counted (so a
-    row counts at every classify_batch node that hands it on), or in
-    packages without the kernel, the rows taken to integers by the
-    module's primitive.  primitive_rows: the rows rational.primitive takes
-    to Python integers, the kernel's fallback; without the kernel, every
+    exact_rows: the rows handed to the module's exact kernel,
+    rational.products or rational.signs, each call counted (so a row
+    counts at every classify_batch node that hands it on), or in packages
+    without a kernel, the rows taken to integers by the module's
+    primitive.  primitive_rows: the rows rational.primitive takes to
+    Python integers, the kernel's fallback; without a kernel, every
     exact row.
     """
     counts = {"exact_rows": 0, "primitive_rows": 0}
-    kernel = getattr(module, "signs", None)
+    name = next((n for n in ("products", "signs") if hasattr(module, n)), None)
+    kernel = getattr(module, name) if name else None
     owner = rational if kernel else module
     real = owner.primitive
 
@@ -376,55 +415,56 @@ def exact_rows(module):
         counts["primitive_rows"] += 1
         return real(x)
 
-    def signs(N, X):
+    def counted(N, X):
         counts["exact_rows"] += len(X)
         return kernel(N, X)
 
     owner.primitive = primitive
     if kernel:
-        module.signs = signs
+        setattr(module, name, counted)
     try:
         yield counts
     finally:
         owner.primitive = real
         if kernel:
-            module.signs = kernel
+            setattr(module, name, kernel)
         else:
             counts["exact_rows"] = counts["primitive_rows"]
 
 
 def tie_rule_times() -> dict:
-    """nj_run per row, the exact verdict step of distances_to_wrong per
-    vector, and classify_batch per near-tie row, with the rows each takes
-    to exact arithmetic."""
+    """nj_run per row, the screen's product kernel (or verdict step) of
+    distances_to_wrong per vector, and classify_batch per near-tie row,
+    with the rows each takes to exact arithmetic."""
     rng = np.random.default_rng(SEED)
     rows = rng.standard_normal((NJ_RUN_ROWS, 15)).tolist()
     runs = [DissimilarityVector(6, tuple(x)) for x in rows]
     per_row = median_time(lambda: [nj_run(d) for d in runs], 3) / NJ_RUN_ROWS
     out = {"nj_run_us_per_row": round(per_row * 1e6, 1)}
     six = census(6)
-    verdict = getattr(projection, "_in_some_cone", None)
+    step = next((n for n in ("products", "_in_some_cone") if hasattr(projection, n)), None)
     top = trees.TreeTopology.from_newick(CATERPILLAR)
     base = caterpillar_metric()
-    for sigma in (0.0, 0.02) if verdict else ():
+    for sigma in (0.0, 0.02) if step else ():
         V = base + sigma * rng.standard_normal((VERDICT_ROWS, base.size))
         spent = [0.0]
+        real = getattr(projection, step)
 
         def timed(*args):
             start = time.perf_counter()
             try:
-                return verdict(*args)
+                return real(*args)
             finally:
                 spent[0] += time.perf_counter() - start
 
-        projection._in_some_cone = timed
+        setattr(projection, step, timed)
         try:
             with exact_rows(projection) as counts:
                 projection.distances_to_wrong(V, top, margin_census(six))
         finally:
-            projection._in_some_cone = verdict
+            setattr(projection, step, real)
         out[f"sigma{sigma}"] = {
-            "verdict_us_per_vector": round(spent[0] / VERDICT_ROWS * 1e6, 1),
+            f"{step.lstrip('_')}_us_per_vector": round(spent[0] / VERDICT_ROWS * 1e6, 1),
             **counts,
         }
     # the near ties of test_gaps_inside_the_rounding_bound_are_decided_exactly
@@ -454,16 +494,20 @@ def main() -> int:
                 for k in range(VECS)]
         path = Path(tmp) / "noisy.vecs"
         path.write_text("".join(" ".join(repr(float(x)) for x in v) + "\n" for v in rows))
-        calls = []
+        calls, solved = [], []
         for _ in range(DISTANCE_CALLS):
             totals.update(dict.fromkeys(LAYERS, 0.0))
             with open(Path(tmp) / "distance.csv", "w") as sink:
-                with contextlib.redirect_stdout(sink):
+                with contextlib.redirect_stdout(sink), nnls_counts() as counts:
                     cli.main(["distance", "--input", str(path), "--true-tree", CATERPILLAR,
                               "--format", "vecs"])
             calls.append(per_unit(totals, VECS))
+            solved.append({k: v / VECS for k, v in counts.items()})
         report["distance_us_per_vector"] = {
             k: statistics.median(c.get(k, 0.0) for c in calls) for k in sorted(set().union(*calls))
+        }
+        report["distance_nnls_per_vector"] = {
+            k: round(statistics.median(c[k] for c in solved), 3) for k in solved[0]
         }
     report["polytope_ms"] = polytope_ms()
     report["census"] = census_times()

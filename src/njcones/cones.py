@@ -78,10 +78,9 @@ def _gap_rows(scores: np.ndarray, picks) -> tuple:
     a time, by census.census.
     """
     G = scores[..., None, :, :] - scores[..., list(picks), None, :]
-    g = np.gcd.reduce(G, axis=-1)
-    keep = g != 0
-    G //= np.where(keep, g, 1)[..., None]
-    return G, keep
+    g = np.gcd.reduce(G, axis=-1)[..., None]
+    np.floor_divide(G, g, out=G, where=g > 1)  # most gaps are coprime already
+    return G, g[..., 0] != 0
 
 
 def _pick_normals(n: int, picks) -> tuple:

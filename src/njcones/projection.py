@@ -15,15 +15,16 @@ from its steps and its multipliers mu.
 
 Margins are computed a block of input vectors at a time
 (distances_to_wrong): the distinct normals of all cones, made a depth
-of the pick tree at a time (census.ConeCensus), screen the whole block,
-giving each row its verdict (exact wherever the float slacks cannot
-settle it, by rational.signs) and a lower bound on its distance to each
-cone.  A cone's bound is read off the census's levels of the pick tree:
-the least scaled slack of each node-pick's normals, then the least of
-those along each cone's path.  Each row then visits its cones in
-rounds, in each round the one of least bound it has not visited, while
-that bound can still beat its best distance.  distance_to_wrong is the
-one-row case.
+of the pick tree at a time (census.ConeCensus), screen the whole block
+in one rational.products call, which gives every slack rounded once
+with its exact sign, so each row's verdict, and a lower bound on its
+distance to each cone.  A cone's bound is read off the census's levels
+of the pick tree: the least scaled slack of each node-pick's normals,
+then the least of those along each cone's path.  Each row then visits
+its cones in rounds, in each round the one of least bound it has not
+visited, while that bound can still beat its best distance; a
+projection stops early once its distance cannot (_nnls's cutoff).
+distance_to_wrong is the one-row case.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rational import gamma, signs
+from .rational import products
 from .nj import trace_from_picks
 
 
@@ -77,7 +78,7 @@ def _refit(U, normals, V, passive):
     return z, w
 
 
-def _nnls(U, normals, V) -> tuple:
+def _nnls(U, normals, V, cutoff=None) -> tuple:
     """The step P_K v - v and the multipliers mu* of every problem of a stack.
 
     Problem b projects V[b] onto K = {x : Hx >= 0} for the unit rows
@@ -96,6 +97,16 @@ def _nnls(U, normals, V) -> tuple:
     Redundant or dependent normals make mu* non-unique, never the point;
     the mu* returned is zero off the passive set, whose normals are
     independent.  Problems that end leave the stack.
+
+    cutoff[b], if given, is a distance problem b need not beat.  After
+    a fitted step, |W| is the distance from v to the cone of the passive
+    normals alone, which holds K, so it never exceeds the final
+    distance; a problem whose |W| exceeds cutoff[b] (1 + 2**-40) then
+    leaves the stack with that W.  So a problem that ends at or below
+    its cutoff returns what it would without one, bit for bit, and any
+    other returns some |W| > cutoff[b].  Every product of a step is
+    formed per problem, so no problem's bits depend on the rest of its
+    stack.
     """
     out, mults = np.zeros(V.shape), np.zeros(normals.shape)
     if not normals.shape[1]:  # K is the whole space
@@ -106,17 +117,18 @@ def _nnls(U, normals, V) -> tuple:
     mu = np.zeros(normals.shape)
     W = np.zeros(V.shape)
     floor = -_TOL * np.sqrt((V * V).sum(axis=1))
+    cut = np.full(len(V), np.inf) if cutoff is None else cutoff * (1 + 2.0**-40)
     for step in itertools.count():
-        s = U[normals]
-        s *= (V + W)[:, None, :]
-        s = s.sum(axis=2)
+        s = (U[normals] @ (V + W)[:, :, None])[:, :, 0]
         s[passive] = np.inf
         j = s.argmin(axis=1)
         enter = s.min(axis=1) < floor
+        if cutoff is not None:
+            enter &= np.sqrt((W * W).sum(axis=1)) <= cut
         if not enter.all():
             out[ids[~enter]], mults[ids[~enter]] = W[~enter], mu[~enter]
-            ids, normals, V, W, floor, passive, mu, j = (
-                a[enter] for a in (ids, normals, V, W, floor, passive, mu, j)
+            ids, normals, V, W, floor, cut, passive, mu, j = (
+                a[enter] for a in (ids, normals, V, W, floor, cut, passive, mu, j)
             )
             if not ids.size:
                 return out, mults
@@ -169,34 +181,13 @@ def nearest_point(cone, v) -> ProjectionResult:
 
 # Budget of a block in the noise experiments: distances_to_wrong screens as
 # many rows as keep what the screen holds per row (the slacks on the distinct
-# normals, the largest level of them gathered, and two bounds per cone) this
-# small, keeps the bounds of as many rows (8 bytes per cone per row) this
-# small, and projects stacks of as many problems as keep their normals this
-# small; simulate.run_experiment takes as many replicates as keep one edge's
-# draws plus the vertex sequences this small.  So peak memory does not grow
-# with the rows.
+# normals and their digit products, the largest level of them gathered, and
+# two bounds per cone) this small, keeps the bounds of as many rows (8 bytes
+# per cone per row) this small, and projects stacks of as many problems as
+# keep their normals this small; simulate.run_experiment takes as many
+# replicates as keep one edge's draws plus the vertex sequences this small.
+# So peak memory does not grow with the rows.
 BLOCK_BYTES = 1 << 20
-
-
-def _in_some_cone(X, slack, rounding, normals, cols) -> np.ndarray:
-    """Per row of X, whether some cone holds it, decided exactly.
-
-    slack[r, c, i] is the float slack (h, x) of row r on the i-th integer
-    normal h = normals[cols[c, i]] of cone c.  Each counts when it clears
-    its rounding bound, rounding = gamma_m |h|_1 times max|x|
-    (rational.gamma).  The rows no cone surely holds but some slack
-    leaves unsure go to one rational.signs call, whose exact signs
-    settle every slack inside its bound.
-    """
-    err = np.abs(X).max(axis=1)[:, None, None] * rounding
-    holds = slack >= err
-    unsure = ~holds & (slack >= -err)
-    held = holds.all(axis=2).any(axis=1)
-    rows = np.flatnonzero(~held & unsure.any(axis=(1, 2)))
-    if rows.size:
-        sure = holds[rows] | unsure[rows] & (signs(normals, X[rows])[:, cols] >= 0)
-        held[rows] = sure.all(axis=2).any(axis=1)
-    return held
 
 
 def _lowest(T, levels) -> np.ndarray:
@@ -223,8 +214,9 @@ def _margins(V, U, rows_of, bounds, best, best_k) -> None:
     and projects onto that cone, as stacks of problems, if the bound is
     below its best distance so far; the bound then becomes inf.  A row
     whose least bound cannot beat its best is done.  A cone replaces the
-    best only when strictly nearer.  bounds, best and best_k are updated
-    in place.
+    best only when strictly nearer, so each projection takes the row's
+    best as its cutoff (_nnls) and stops once it cannot beat it.
+    bounds, best and best_k are updated in place.
     """
     # a stack's normals take half of BLOCK_BYTES, the rest of a call's arrays
     # live beside them, and so no stack outgrows the screen's slack matrix
@@ -239,7 +231,7 @@ def _margins(V, U, rows_of, bounds, best, best_k) -> None:
         bounds[live, k] = np.inf
         for lo in range(0, len(live), problems):
             rows, cones = live[lo:lo + problems], k[lo:lo + problems]
-            W, _ = _nnls(U, rows_of[cones], V[rows])
+            W, _ = _nnls(U, rows_of[cones], V[rows], best[rows])
             dist = np.sqrt((W * W).sum(axis=1))
             nearer = dist < best[rows]
             best[rows[nearer]] = dist[nearer]
@@ -250,18 +242,19 @@ def distances_to_wrong(V, true_topology, census) -> list:
     """distance_to_wrong for every row of V: one ClassificationRecord per row.
 
     Rows are screened in blocks against the census's stack of distinct
-    integer normals (census.ConeCensus), which gives every raw slack
-    (h, v) of the block.  A row is correct when some cone of the true
-    topology contains it, the verdict cones.membership gives
-    (_in_some_cone): the slacks on the topology's distinct normals are
-    read in floats, and those inside their rounding bound are signed
-    exactly, a block's unsure rows in one rational.signs call.  Each
-    (row, cone) pair also gets the violation bound
-    max(0, -min_h (h, v) / |h|), which never exceeds the distance from v
-    to the cone; the minimum over the cone's normals is taken level by
-    level of the census (_lowest).  The candidate cones of a row are
-    visited in ascending bound order (census order on ties) while a
-    bound is below the best distance so far (_margins).
+    integer normals (census.ConeCensus): one rational.products call
+    gives every raw slack (h, v) of the block rounded once, with its
+    exact sign, and bits that do not depend on the rest of the block.
+    A row is correct when some cone of the true topology contains it,
+    the verdict cones.membership gives: all of the cone's slacks are
+    >= 0, read off those exact signs.  Each (row, cone) pair also gets
+    the violation bound max(0, -min_h (h, v) / |h|), which never
+    exceeds the distance from v to the cone; the minimum over the
+    cone's normals is taken level by level of the census (_lowest).
+    The candidate cones of a row are visited in ascending bound order
+    (census order on ties) while a bound is below the best distance so
+    far, and each projection is cut off once it cannot beat that
+    distance (_margins).
     Each row is screened once, and the bounds of many screen blocks are
     kept as one batch whose rows are visited together, so that a round
     projects many rows at once.  A cone is of the true topology when its
@@ -285,30 +278,24 @@ def distances_to_wrong(V, true_topology, census) -> list:
         raise ValueError("census contains no cone for the given topology")
     levels = census.levels
     rows_of = census.cols.reshape(len(mine), -1)
-    H = census.normals.astype(float)
-    norms = np.linalg.norm(H, axis=1)
+    norms = np.linalg.norm(census.normals.astype(float), axis=1)
     inv_norms = 1.0 / norms
     mine_cols = rows_of[mine]
-    # the true topology's distinct normals, and each of its cones' rows of them
-    used = np.zeros(len(H), dtype=bool)
-    used[mine_cols] = True
-    local = np.zeros(len(H), dtype=np.intp)
-    local[used] = np.arange(np.count_nonzero(used))
-    mine_normals, mine_local = census.normals[used], local[mine_cols]
-    rounding = gamma(H.shape[1]) * np.abs(H[mine_cols]).sum(axis=2)
 
     def screen(X):
         """The verdict of every row of X, and its bound on every cone."""
-        # a matvec per row rather than one matmul: a row's rounding, and with
-        # it the order of tied bounds, must not depend on the rest of the block
-        S = np.array([H @ x for x in X])
-        ok = _in_some_cone(X, S[:, mine_cols], rounding, mine_normals, mine_local)
+        # every slack (h, x) rounded once, with its exact sign, by one call
+        # whose result does not depend on the rest of the block
+        S = products(census.normals, X)
+        ok = (S[:, mine_cols] >= 0).all(axis=2).any(axis=1)
         S *= inv_norms  # now the slacks on the unit normals
         bounds = -_lowest(S, levels)
         # correct rows look for other topologies, incorrect ones for their own
         return ok, np.where(mine != ok[:, None], np.maximum(bounds, 0.0), np.inf)
 
-    held = len(H) + max(level.size for level in levels) + 2 * len(mine)
+    # per row: the slacks and their two digit products (rational.products),
+    # the largest level of slacks gathered, and two bounds per cone
+    held = 3 * len(norms) + max(level.size for level in levels) + 2 * len(mine)
     step = max(1, BLOCK_BYTES // (8 * held))
     batch = max(1, BLOCK_BYTES // (8 * len(mine)))
     correct = np.empty(len(V), dtype=bool)
@@ -323,7 +310,7 @@ def distances_to_wrong(V, true_topology, census) -> list:
         if not first:
             # after the first screen, whose slack matrix is gone by then:
             # U[rows_of[c]] are the unit rows of cone c, bit for bit its unit_rows
-            U = H / norms[:, None]
+            U = census.normals / norms[:, None]
         _margins(V[first:last], U, rows_of, bounds, best[first:last], best_k[first:last])
     regions = {k: tuple(census.splits[k].tolist()) for k in set(best_k.tolist())}
     named = {split: k for k, split in regions.items()}  # one cone of each region named

@@ -16,12 +16,15 @@ exactly on their support.  Matrices stay small (tens of rows), so
 clarity wins over asymptotics.
 
 The package's one tie rule lives here too.  A verdict is the sign of an
-integer form on the input: a float value decides it beyond the rounding
-bound `gamma`, and an exact evaluation within it.  The float classifiers
-(`projection.distances_to_wrong`, `census.classify_batch`) sign a batch
-of such forms at once with `signs`, which splits each row into integer
-digits; `nj.nj_run` and `cones.membership` take the input to integers
-with `primitive`, and so stay independent of `signs` as its oracles.
+integer form on the input, which one kernel, `products`, evaluates for
+a batch of forms and rows at once: it splits each row into integer
+digits, so every value is rounded once from its exact value and its
+sign is exact.  `projection.distances_to_wrong` reads its slacks and
+their verdicts from one `products` call per block.  `census.classify_batch`
+reads float values beyond the rounding bound `gamma` and signs only the
+rest with `signs`, the signs of `products`.  `nj.nj_run` and
+`cones.membership` take the input to integers with `primitive`, and so
+stay independent of the kernel as its oracles.
 """
 
 from __future__ import annotations
@@ -54,78 +57,147 @@ def primitive(vec) -> tuple[int, ...]:
     return tuple(_coprime([int(p) * (den // int(d)) for p, d in fracs]))
 
 
-_BASE = 2.0**31  # a digit of signs
+_BASE = 2.0**31  # a digit of products
 _DIGITS = 32     # rows spanning more than 31 * _DIGITS bits take primitive
-_NORM = 1 << 20  # the largest |h|_1 of a row of N in signs
-# Terms in one matmul of signs.  Larger products run on several BLAS threads,
-# and on a 2-core host such a call was measured to stall at times for ~8 ms,
-# against ~0.1 ms on one thread.
+_NORM = 1 << 20  # the largest |h|_1 of a row of N in products
+# Terms in one matmul of products.  Larger products run on several BLAS
+# threads, and on a 2-core host such a call was measured to stall at times for
+# ~8 ms, against ~0.1 ms on one thread.
 _PRODUCT = 1 << 18
+
+
+def _exact_row(ints, x: list) -> list:
+    """The products of one float row x with the object matrix ints, each rounded once.
+
+    x is c y for a positive rational c and the coprime integers y of
+    primitive; each exact product c (h, y) is rounded by float(Fraction),
+    and one beyond the float range is an infinity of its sign.
+    """
+    y = primitive(x)
+    i = next((i for i, t in enumerate(y) if t), None)
+    if i is None:
+        return [0.0] * len(ints)
+    c = Fraction(x[i]) / y[i]
+    out = []
+    for s in (ints @ np.array(y, dtype=object)).tolist():
+        try:
+            out.append(float(c * s))
+        except OverflowError:
+            out.append(float("inf") if s > 0 else float("-inf"))
+    return out
+
+
+def _digit_products(X, low, span, H, out) -> None:
+    """Write products (see there) of rows X that the digits hold into out.
+
+    X[r] is 2**low[r] y with y an integer vector, |y| < 2**span[r]; H is
+    N.T as floats.  The digits of a row are taken a chunk of rows at a
+    time, so at most two digit products per entry of out, or 2**16 if
+    that is more, are held.
+    """
+    digits = max(1, -(-int(span.max()) // 31))
+    per = max(1, max(2 * len(X), _PRODUCT // (4 * H.shape[1])) // digits)
+    step = max(1, _PRODUCT // H.size)  # digit rows of one matmul, on one BLAS thread
+    for first in range(0, len(X), per):
+        y = np.ldexp(X[first:first + per], -low[first:first + per, None])
+        stack = np.empty((digits, *y.shape))  # (digit, row, entry), least digit first
+        for d in range(digits - 1):
+            q = np.floor(y * (1 / _BASE))
+            stack[d] = y - q * _BASE
+            y = q
+        stack[-1] = y * _BASE if digits > 1 else y  # the top digit in place: still exact
+        stack = stack.reshape(-1, X.shape[1])
+        P = np.empty((len(stack), H.shape[1]))
+        for lo in range(0, len(stack), step):
+            np.matmul(stack[lo:lo + step], H, out=P[lo:lo + step])
+        P = P.reshape(digits, -1, H.shape[1])
+        top = out[first:first + per]
+        if digits == 1:
+            top[...] = P[0]
+        else:
+            for d in range(digits - 2):  # all but the top two digit sums into [0, 2**31)
+                carry = np.floor(P[d] * (1 / _BASE))
+                P[d] -= carry * _BASE
+                P[d + 1] += carry
+            np.add(P[-1], P[-2], out=top)
+            # take in lower digits while top is exact; the rest only shift,
+            # which stays exact as |top| < 2**83 and 31 (digits - 2) <= 930
+            for d in range(digits - 3, -1, -1):
+                short = np.abs(top) < 2.0**53
+                if not short.any():
+                    top *= _BASE ** (d + 1)
+                    break
+                top *= _BASE
+                P[d] *= short
+                top += P[d]
+        # exact where |top| < 2**53, and a normal float anywhere else
+        with np.errstate(over="ignore"):
+            top *= np.ldexp(1.0, low[first:first + per])[:, None]
+
+
+def products(N, X) -> np.ndarray:
+    """(h, x) for every row h of N and x of X, each exact value rounded once: (rows of X, rows of N).
+
+    N is an integer matrix whose rows have |h|_1 <= 2**20; X holds finite
+    floats, each taken at its binary value.  Each row x is 2**E y with E
+    its least exponent (np.frexp, at least -1074) and y an integer
+    vector (np.ldexp), and y is split into base-2**31 digits by floor and
+    subtract, all exact.  One float matmul of N with the digits is then
+    exact in any summation order, as every entry is an integer below
+    2**51, so the result of a row depends on that row alone, whatever
+    the rows beside it.  For a row spanning at most 62 bits, two digits,
+    (top sum) 2**31 + (low sum) is one float sum of two exact floats, so
+    the product is correctly rounded.  Wider rows carry each lower digit
+    sum's excess into the next, which leaves every digit below the top
+    two in [0, 2**31); the top takes in lower digits while it stays
+    below 2**53, exact, and the first sum that reaches 2**53 is rounded
+    once, which makes the product faithful (one of the two floats
+    around the exact value).  Either way the sign is exact: Shewchuk's
+    exact expansions (DCG 18, 1997) in their simplest case.  A row
+    spanning more than 31 * _DIGITS bits, which the scaling would
+    overflow, is taken to integers by primitive and rounded from the
+    exact value instead.  A product beyond the float range is an
+    infinity of its sign.
+    """
+    N = np.asarray(N)
+    X = np.asarray(X, dtype=float)
+    # the cheap bound first: the row sums cost ~5x as much, on every screen block
+    if N.size and max(N.max(), -N.min()) * N.shape[1] > _NORM and (
+        np.abs(N).sum(axis=1).max() > _NORM
+    ):
+        raise ValueError(f"products take normals with |h|_1 <= {_NORM}")
+    if not np.isfinite(X).all():
+        raise ValueError("products take finite rows")
+    out = np.zeros((len(X), len(N)))
+    if not X.size or not N.size:
+        return out
+    frac, exp = np.frexp(X)  # x = frac 2**exp, frac 2**53 an integer
+    nonzero = frac != 0
+    # every float is a multiple of 2**-1074; a zero row takes the largest low, 971
+    low = np.maximum(np.where(nonzero, exp, 1024).min(axis=1) - 53, -1074)
+    span = np.where(nonzero, exp, -(1 << 12)).max(axis=1) - low  # |y| < 2**span
+    fast = span <= 31 * _DIGITS
+    H = N.T.astype(float)
+    if fast.all():
+        _digit_products(X, low, span, H, out)
+        return out
+    ints = N.astype(object)
+    for r in np.flatnonzero(~fast).tolist():
+        out[r] = _exact_row(ints, X[r].tolist())
+    if fast.any():
+        part = np.empty((np.count_nonzero(fast), len(N)))
+        _digit_products(X[fast], low[fast], span[fast], H, part)
+        out[fast] = part
+    return out
 
 
 def signs(N, X) -> np.ndarray:
     """The exact sign of (h, x) for every row h of N and x of X, int8 (rows of X, rows of N).
 
-    N is an integer matrix whose rows have |h|_1 <= 2**20; X holds finite
-    floats, each taken at its binary value.  Each row x is 2**E y with E
-    its least exponent (np.frexp) and y an integer vector (np.ldexp), and
-    y is split into base-2**31 digits by floor and subtract, all exact.
-    One float matmul of N with the digits is then exact in any summation
-    order, as every entry is an integer below 2**51; so is carrying the
-    excess of each sum but the top two over its digit into the next.  A
-    float sum of two floats has the sign of their exact sum, so the sign
-    is that of (top sum) 2**31 + (next sum), or positive where that is
-    zero and some lower digit is not: the simplest case of exact
-    expansions (Shewchuk, DCG 18, 1997).  A row spanning more than
-    31 * _DIGITS bits, which the scaling would overflow, is taken to
-    integers by primitive instead.
+    The signs of products(N, X), which are exact.
     """
-    N = np.asarray(N)
-    X = np.asarray(X, dtype=float)
-    if N.size and np.abs(N).sum(axis=1).max() > _NORM:
-        raise ValueError(f"signs takes normals with |h|_1 <= {_NORM}")
-    if not np.isfinite(X).all():
-        raise ValueError("signs takes finite rows")
-    if not X.size or not N.size:
-        return np.zeros((len(X), len(N)), dtype=np.int8)
-    frac, exp = np.frexp(X)  # x = frac 2**exp, frac 2**53 an integer
-    nonzero = frac != 0
-    low = np.where(nonzero, exp, 1 << 12).min(axis=1) - 53
-    span = np.where(nonzero, exp, -(1 << 12)).max(axis=1) - low  # |y| < 2**span
-    fast = span <= 31 * _DIGITS
-    out = np.zeros((len(X), len(N)), dtype=np.int8)
-    if not fast.all():
-        ints = N.astype(object)
-        for r in np.flatnonzero(~fast).tolist():
-            exact = (ints @ np.array(primitive(X[r].tolist()), dtype=object)).tolist()
-            out[r] = [(s > 0) - (s < 0) for s in exact]
-        if not fast.any():
-            return out
-    digits = max(1, -(-int(span[fast].max()) // 31))
-    y = np.ldexp(X[fast], -low[fast, None])
-    stack = np.empty((digits, *y.shape))  # (digit, row, entry), least digit first
-    for d in range(digits - 1):
-        q = np.floor(y * (1 / _BASE))
-        stack[d] = y - q * _BASE
-        y = q
-    stack[-1] = y
-    # in products of at most _PRODUCT terms, which BLAS runs on one thread
-    stack, H = stack.reshape(-1, X.shape[1]), N.T.astype(float)
-    P = np.empty((len(stack), len(N)))
-    step = max(1, _PRODUCT // H.size)
-    for lo in range(0, len(stack), step):
-        np.matmul(stack[lo:lo + step], H, out=P[lo:lo + step])
-    P = P.reshape(digits, -1, len(N))
-    lower = False  # whether a carried digit is left nonzero
-    for d in range(digits - 2):
-        carry = np.floor(P[d] * (1 / _BASE))
-        lower = lower | (P[d] != carry * _BASE)
-        P[d + 1] += carry
-    top = P[-1] * _BASE + P[-2] if digits > 1 else P[0]
-    if digits > 2:
-        top = 2 * top + lower  # |2 top| >= 2 unless top is 0
-    out[fast] = (top > 0).view(np.int8) - (top < 0).view(np.int8)
-    return out
+    P = products(N, X)
+    return (P > 0).view(np.int8) - (P < 0).view(np.int8)
 
 
 def gamma(k: int) -> float:

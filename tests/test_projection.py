@@ -288,6 +288,27 @@ def test_nnls_multipliers_meet_the_kkt_conditions(census5, rng):
             assert_kkt(E, np.arange(count)[None], v)
 
 
+def test_nnls_cutoff_drops_only_problems_that_cannot_win(census6, rng):
+    # a problem that ends at or below its cutoff returns the uncut result bit
+    # for bit; any other returns some |W| above its cutoff, and many leave
+    # the stack before their last step
+    U = census6.normals / np.linalg.norm(census6.normals, axis=1, keepdims=True)
+    rows_of = census6.cols.reshape(len(census6.types), -1)
+    normals = rows_of[rng.integers(len(rows_of), size=240)]
+    _, base = equal_pendant_metric("((((0,1),2),3),4,5);")
+    V = base + rng.choice([0.02, 0.1, 0.5], (240, 1)) * rng.standard_normal((240, 15))
+    W0, mu0 = projection._nnls(U, normals, V)
+    d0 = np.sqrt((W0 * W0).sum(axis=1))
+    assert (d0 > 0).all()
+    cutoff = d0 * rng.choice([0.0, 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0, np.inf], 240)
+    W, mu = projection._nnls(U, normals, V, cutoff)
+    d = np.sqrt((W * W).sum(axis=1))
+    kept = d0 <= cutoff
+    assert W[kept].tobytes() == W0[kept].tobytes() and mu[kept].tobytes() == mu0[kept].tobytes()
+    assert (d[~kept] > cutoff[~kept]).all()
+    assert (d[~kept] < d0[~kept]).sum() >= 20  # cut before the last step
+
+
 def test_rays_and_faces_of_the_criterion_9_cones_are_pinned(census5, type_reps):
     cones = (census5.cones[27], *(irredundant(rep) for rep in type_reps))
     counts = [tuple(map(len, cone_faces(cone))) for cone in cones]
@@ -453,17 +474,17 @@ def test_every_row_is_screened_once(census5, census6, rng, monkeypatch):
     cases = [noisy_tree_rows(5, rng, 60, (0.0, 0.1, 0.5)),
              (star, 1.0 + 0.001 * rng.standard_normal((12, 15)))]
     screened, stacks = [], []
-    real_screen, real_nnls = projection._in_some_cone, projection._nnls
+    real_products, real_nnls = projection.products, projection._nnls
 
-    def counting(X, *args):
+    def counting(N, X):
         screened.append(X.copy())
-        return real_screen(X, *args)
+        return real_products(N, X)
 
-    def stacking(U, normals, V):
+    def stacking(U, normals, V, *cutoff):
         stacks.append(len(V))
-        return real_nnls(U, normals, V)
+        return real_nnls(U, normals, V, *cutoff)
 
-    monkeypatch.setattr(projection, "_in_some_cone", counting)
+    monkeypatch.setattr(projection, "products", counting)
     monkeypatch.setattr(projection, "_nnls", stacking)
     for (top, V), cns in zip(cases, (census5, census6)):
         for budget in (projection.BLOCK_BYTES, 1):

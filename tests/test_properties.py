@@ -229,22 +229,23 @@ def caterpillar_rows(rng, count, tiny=None) -> np.ndarray:
 
 
 def exact_paths(monkeypatch) -> dict:
-    """Counts of the rows the float classifiers hand to rational.signs, and of
-    the rows it takes to Python integers (rational.primitive)."""
-    counts = {"signs": 0, "primitive": 0}
-    real_signs, real_primitive = rational.signs, rational.primitive
+    """Counts of the rows the float classifiers hand to the exact kernel,
+    rational.products (classify_batch through rational.signs), and of the
+    rows it takes to Python integers (rational.primitive)."""
+    counts = {"kernel": 0, "primitive": 0}
+    real_products, real_primitive = rational.products, rational.primitive
 
-    def signs(N, X):
-        counts["signs"] += len(X)
-        return real_signs(N, X)
+    def products(N, X):
+        counts["kernel"] += len(X)
+        return real_products(N, X)
 
     def primitive(x):
         counts["primitive"] += 1
         return real_primitive(x)
 
     monkeypatch.setattr(rational, "primitive", primitive)
-    for module in (importlib.import_module("njcones.census"), projection):
-        monkeypatch.setattr(module, "signs", signs)
+    for module in (rational, projection):
+        monkeypatch.setattr(module, "products", products)
     return counts
 
 
@@ -252,7 +253,7 @@ def test_exact_paths_of_the_float_classifiers_match_the_oracles(census6, monkeyp
     # classify_batch ids are nj_run's and distances_to_wrong verdicts are
     # membership's where rows go exact: tree metrics with equal lengths, on
     # cone boundaries, near ties, and rows too wide for the digits of
-    # rational.signs, which alone are taken to Python integers
+    # rational.products, which alone are taken to Python integers
     rng = np.random.default_rng(28)
     ids6 = trace_ids(census6)
     mine = [census6.cones[i] for i in census6.topology_index[CATERPILLAR]]
@@ -287,9 +288,9 @@ def test_exact_paths_of_the_float_classifiers_match_the_oracles(census6, monkeyp
             got = [r.verdict for r in distances_to_wrong(X, CATERPILLAR, census6)]
         monkeypatch.undo()
         assert got == want, (run, wide)
-        assert counts["signs"] > 0  # every case has rows the floats leave unsure
+        assert counts["kernel"] > 0  # every case reaches the exact kernel
         # Python integers only for the rows too wide for the digits
         assert (counts["primitive"] > 0) == wide
-        assert counts["primitive"] <= counts["signs"]
+        assert counts["primitive"] <= counts["kernel"]
         if X is near_ties or X is wide_ties:
             assert 0 < want.count(-1) < len(want)

@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from njcones.rational import (
     feasible_point,
     nullspace,
     primitive,
+    products,
     rank,
     signs,
     solve,
@@ -374,3 +377,95 @@ def test_signs_guard_their_inputs():
         signs([[1, 0, 0]], [[1.0, np.inf, 0.0]])
     assert signs(np.zeros((0, 3), dtype=int), row).shape == (1, 0)
     assert signs([[1, 2, 3]], np.zeros((0, 3))).shape == (0, 1)
+
+
+def exact_products(N, X) -> list:
+    """(h, x) for every row x of X and h of N, as exact Fractions."""
+    return [[sum((int(a) * Fraction(t) for a, t in zip(h, x)), Fraction(0)) for h in np.asarray(N).tolist()]
+            for x in np.asarray(X).tolist()]
+
+
+def rounded(q: Fraction) -> float:
+    """The float nearest the rational q, an infinity beyond the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+def faithful(value: float, q: Fraction) -> bool:
+    """Whether value is one of the two floats around q (q itself if it is one)."""
+    if math.isinf(value):
+        return (value > 0) == (q > 0) and abs(q) > Fraction(np.finfo(float).max)
+    if Fraction(value) == q:
+        return True
+    other = math.nextafter(value, math.inf if q > value else -math.inf)
+    return min(value, other) <= q <= max(value, other)
+
+
+def kernel_span(x) -> int:
+    """The bits a row spans for products: from its least possible bit to its top."""
+    exps = [math.frexp(t)[1] for t in x if t]
+    return max(exps) - max(min(exps) - 53, -1074) if exps else 0
+
+
+@st.composite
+def kernel_blocks(draw):
+    """Blocks of ten-entry float rows, their entries integer mantissas at
+    exponents in a window, spanning from a few bits to past the 992 the
+    digits hold; some rows are plain hypothesis floats."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            low = draw(st.integers(-1130, 960))
+            width = draw(st.integers(0, 9) | st.integers(0, 2100))  # spans of 53 + width
+            exps = st.integers(low, min(low + width, 970))
+            mantissas = st.integers(-(2**53 - 1), 2**53 - 1)
+            row = [math.ldexp(draw(mantissas), draw(exps)) for _ in range(10)]
+            zeros = draw(st.lists(st.integers(0, 9), max_size=9))
+            rows.append([0.0 if i in zeros else t for i, t in enumerate(row)])
+        else:
+            rows.append(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                      min_size=10, max_size=10)))
+    return np.array(rows)
+
+
+def kernel_normals(census5) -> np.ndarray:
+    """The five-taxa census normals, and rows of large entries up to |h|_1 = 2**20."""
+    wide = np.random.default_rng(5).integers(-(1 << 17), 1 << 17, (6, 10))
+    wide[0] = [1 << 19, -(1 << 19) + 2, 1, 0, 0, 0, 0, 0, 0, -1]
+    assert np.abs(wide).sum(axis=1).max() <= 1 << 20
+    return np.r_[census5.normals, wide]
+
+
+@given(kernel_blocks(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_products_match_the_exact_values(census5, X, data):
+    # the exact sign always, a faithful value, a correctly rounded one for
+    # rows spanning at most 62 bits, the same bits under every split of the
+    # rows, and Python integers only for rows the digits cannot hold
+    N = kernel_normals(census5)
+    with mock.patch.object(rational, "primitive", wraps=rational.primitive) as fallback:
+        got = products(N, X)
+    wide = [kernel_span(x) > 31 * rational._DIGITS for x in X.tolist()]
+    assert fallback.call_count == sum(wide)
+    assert got.shape == (len(X), len(N)) and got.dtype == float
+    for x, row, exact, too_wide in zip(X.tolist(), got.tolist(), exact_products(N, X), wide):
+        for value, q in zip(row, exact):
+            assert (value > 0) - (value < 0) == (q > 0) - (q < 0)
+            assert faithful(value, q)
+            if too_wide or kernel_span(x) <= 62:
+                assert value == rounded(q)
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(X) - 1))) if len(X) > 1 else [])
+    parts = [products(N, X[a:b]) for a, b in zip([0, *cuts], [*cuts, len(X)])]
+    assert np.concatenate(parts).tobytes() == got.tobytes()
+    assert np.concatenate([products(N, x[None]) for x in X]).tobytes() == got.tobytes()
+    assert (signs(N, X) == np.sign(got)).all()
+
+
+def test_products_of_zero_rows_are_zero(census5):
+    # a zero row has no least exponent; beside rows of every width it is 0
+    X = np.array([[0.0] * 10, [-0.0] * 10, [1.0] * 10, [1e300] + [1e-300] * 9])
+    got = products(census5.normals, X)
+    assert (got[:2] == 0).all() and not np.isnan(got).any()
+    assert got[2:].tolist() == [[rounded(q) for q in row] for row in exact_products(census5.normals, X[2:])]
