@@ -181,12 +181,12 @@ def nearest_point(cone, v) -> ProjectionResult:
 
 # Budget of a block in the noise experiments: distances_to_wrong screens as
 # many rows as keep what the screen holds per row (the slacks on the distinct
-# normals and their digit products, the largest level of them gathered, and
-# two bounds per cone) this small, keeps the bounds of as many rows (8 bytes
-# per cone per row) this small, and projects stacks of as many problems as
-# keep their normals this small; simulate.run_experiment takes as many
-# replicates as keep one edge's draws plus the vertex sequences this small.
-# So peak memory does not grow with the rows.
+# normals, with their digit products or with the largest level of them
+# gathered and two bounds per cone) this small, keeps the bounds of as many
+# rows (8 bytes per cone per row) this small, and projects stacks of as many
+# problems as keep their normals this small; simulate.run_experiment takes as
+# many replicates as keep one edge's draws plus the vertex sequences this
+# small.  So peak memory does not grow with the rows.
 BLOCK_BYTES = 1 << 20
 
 
@@ -293,9 +293,11 @@ def distances_to_wrong(V, true_topology, census) -> list:
         # correct rows look for other topologies, incorrect ones for their own
         return ok, np.where(mine != ok[:, None], np.maximum(bounds, 0.0), np.inf)
 
-    # per row: the slacks and their two digit products (rational.products),
-    # the largest level of slacks gathered, and two bounds per cone
-    held = 3 * len(norms) + max(level.size for level in levels) + 2 * len(mine)
+    # per row: the slacks, beside their two digit products (rational.products)
+    # or, once those are gone, the largest level of slacks gathered and two
+    # bounds per cone
+    widest = max(level.size for level in levels)
+    held = len(norms) + max(2 * len(norms), widest + 2 * len(mine))
     step = max(1, BLOCK_BYTES // (8 * held))
     batch = max(1, BLOCK_BYTES // (8 * len(mine)))
     correct = np.empty(len(V), dtype=bool)

@@ -136,7 +136,7 @@ def _digit_products(X, low, span, H, out) -> None:
 
 
 def products(N, X) -> np.ndarray:
-    """(h, x) for every row h of N and x of X, each exact value rounded once: (rows of X, rows of N).
+    """(h, x) for every row h of N and x of X, each rounded once: (rows of X, rows of N).
 
     N is an integer matrix whose rows have |h|_1 <= 2**20; X holds finite
     floats, each taken at its binary value.  Each row x is 2**E y with E

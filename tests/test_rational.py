@@ -381,7 +381,8 @@ def test_signs_guard_their_inputs():
 
 def exact_products(N, X) -> list:
     """(h, x) for every row x of X and h of N, as exact Fractions."""
-    return [[sum((int(a) * Fraction(t) for a, t in zip(h, x)), Fraction(0)) for h in np.asarray(N).tolist()]
+    rows = np.asarray(N).tolist()
+    return [[sum((int(a) * Fraction(t) for a, t in zip(h, x)), Fraction(0)) for h in rows]
             for x in np.asarray(X).tolist()]
 
 
@@ -468,4 +469,5 @@ def test_products_of_zero_rows_are_zero(census5):
     X = np.array([[0.0] * 10, [-0.0] * 10, [1.0] * 10, [1e300] + [1e-300] * 9])
     got = products(census5.normals, X)
     assert (got[:2] == 0).all() and not np.isnan(got).any()
-    assert got[2:].tolist() == [[rounded(q) for q in row] for row in exact_products(census5.normals, X[2:])]
+    want = exact_products(census5.normals, X[2:])
+    assert got[2:].tolist() == [[rounded(q) for q in row] for row in want]
