@@ -380,28 +380,34 @@ def test_signs_guard_their_inputs():
 
 
 def exact_products(N, X) -> list:
-    """(h, x) for every row x of X and h of N, as exact Fractions."""
+    """(h, x) for every row x of X and h of N, exactly: per row of X, a
+    power-of-two denominator and the integer numerators over it."""
     rows = np.asarray(N).tolist()
-    return [[sum((int(a) * Fraction(t) for a, t in zip(h, x)), Fraction(0)) for h in rows]
-            for x in np.asarray(X).tolist()]
+    out = []
+    for x in np.asarray(X).tolist():
+        fracs = [Fraction(t) for t in x]
+        den = max(f.denominator for f in fracs)  # powers of two: a multiple of the others
+        ints = [f.numerator * (den // f.denominator) for f in fracs]
+        out.append((den, [sum(a * t for a, t in zip(h, ints)) for h in rows]))
+    return out
 
 
-def rounded(q: Fraction) -> float:
-    """The float nearest the rational q, an infinity beyond the float range."""
+def rounded(num: int, den: int) -> float:
+    """The float nearest num / den, an infinity beyond the float range."""
     try:
-        return float(q)
+        return num / den  # true division of integers rounds correctly
     except OverflowError:
-        return math.inf if q > 0 else -math.inf
+        return math.inf if num > 0 else -math.inf
 
 
-def faithful(value: float, q: Fraction) -> bool:
-    """Whether value is one of the two floats around q (q itself if it is one)."""
-    if math.isinf(value):
-        return (value > 0) == (q > 0) and abs(q) > Fraction(np.finfo(float).max)
-    if Fraction(value) == q:
+def faithful(value: float, num: int, den: int, nearest: float) -> bool:
+    """Whether value is one of the two floats around num / den, the nearest given."""
+    if value == nearest:
         return True
-    other = math.nextafter(value, math.inf if q > value else -math.inf)
-    return min(value, other) <= q <= max(value, other)
+    # the other neighbour, with q between them (floats compare with q exactly)
+    q = Fraction(num, den)
+    low, high = sorted((value, nearest))
+    return math.nextafter(nearest, value) == value and low <= q <= high
 
 
 def kernel_span(x) -> int:
@@ -451,12 +457,12 @@ def test_products_match_the_exact_values(census5, X, data):
     wide = [kernel_span(x) > 31 * rational._DIGITS for x in X.tolist()]
     assert fallback.call_count == sum(wide)
     assert got.shape == (len(X), len(N)) and got.dtype == float
-    for x, row, exact, too_wide in zip(X.tolist(), got.tolist(), exact_products(N, X), wide):
-        for value, q in zip(row, exact):
-            assert (value > 0) - (value < 0) == (q > 0) - (q < 0)
-            assert faithful(value, q)
-            if too_wide or kernel_span(x) <= 62:
-                assert value == rounded(q)
+    for x, row, (den, exact), too_wide in zip(X.tolist(), got.tolist(), exact_products(N, X), wide):
+        correct = too_wide or kernel_span(x) <= 62
+        for value, num in zip(row, exact):
+            assert (value > 0) - (value < 0) == (num > 0) - (num < 0)
+            nearest = rounded(num, den)
+            assert value == nearest if correct else faithful(value, num, den, nearest)
     cuts = sorted(data.draw(st.sets(st.integers(1, len(X) - 1))) if len(X) > 1 else [])
     parts = [products(N, X[a:b]) for a, b in zip([0, *cuts], [*cuts, len(X)])]
     assert np.concatenate(parts).tobytes() == got.tobytes()
@@ -470,4 +476,4 @@ def test_products_of_zero_rows_are_zero(census5):
     got = products(census5.normals, X)
     assert (got[:2] == 0).all() and not np.isnan(got).any()
     want = exact_products(census5.normals, X[2:])
-    assert got[2:].tolist() == [[rounded(q) for q in row] for row in want]
+    assert got[2:].tolist() == [[rounded(num, den) for num in row] for den, row in want]
