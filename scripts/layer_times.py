@@ -48,7 +48,10 @@ figures are medians over its calls), then calls the layers of
   Gaussian rows (median of three), microseconds per `TreeTopology` built
   from the edge lists of 1,000 random trees on 5-20 leaves, and
   microseconds per `cone_from_trace` call over the 450 six-taxa census
-  traces (each a median of three passes);
+  traces (each a median of three passes); and milliseconds for the
+  first read of `cones` and, apart, of `topology_index` of a census(n)
+  at n = 5, 6 and 7 (median over five fresh census(n) objects each;
+  reading `cones` builds `topology_index` too);
 - irredundant: milliseconds per `cones.irredundant` call on the first
   census cone of each six-taxa type, and of the `interior_point` and the
   NNLS proposal calls inside it (stacked `cones._nnls` calls, or
@@ -122,6 +125,7 @@ SEED = 1
 POLYTOPE_TAXA = (5, 6)
 POLYTOPE_CALLS = 3  # timed calls per polytope layer
 CENSUS_CALLS = 7
+CENSUS_READS = 5  # fresh census(n) objects timed for each first read
 TREES = 1000  # random trees timed for TreeTopology construction
 IMPORTS = 5  # fresh interpreters timed importing the CLI
 PARSER_CALLS = 200
@@ -246,9 +250,22 @@ def polytope_ms() -> dict:
     return out
 
 
+def first_read_time(n: int, name: str) -> float:
+    """Median seconds of the first read of census attribute name, each
+    time on a fresh census(n), whose build is not timed."""
+    times = []
+    for _ in range(CENSUS_READS):
+        cns = census(n)
+        start = time.perf_counter()
+        getattr(cns, name)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
 def census_times() -> dict:
     """census(n) in ms, classify_batch(6) and (7) in rows/s, TreeTopology and
-    cone_from_trace in us per call."""
+    cone_from_trace in us per call, first reads of cones and topology_index
+    in ms."""
     out = {}
     for n in (5, 6, 7):
         census(n)
@@ -278,6 +295,9 @@ def census_times() -> dict:
 
     per_call = median_time(cones_from_traces, 3) / len(traces)
     out["cone_from_trace_us"] = round(per_call * 1e6, 1)
+    for n in (5, 6, 7):
+        out[f"cones{n}_read_ms"] = round(first_read_time(n, "cones") * 1e3, 2)
+        out[f"topology_index{n}_ms"] = round(first_read_time(n, "topology_index") * 1e3, 2)
     return out
 
 

@@ -12,8 +12,9 @@ normals of each node's picks, which every cone below the pick shares.
 _cascade composes the join maps down the pick tree once, a depth at a
 time, and both the census and the Monte Carlo classifier read their
 node scores from it, which ties the sampling to the H-representations.
-Everything else about a cone follows from its digits: its split row,
-its type and, when asked for, its trace (nj.trace_from_picks).
+Everything else about a cone follows from its digits, in one bitmask
+pass over them all (_splits_and_orbits): its joins, its split row and
+its type.  Its trace, when asked for, is read off its joins.
 
 A cone's type is its orbit under relabeling the taxa.  Types are named
 I, II, ... by first cone id (the paper's I, II and III at 6 taxa); the
@@ -33,7 +34,7 @@ import numpy as np
 
 from .cones import NJCone, _gap_rows
 from .distvec import all_pairs, num_pairs, permute_flat
-from .nj import CherryTrace, _leaves, join_clusters, join_operator, q_operator, trace_from_picks
+from .nj import CherryTrace, _leaves, join_clusters, join_operator, q_operator
 from .rational import gamma, signs
 
 _CHUNK = 1 << 17
@@ -53,7 +54,7 @@ class ConeCensus:
     """The census cones as levels of the pick tree over one stack of normals.
 
     normals holds the distinct primitive integer normals of all cones,
-    numbered in order of first appearance cone by cone.  levels[d] is an
+    numbered in order of first appearance level by level.  levels[d] is an
     intp array of shape (nodes, k, w): for each of the k picks of each
     node at depth d of the pick tree, nodes in id order, the rows of
     normals of the w gap normals that force it.  With C cones, cone c
@@ -62,17 +63,20 @@ class ConeCensus:
     normals are those of its node-picks, level by level: 11, 25 and 45 at
     5, 6 and 7 taxa.  Cones that share no pick tree are one level of
     shape (1, C, s).  cols, the same normals cone by cone, is derived
-    from the levels.  picks holds each cone's digits; splits, its n - 3
-    splits as sorted int64 taxon bitmasks of the side without leaf 0.
-    topology_index, one TreeTopology per split row, and cones, which
-    share those topologies, are built the first time they are read.
+    from the levels.  splits holds each cone's n - 3 splits as sorted
+    int64 taxon bitmasks of the side without leaf 0; joins, its n - 3
+    joins as pairs of taxon bitmasks, the last one recorded as the side
+    of the final split that holds leaf 0 (nj._canonical_last_join), so
+    trace(c) is cone c's trace.  topology_index, one TreeTopology per
+    split row, and cones, which share those topologies, are built the
+    first time they are read.
     """
 
     n: int
     normals: np.ndarray           # distinct integer normals, one per row
     levels: tuple                 # per depth, rows of normals of each (node, pick)
     splits: np.ndarray            # per cone, its split bitmasks, sorted
-    picks: np.ndarray             # per cone, its pick digits
+    joins: np.ndarray             # per cone and join, its two cluster bitmasks
     types: tuple                  # orbit name per cone: "" for n=5, else I, II, ...
 
     @property
@@ -88,14 +92,18 @@ class ConeCensus:
     def cones_of_type(self, t: str) -> tuple:
         return tuple(i for i, x in enumerate(self.types) if x == t)
 
+    def trace(self, c: int) -> CherryTrace:
+        """The trace of cone c, from its joins."""
+        taxa = _taxon_sets(self.n)
+        return CherryTrace(self.n, tuple((taxa[a], taxa[b]) for a, b in self.joins[c].tolist()))
+
     @cached_property
     def topology_index(self) -> dict:
         """TreeTopology -> tuple of its cone ids, in the order of their first cones."""
         ids: dict = {}
         for k, row in enumerate(map(tuple, self.splits.tolist())):
             ids.setdefault(row, []).append(k)
-        picks = self.picks.tolist()
-        return {trace_from_picks(self.n, picks[v[0]]).topology(): tuple(v) for v in ids.values()}
+        return {self.trace(v[0]).topology(): tuple(v) for v in ids.values()}
 
     @cached_property
     def cones(self) -> tuple:
@@ -103,11 +111,9 @@ class ConeCensus:
         rows = [tuple(h) for h in self.normals.tolist()]
         cols = self.cols.reshape(len(self.types), -1).tolist()
         topologies = {c: top for top, ids in self.topology_index.items() for c in ids}
-        shared: dict = {}  # one frozenset per cluster, for all the traces that join it
         out = []
-        for c, (picks, t, mine) in enumerate(zip(self.picks.tolist(), self.types, cols)):
-            merges = trace_from_picks(self.n, picks).merges
-            trace = CherryTrace(self.n, tuple(tuple(map(shared.setdefault, m, m)) for m in merges))
+        for c, (t, mine) in enumerate(zip(self.types, cols)):
+            trace = self.trace(c)
             if self.n == 5:
                 # the first cherry and the middle leaf, which is in no cherry
                 (b,), (a,) = trace.merges[0]
@@ -118,6 +124,12 @@ class ConeCensus:
             normals = tuple(rows[i] for i in mine)
             out.append(NJCone(self.n, normals, trace=trace, topology=topologies[c], label=label))
         return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _taxon_sets(n: int) -> tuple:
+    """The frozenset of taxa of every taxon bitmask below 2**n, by mask."""
+    return tuple(frozenset(i for i in range(n) if m >> i & 1) for m in range(1 << n))
 
 
 @lru_cache(maxsize=None)
@@ -157,19 +169,23 @@ def _gap_bounds(n: int) -> tuple:
 
 
 def _splits_and_orbits(n: int, picks: np.ndarray) -> tuple:
-    """(splits, keys): per cone, from its pick digits, its split row and orbit key.
+    """(splits, joins, keys): per cone, from its pick digits, its split
+    row, its joins and its orbit key.
 
     One pass over the steps keeps each cone's clusters as taxon bitmasks
     and the step that made each (0 for a leaf, j + 1 for step j).  The
-    split row is the clusters the joins make and the last split, each as
-    its side without leaf 0, sorted.  The orbit key forgets the leaf
-    labels: each join as the sorted pair of its parts' steps, the last as
-    its unordered 2 + 2 split of them, read as one number.
+    joins are each step's two clusters, the last one the side of the
+    final split that holds leaf 0 (nj._canonical_last_join).  The split
+    row is the clusters the joins make, each as its side without leaf 0,
+    sorted.  The orbit key forgets the leaf labels: each join as the
+    sorted pair of its parts' steps, the last as its unordered 2 + 2
+    split of them, read as one number.
     """
     base = n - 3  # steps run 0..n-4
     clusters = np.broadcast_to(1 << np.arange(n, dtype=np.int64), (len(picks), n))
     made = np.zeros((len(picks), n), dtype=np.int64)
     masks = np.empty((len(picks), n - 3), dtype=np.int64)
+    joins = np.empty((len(picks), n - 3, 2), dtype=np.int64)
     keys = 0
 
     def code(cols):  # the steps of two clusters as one unordered pair
@@ -183,8 +199,11 @@ def _splits_and_orbits(n: int, picks: np.ndarray) -> tuple:
         order = np.array([[max(c) for c in join_clusters(_leaves(nk), p)[0]]
                           for p in range(len(pairs))])
         xy, slots = np.array(pairs)[picks[:, j]], order[picks[:, j]]
-        masks[:, j] = np.bitwise_or.reduce(np.take_along_axis(clusters, xy, axis=1), axis=1)
+        joins[:, j] = np.take_along_axis(clusters, xy, axis=1)
+        masks[:, j] = joins[:, j, 0] | joins[:, j, 1]
         if nk == 4:  # the last pick is a split class: x, y against the other two
+            rest = np.take_along_axis(clusters, slots[:, :2], axis=1)
+            joins[:, j] = np.where(masks[:, j, None] & 1, joins[:, j], rest)
             a, b = code(xy), code(slots[:, :2])
             keys = (keys * base**2 + np.minimum(a, b)) * base**2 + np.maximum(a, b)
             break
@@ -192,7 +211,8 @@ def _splits_and_orbits(n: int, picks: np.ndarray) -> tuple:
         clusters, made = (np.take_along_axis(a, slots, axis=1) for a in (clusters, made))
         clusters[:, -1], made[:, -1] = masks[:, j], j + 1
     # kind="stable": numpy's default int64 sort would page in ~256 KB more code
-    return np.sort(np.where(masks & 1, (1 << n) - 1 - masks, masks), axis=1, kind="stable"), keys
+    splits = np.sort(np.where(masks & 1, (1 << n) - 1 - masks, masks), axis=1, kind="stable")
+    return splits, joins, keys
 
 
 def census(n: int) -> ConeCensus:
@@ -202,12 +222,12 @@ def census(n: int) -> ConeCensus:
     rows of that depth's nodes (_cascade) give all of its gap rows in one
     cones._gap_rows pass.  No two score rows of a census node coincide,
     so every pick keeps the same count of them.  The distinct rows are
-    numbered by their int64 bytes in order of first appearance cone by
-    cone.  A cone's pick digits are its id in the mixed radix; they give
-    its split row and orbit key (_splits_and_orbits), and the types
-    number the distinct keys by their first cone.  Traces, topologies
-    and labels wait for ConeCensus.cones.  At 8 taxa it would hold
-    264,600 cones.
+    numbered by their int64 bytes in order of first appearance, level by
+    level and each level in id order.  A cone's pick digits are its id
+    in the mixed radix; they give its split row, joins and orbit key
+    (_splits_and_orbits), and the types number the distinct keys by
+    their first cone.  Traces, topologies and labels wait for
+    ConeCensus.cones.  At 8 taxa it would hold 264,600 cones.
     """
     if not 5 <= n <= 7:
         raise ValueError("census is implemented for 5 to 7 taxa")
@@ -218,27 +238,20 @@ def census(n: int) -> ConeCensus:
         G, keep = _gap_rows(S, range(S.shape[1]))
         shapes.append((*keep.shape[:2], int(keep[0, 0].sum())))
         gaps += G[keep].view(row_bytes)[:, 0].tolist()
-    radices = [k for _, k, _ in shapes]
-    cones = int(np.prod(radices))
-    # a node-pick's rows first appear in its first cone, after the rows of
-    # the node-picks above it: in order of (first cone, depth)
-    order = np.argsort(np.concatenate([
-        np.repeat(np.arange(nodes * k) * (cones // (nodes * k)) * (n - 3) + d, w)
-        for d, (nodes, k, w) in enumerate(shapes)
-    ]), kind="stable").tolist()
     ids: dict = {}  # a normal's int64 bytes -> its row of the stack
-    at = np.empty(len(gaps), dtype=np.intp)
-    at[order] = [ids.setdefault(gaps[i], len(ids)) for i in order]
+    at = np.array([ids.setdefault(g, len(ids)) for g in gaps], dtype=np.intp)
     ends = np.cumsum([np.prod(shape) for shape in shapes])
     levels = tuple(a.reshape(shape) for a, shape in zip(np.split(at, ends[:-1]), shapes))
 
+    radices = [k for _, k, _ in shapes]
+    cones = int(np.prod(radices))
     picks = np.stack(np.unravel_index(np.arange(cones), radices), axis=1)
-    splits, orbits = _splits_and_orbits(n, picks)
+    splits, joins, orbits = _splits_and_orbits(n, picks)
     names: dict = {}  # orbit key -> type number, in order of first cone
     types = tuple(_TYPE_NAMES[names.setdefault(k, len(names))] for k in orbits.tolist())
     types = types if n > 5 else ("",) * cones
     stack = np.frombuffer(b"".join(ids), dtype=np.int64).reshape(len(ids), num_pairs(n))
-    return ConeCensus(n, stack, levels, splits, picks, types)
+    return ConeCensus(n, stack, levels, splits, joins, types)
 
 
 def load_census(n: int, cache_dir=None) -> ConeCensus:
@@ -294,6 +307,8 @@ def classify_batch(n: int, X: np.ndarray) -> np.ndarray:
     """
     scores = _cascade(n)  # raises below 4 taxa
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != num_pairs(n):
+        raise ValueError(f"X must be 2-D, one row of {num_pairs(n)} distances per input")
     ids = np.full(X.shape[0], -1, dtype=np.int64)
     xmax = max(X.max(), -X.min()) if X.size else 0.0
     if not np.isfinite(xmax):

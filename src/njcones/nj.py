@@ -128,8 +128,9 @@ class CherryTrace:
     merges holds one (cluster, cluster) pair per join; clusters are
     frozensets of original leaves, and each pair is stored with the
     cluster containing the smaller minimum first.  Traces built by
-    trace_from_picks (and so by nj_run and the census) record the last
-    join canonically, with _canonical_last_join.
+    trace_from_picks (and so by nj_run) record the last join
+    canonically, with _canonical_last_join; the census's
+    (census.ConeCensus.trace) keep its rule.
     """
 
     n: int

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rational import products
-from .nj import trace_from_picks
 
 
 @dataclass(frozen=True)
@@ -169,12 +168,12 @@ def nearest_point(cone, v) -> ProjectionResult:
     scipy's nnls is not used: on inputs whose projection has tight
     constraints with zero multipliers it can return a non-optimal mu.
     """
-    H = cone.unit_rows
     v = np.asarray(v, dtype=float)
+    if v.shape != (cone.m,):
+        raise ValueError("vector length does not match the cone's ambient dimension")
+    H = cone.unit_rows
     if H.size == 0:
         return ProjectionResult(v.copy(), 0.0, "trivial")
-    if H.shape[1] != v.shape[0]:
-        raise ValueError("vector length does not match the cone's ambient dimension")
     w, _ = _nnls(H, np.arange(len(H))[None], v[None])
     return ProjectionResult(v + w[0], float(np.sqrt((w * w).sum(axis=1))[0]), "nnls")
 
@@ -316,8 +315,7 @@ def distances_to_wrong(V, true_topology, census) -> list:
         _margins(V[first:last], U, rows_of, bounds, best[first:last], best_k[first:last])
     regions = {k: tuple(census.splits[k].tolist()) for k in set(best_k.tolist())}
     named = {split: k for k, split in regions.items()}  # one cone of each region named
-    names = {split: trace_from_picks(census.n, census.picks[k].tolist()).topology().newick()
-             for split, k in named.items()}
+    names = {split: census.trace(k).topology().newick() for split, k in named.items()}
     return [
         ClassificationRecord("correct" if ok else "incorrect", d, names[regions[k]])
         for ok, d, k in zip(correct.tolist(), best.tolist(), best_k.tolist())

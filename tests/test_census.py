@@ -117,9 +117,11 @@ def test_census_walk_matches_per_trace_build(census5, census6):
 
 
 def test_seven_taxa_split_rows_are_the_trace_topologies(census7):
-    assert census7.splits.shape == census7.picks.shape == (9450, 4)
+    assert census7.splits.shape == (9450, 4) and census7.joins.shape == (9450, 4, 2)
     for c in range(0, 9450, 7):
-        trace = trace_from_picks(7, census7.picks[c].tolist())
+        digits = [int(p) for p in np.unravel_index(c, pick_radices(7))]
+        trace = trace_from_picks(7, digits)
+        assert census7.trace(c) == trace
         masks = sorted(sum(1 << i for i in split) for split in trace.topology().splits)
         assert census7.splits[c].tolist() == masks
 
@@ -336,6 +338,12 @@ def test_classify_batch_lets_go_of_its_input(rng):
 def test_classify_batch_reports_ties(census5):
     ids = classify_batch(5, np.ones((1, 10)))
     assert ids[0] == -1
+
+
+@pytest.mark.parametrize("X", [np.zeros(10), np.zeros((3, 9)), np.zeros((1, 2, 10))])
+def test_classify_batch_takes_rows_of_pair_distances(X):
+    with pytest.raises(ValueError, match="one row of 10 distances"):
+        classify_batch(5, X)
 
 
 def test_solid_angles_reproducible_across_threads(monkeypatch, census5):

@@ -42,6 +42,14 @@ def test_interior_point_is_fixed():
     assert np.allclose(res.point, v)
 
 
+@pytest.mark.parametrize("cone", [NJCone(5, ()), first_step_cone(0, 5)])
+def test_nearest_point_checks_the_vector_length(cone):
+    assert nearest_point(cone, np.ones(10)).distance >= 0
+    for v in ([1.0, 2.0], np.ones(15), np.ones((1, 10))):
+        with pytest.raises(ValueError, match="ambient dimension"):
+            nearest_point(cone, v)
+
+
 def test_single_halfspace_closed_form(rng):
     h = np.zeros(6)
     h[0], h[3] = 3.0, -4.0
@@ -557,15 +565,20 @@ def census_of(cns, ids, reduce=lambda cone: cone):
     assert (sizes == sizes[0]).all()
     return ConeCensus(
         cns.n, H.astype(np.int64), (cols.reshape(1, len(ids), -1),),
-        cns.splits[ids], cns.picks[ids], tuple(cns.types[k] for k in ids),
+        cns.splits[ids], cns.joins[ids], tuple(cns.types[k] for k in ids),
     )
 
 
 def test_the_walk_stacks_the_normals_of_its_cones(census5, census6):
     for cns in (census5, census6):
         H, cols, sizes = normal_index(cns.cones)
-        assert H.tobytes() == cns.normals.astype(float).tobytes()
-        assert cols.tobytes() == cns.cols.tobytes() and cols.dtype == cns.cols.dtype
+        rows = cns.normals[cns.cols.reshape(len(cns.types), -1)].tolist()
+        assert [list(map(list, c.normals)) for c in cns.cones] == rows
+        stack = {tuple(h) for h in cns.normals.tolist()}
+        assert len(stack) == len(cns.normals)
+        assert stack == {tuple(h) for h in H.astype(np.int64).tolist()}
+        assert cns.normals.dtype == np.int64 and cns.normals.shape == H.shape
+        assert cols.dtype == cns.cols.dtype and cols.shape == cns.cols.shape
         assert sizes.tobytes() == cone_sizes(cns).tobytes()
         assert sizes.dtype == cone_sizes(cns).dtype
         assert [mask_row(c.topology) for c in cns.cones] == cns.splits.tolist()
